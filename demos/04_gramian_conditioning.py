@@ -8,7 +8,7 @@ the `motc gramian-dist` experiment.
 
 import numpy as np
 
-from motc import gramian_motc, gramian_unitary, motc_a_vector, propagate
+from motc import gramian_motc, gramian_unitary, propagate, single_observable_gradients
 from motc.bench import (
     build_model_system,
     build_observable_set,
@@ -27,8 +27,8 @@ for k in range(20):
     field = sample_random_field(system, np.random.default_rng(1000 + k))
     prop = propagate(system, field)
     cond_g = gramian_unitary(prop).condition
-    cond_th = gramian_motc(motc_a_vector(prop, thermal, oset), prop.weights).condition
-    cond_pu = gramian_motc(motc_a_vector(prop, pure, oset), prop.weights).condition
+    cond_th = gramian_motc(single_observable_gradients(prop, thermal, oset), prop.weights).condition
+    cond_pu = gramian_motc(single_observable_gradients(prop, pure, oset), prop.weights).condition
     rows.append((cond_g, cond_th, cond_pu))
 
 table = np.array(rows)

@@ -28,7 +28,6 @@ from .landscape import (
     ObservableSet,
     analytic_purestate_flow,
     distance_derivative,
-    f_matrix,
     gradient_field,
     gradient_field_targeted,
     kinematic_flow,
@@ -37,6 +36,7 @@ from .landscape import (
     natural_basis_rank,
     objective_targeted,
     objective_weighted,
+    single_observable_gradients,
     unitary_gradient,
 )
 from .linalg import (
@@ -59,7 +59,6 @@ from .tracking import (
     gramian_motc,
     gramian_unitary,
     linear_target_observables,
-    motc_a_vector,
     motc_rhs,
     unitary_rhs,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "ObservableSet",
     "analytic_purestate_flow",
     "distance_derivative",
-    "f_matrix",
     "gradient_field",
     "gradient_field_targeted",
     "kinematic_flow",
@@ -94,6 +92,7 @@ __all__ = [
     "natural_basis_rank",
     "objective_targeted",
     "objective_weighted",
+    "single_observable_gradients",
     "unitary_gradient",
     "EigDecomposition",
     "condition_number",
@@ -112,7 +111,6 @@ __all__ = [
     "gramian_motc",
     "gramian_unitary",
     "linear_target_observables",
-    "motc_a_vector",
     "motc_rhs",
     "unitary_rhs",
 ]

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from ..dynamics import ControlField, QuantumSystem, StateSpec, expectations, propagate
-from ..errors import BranchBoundaryError, ConfigError, MotcError
+from ..errors import BranchBoundaryError, ConfigError, MotcError, StallError
 from ..integrate import FlowProblem, IntegrationReport, euler_integrate, rkck_adaptive
-from ..landscape import ObservableSet, gradient_field, kinematic_flow
+from ..landscape import ObservableSet, gradient_field, kinematic_flow, single_observable_gradients
 from ..tracking import (
     CorrectionSpec,
     TrackTarget,
@@ -26,7 +26,6 @@ from ..tracking import (
     gramian_motc,
     gramian_unitary,
     linear_target_observables,
-    motc_a_vector,
     motc_rhs,
     unitary_rhs,
 )
@@ -47,10 +46,26 @@ _STREAM_FIELD0 = 1
 _STREAM_SAMPLES = 2
 _STREAM_PERTURB = 3
 
+_NUMBER = r"([0-9.eE+-]+)"
+
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic child generator of the config seed for a named purpose."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def _spec_numbers(what: str, spec: str, pattern: str) -> tuple[float, ...]:
+    """The numbers ``pattern`` captures from a config spec (groups of an
+    alternative that did not match are skipped); ConfigError unless there
+    are some and all are positive."""
+    m = re.fullmatch(pattern, spec)
+    try:
+        values = tuple(float(g) for g in m.groups() if g is not None) if m else ()
+    except ValueError:
+        values = ()
+    if not values or not all(v > 0 for v in values):
+        raise ConfigError(f"unknown {what} spec {spec!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -91,44 +106,34 @@ class ExperimentConfig:
         if not obs or any(not 1 <= m <= self.n_levels for m in obs):
             raise ConfigError(f"observable counts must lie in 1..{self.n_levels}")
         object.__setattr__(self, "observables", obs)
-        self._parse_state()
-        self._parse_correction()
-        self._parse_free_fn()
-        self._parse_integrator()
+        # Typed values of the string specs, parsed once; kept outside the
+        # dataclass fields so to_dict() and config_hash see only the specs.
+        rank = None
+        if self.state not in ("pure", "thermal"):
+            rank = int(_spec_numbers("state", self.state, r"rank(\d+)")[0])
+            if rank > self.n_levels:
+                raise ConfigError(f"unknown state spec {self.state!r}")
+        correction = CorrectionSpec(enabled=False)
+        if self.correction != "off":
+            (beta,) = _spec_numbers("correction", self.correction, "beta=" + _NUMBER)
+            correction = CorrectionSpec(enabled=True, beta=beta)
+        eta = None
+        if self.free_fn != "zero":
+            (eta,) = _spec_numbers("free-function", self.free_fn, "fluence:eta=" + _NUMBER)
+        # (ds,) for Euler, (atol, rtol) for Cash-Karp.
+        integrator = _spec_numbers(
+            "integrator", self.integrator, f"euler:ds={_NUMBER}|rkck:atol={_NUMBER},rtol={_NUMBER}"
+        )
+        object.__setattr__(self, "_rank", rank)
+        object.__setattr__(self, "_correction", correction)
+        object.__setattr__(self, "_eta", eta)
+        object.__setattr__(self, "_integrator", integrator)
         if self.track not in ("geodesic", "linear"):
             raise ConfigError(f"unknown track kind {self.track!r}")
         if not 0 < self.threshold_fraction <= 1:
             raise ConfigError("threshold_fraction must be in (0, 1]")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
-
-    def _parse_state(self) -> None:
-        if self.state in ("pure", "thermal"):
-            return
-        m = re.fullmatch(r"rank(\d+)", self.state)
-        if not m or not 1 <= int(m.group(1)) <= self.n_levels:
-            raise ConfigError(f"unknown state spec {self.state!r}")
-
-    def _parse_correction(self) -> None:
-        if self.correction == "off":
-            return
-        m = re.fullmatch(r"beta=([0-9.eE+-]+)", self.correction)
-        if not m or not float(m.group(1)) > 0:
-            raise ConfigError(f"unknown correction spec {self.correction!r}")
-
-    def _parse_free_fn(self) -> None:
-        if self.free_fn == "zero":
-            return
-        m = re.fullmatch(r"fluence:eta=([0-9.eE+-]+)", self.free_fn)
-        if not m or not float(m.group(1)) > 0:
-            raise ConfigError(f"unknown free-function spec {self.free_fn!r}")
-
-    def _parse_integrator(self) -> None:
-        if re.fullmatch(r"euler:ds=([0-9.eE+-]+)", self.integrator):
-            return
-        if re.fullmatch(r"rkck:atol=([0-9.eE+-]+),rtol=([0-9.eE+-]+)", self.integrator):
-            return
-        raise ConfigError(f"unknown integrator spec {self.integrator!r}")
 
     # -- constructed objects --
 
@@ -140,34 +145,26 @@ class ExperimentConfig:
             return build_pure_ground_state(system)
         if self.state == "thermal":
             return build_thermal_state(system, self.temperature)
-        rank = int(re.fullmatch(r"rank(\d+)", self.state).group(1))
-        return build_rank_truncated_state(system, rank, self.temperature)
+        return build_rank_truncated_state(system, self._rank, self.temperature)
 
     def build_observables(self, m: int | None = None) -> ObservableSet:
         m_max = max(self.observables) if m is None else m
         return build_observable_set(self.n_levels, m_max, substream(self.seed, _STREAM_OBSERVABLES))
 
     def correction_spec(self) -> CorrectionSpec:
-        if self.correction == "off":
-            return CorrectionSpec(enabled=False)
-        beta = float(re.fullmatch(r"beta=([0-9.eE+-]+)", self.correction).group(1))
-        return CorrectionSpec(enabled=True, beta=beta)
+        return self._correction
 
     def free_function(self, samples: np.ndarray) -> np.ndarray | None:
-        if self.free_fn == "zero":
+        if self._eta is None:
             return None
-        eta = float(re.fullmatch(r"fluence:eta=([0-9.eE+-]+)", self.free_fn).group(1))
-        return free_function_min_fluence(samples, eta, np.ones_like(samples))
+        return free_function_min_fluence(samples, self._eta, np.ones_like(samples))
 
     def integrate(self, problem: FlowProblem, observer=None) -> IntegrationReport:
-        m = re.fullmatch(r"euler:ds=([0-9.eE+-]+)", self.integrator)
-        if m:
-            return euler_integrate(problem, float(m.group(1)), observer=observer)
-        m = re.fullmatch(r"rkck:atol=([0-9.eE+-]+),rtol=([0-9.eE+-]+)", self.integrator)
+        if len(self._integrator) == 1:
+            return euler_integrate(problem, self._integrator[0], observer=observer)
+        atol, rtol = self._integrator
         return rkck_adaptive(
-            replace(problem, atol=float(m.group(1)), rtol=float(m.group(2))),
-            observer=observer,
-            max_steps=self.max_steps,
+            replace(problem, atol=atol, rtol=rtol), observer=observer, max_steps=self.max_steps
         )
 
     def to_dict(self) -> dict:
@@ -207,7 +204,7 @@ class TrajectoryLog:
     accepted_steps: int = 0
     rejected_steps: int = 0
     rhs_evaluations: int = 0
-    stopped_early: bool = False
+    termination: str | None = None  # completed | observer | max_steps | stall | error
     error: str | None = None
 
     def add(
@@ -273,7 +270,7 @@ class TrajectoryLog:
             "accepted_steps": self.accepted_steps,
             "rejected_steps": self.rejected_steps,
             "rhs_evaluations": self.rhs_evaluations,
-            "stopped_early": self.stopped_early,
+            "termination": self.termination,
         }
         if self.step:
             out.update(
@@ -329,18 +326,18 @@ class _Recorder:
     def __call__(self, s: float, control: ControlField) -> bool:
         prop = propagate(self.system, control)
         phi = expectations(prop, self.state, self.oset)
-        err = err_inf = float("nan")
-        dist = float("nan")
-        if self.target is not None and self.target.kind == "observable":
-            dev = phi - self.target.w_of_s(s)
-            err, err_inf = float(np.linalg.norm(dev)), float(np.abs(dev).max())
-        if self.target is not None and self.target.kind == "unitary":
+        err = err_inf = dist = float("nan")
+        kind = None if self.target is None else self.target.kind
+        if kind == "unitary":
             dist = float(np.linalg.norm(prop.final - self.target.q_of_s(s)))
             err = err_inf = dist
-        if self.target is not None and self.target.kind == "unitary":
             cond = gramian_unitary(prop).condition
         else:
-            cond = gramian_motc(motc_a_vector(prop, self.state, self.oset), prop.weights).condition
+            if kind == "observable":
+                dev = phi - self.target.w_of_s(s)
+                err, err_inf = float(np.linalg.norm(dev)), float(np.abs(dev).max())
+            a = single_observable_gradients(prop, self.state, self.oset)
+            cond = gramian_motc(a, prop.weights).condition
         du = 0.0 if self._prev_u is None else float(np.linalg.norm(prop.final - self._prev_u))
         dfield = (
             0.0
@@ -353,27 +350,83 @@ class _Recorder:
         return bool(self.stop_phi1_at is not None and phi[0] >= self.stop_phi1_at)
 
 
+def _setup(config: ExperimentConfig):
+    """The model system, initial state, full observable set and initial
+    field eps_0 that every tracking or flow run starts from."""
+    system = config.build_system()
+    state = config.build_state(system)
+    eps0 = sample_random_field(system, substream(config.seed, _STREAM_FIELD0))
+    return system, state, config.build_observables(), eps0
+
+
 def _compute_flow_target(
-    u0: np.ndarray, state: StateSpec, oset1: ObservableSet, config: ExperimentConfig
+    config: ExperimentConfig, system: QuantumSystem, state: StateSpec, oset_full: ObservableSet,
+    eps0: ControlField,
 ):
-    """Kinematic-flow maximizer W of <Theta_1>, nudged off the log branch cut
-    if the geodesic generator lands on it."""
+    """Propagation of eps_0 and the kinematic-flow maximizer W of <Theta_1>
+    from U_0, nudged off the log branch cut if the geodesic generator lands
+    on it; plus the flow's summary entries."""
+    prop0 = propagate(system, eps0)
+    u0 = prop0.final
     flow = kinematic_flow(
-        u0, state, oset1, s_max=config.kinematic_s_max, ds=0.05,
+        u0, state, oset_full.subset(1), s_max=config.kinematic_s_max, ds=0.05,
         grad_tol=1e-5, record_every=1000, ds_cap=1.0,
     )
+    info = {
+        "kinematic_max_phi1": float(flow.phi[-1]),
+        "kinematic_converged": flow.converged,
+        "kinematic_gradient_norm": flow.gradient_norm,
+    }
     w = flow.final
     rng = substream(config.seed, _STREAM_PERTURB)
     for _ in range(5):
         try:
             geodesic_target_unitary(u0, w)
-            return w, flow
+            return prop0, w, info
         except BranchBoundaryError:
             herm = rng.standard_normal((state.dim, state.dim))
             herm = 1e-4 * (herm + herm.T) / 2.0
             wl, vl = np.linalg.eigh(herm)
             w = w @ ((vl * np.exp(-1j * wl)) @ vl.conj().T)
     raise BranchBoundaryError("could not move the geodesic generator off the branch cut")
+
+
+def _tracking_rhs(config: ExperimentConfig, system: QuantumSystem, track_rhs, *args):
+    """d eps/d s of a tracking run: ``track_rhs(prop, *args, s, ...)`` on the
+    propagation of the field, with the configured free function and error
+    correction."""
+    correction = config.correction_spec()
+
+    def rhs(s: float, control: ControlField) -> np.ndarray:
+        prop = propagate(system, control)
+        free = config.free_function(control.samples)
+        return track_rhs(prop, *args, s, free=free, correction=correction)
+
+    return rhs
+
+
+def _integrate_logged(
+    config: ExperimentConfig, recorder: _Recorder, rhs, eps0: ControlField, s_end: float = 1.0
+) -> np.ndarray | None:
+    """Log eps_0, integrate d eps/d s = rhs over [0, s_end] with the
+    configured integrator and copy its counters and termination reason into
+    the recorder's log, where a MotcError is recorded instead of raised.
+    Returns the final field samples, or None after an error."""
+    log = recorder.log
+    recorder(0.0, eps0)
+    problem = FlowProblem(
+        rhs=rhs, s_span=(0.0, s_end), initial=eps0, ds_min=config.ds_min, ds_max=config.ds_max,
+    )
+    try:
+        report = config.integrate(problem, observer=recorder)
+    except MotcError as exc:
+        log.accepted_steps, log.rejected_steps, log.rhs_evaluations = exc.counts
+        log.termination = "stall" if isinstance(exc, StallError) else "error"
+        log.error = f"{type(exc).__name__}: {exc}"
+        return None
+    log.accepted_steps, log.rejected_steps, log.rhs_evaluations = report.counts
+    log.termination = report.termination
+    return report.final_field.samples
 
 
 def run_gramian_distribution(config: ExperimentConfig) -> dict:
@@ -436,8 +489,8 @@ def _gramian_sample(args: tuple[dict, int]):
         control = sample_random_field(system, substream(config.seed, _STREAM_SAMPLES, k))
         prop = propagate(system, control)
         cond_g = gramian_unitary(prop).condition
-        cond_th = gramian_motc(motc_a_vector(prop, thermal, oset), prop.weights).condition
-        cond_pu = gramian_motc(motc_a_vector(prop, pure, oset), prop.weights).condition
+        cond_th = gramian_motc(single_observable_gradients(prop, thermal, oset), prop.weights).condition
+        cond_pu = gramian_motc(single_observable_gradients(prop, pure, oset), prop.weights).condition
         return [float(k), cond_g, cond_th, cond_pu]
     except MotcError:
         return None
@@ -450,54 +503,25 @@ def run_motc_experiment(config: ExperimentConfig) -> dict:
     <Theta_1> to the maximizer W, build the observable track per m, then
     integrate the tracking equation, logging every accepted step.
     """
-    system = config.build_system()
-    state = config.build_state(system)
-    oset_full = config.build_observables()
-    eps0 = sample_random_field(system, substream(config.seed, _STREAM_FIELD0))
-    prop0 = propagate(system, eps0)
-    u0 = prop0.final
-    w, flow = _compute_flow_target(u0, state, oset_full.subset(1), config)
-    correction = config.correction_spec()
+    system, state, oset_full, eps0 = _setup(config)
+    prop0, w, flow_info = _compute_flow_target(config, system, state, oset_full, eps0)
     logs: dict[int, TrajectoryLog] = {}
     spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for m in config.observables:
         oset = oset_full.subset(m)
         if config.track == "geodesic":
-            target = geodesic_target_observables(u0, w, state, oset)
+            target = geodesic_target_observables(prop0.final, w, state, oset)
         else:
             phi0 = expectations(prop0, state, oset)
-            phi1 = _expectations_at(w, state, oset)
-            target = linear_target_observables(phi0, phi1)
-        log = TrajectoryLog(label=f"motc_m{m}", m=m)
-        recorder = _Recorder(system, state, oset, target, log)
-
-        def rhs(s: float, control: ControlField, _oset=oset, _target=target) -> np.ndarray:
-            prop = propagate(system, control)
-            return motc_rhs(
-                prop, state, _oset, _target, s,
-                free=config.free_function(control.samples),
-                correction=correction,
-            )
-
-        recorder(0.0, eps0)
-        problem = FlowProblem(
-            rhs=rhs, s_span=(0.0, 1.0), initial=eps0,
-            ds_min=config.ds_min, ds_max=config.ds_max,
-        )
-        try:
-            report = config.integrate(problem, observer=recorder)
-            log.accepted_steps = report.accepted_steps
-            log.rejected_steps = report.rejected_steps
-            log.rhs_evaluations = report.rhs_evaluations
-            final = report.final_field.samples
-        except MotcError as exc:
-            log.error = f"{type(exc).__name__}: {exc}"
-            final = np.full(system.q, np.nan)
-        logs[m] = log
-        if np.all(np.isfinite(final)):
+            target = linear_target_observables(phi0, expectations(w, state, oset))
+        logs[m] = TrajectoryLog(label=f"motc_m{m}", m=m)
+        recorder = _Recorder(system, state, oset, target, logs[m])
+        rhs = _tracking_rhs(config, system, motc_rhs, state, oset, target)
+        final = _integrate_logged(config, recorder, rhs, eps0)
+        if final is not None:
             spectra[m] = field_power_spectrum(system, final)
     summary = {
-        "kinematic_max_phi1": float(flow.phi[-1]),
+        **flow_info,
         "phi1_at_u0": float(expectations(prop0, state, oset_full.subset(1))[0]),
         "high_mode_counts": {
             str(m): count_high_frequency_modes(*spectra[m]) for m in spectra
@@ -507,47 +531,16 @@ def run_motc_experiment(config: ExperimentConfig) -> dict:
     return {"name": "motc-track", "logs": logs, "spectra": spectra, "summary": summary}
 
 
-def _expectations_at(u: np.ndarray, state: StateSpec, oset: ObservableSet) -> np.ndarray:
-    rho_t = u @ state.rho0 @ u.conj().T
-    return np.einsum("ab,kba->k", rho_t, oset.operators).real
-
-
 def run_unitary_experiment(config: ExperimentConfig) -> dict:
     """Track the geodesic Q_s in U(N) itself with the N^2-dimensional solve."""
-    system = config.build_system()
-    state = config.build_state(system)
-    oset_full = config.build_observables()
-    eps0 = sample_random_field(system, substream(config.seed, _STREAM_FIELD0))
-    prop0 = propagate(system, eps0)
-    u0 = prop0.final
-    w, flow = _compute_flow_target(u0, state, oset_full.subset(1), config)
-    target = geodesic_target_unitary(u0, w)
-    correction = config.correction_spec()
+    system, state, oset_full, eps0 = _setup(config)
+    prop0, w, flow_info = _compute_flow_target(config, system, state, oset_full, eps0)
+    target = geodesic_target_unitary(prop0.final, w)
     log = TrajectoryLog(label="unitary_track", m=max(config.observables))
     recorder = _Recorder(system, state, oset_full.subset(log.m), target, log)
-
-    def rhs(s: float, control: ControlField) -> np.ndarray:
-        prop = propagate(system, control)
-        return unitary_rhs(
-            prop, target, s,
-            free=config.free_function(control.samples),
-            correction=correction,
-        )
-
-    recorder(0.0, eps0)
-    problem = FlowProblem(
-        rhs=rhs, s_span=(0.0, 1.0), initial=eps0,
-        ds_min=config.ds_min, ds_max=config.ds_max,
-    )
-    try:
-        report = config.integrate(problem, observer=recorder)
-        log.accepted_steps = report.accepted_steps
-        log.rejected_steps = report.rejected_steps
-        log.rhs_evaluations = report.rhs_evaluations
-    except MotcError as exc:
-        log.error = f"{type(exc).__name__}: {exc}"
+    _integrate_logged(config, recorder, _tracking_rhs(config, system, unitary_rhs, target), eps0)
     summary = {
-        "kinematic_max_phi1": float(flow.phi[-1]),
+        **flow_info,
         "final_track_distance": log.track_distance[-1] if log.track_distance else float("nan"),
         "log": log.summary(),
     }
@@ -557,71 +550,32 @@ def run_unitary_experiment(config: ExperimentConfig) -> dict:
 def run_gradient_flow(config: ExperimentConfig, threshold: float | None = None) -> dict:
     """Integrate the dynamical gradient flow of <Theta_1> with the configured
     integrator, optionally stopping once Phi_1 reaches ``threshold``."""
-    system = config.build_system()
-    state = config.build_state(system)
-    oset1 = config.build_observables().subset(1)
-    eps0 = sample_random_field(system, substream(config.seed, _STREAM_FIELD0))
+    system, state, oset_full, eps0 = _setup(config)
+    oset1 = oset_full.subset(1)
     log = TrajectoryLog(label="grad_flow", m=1)
-    recorder = _Recorder(system, state, oset1, None, log, stop_phi1_at=threshold)
 
     def rhs(s: float, control: ControlField) -> np.ndarray:
         return gradient_field(propagate(system, control), state, oset1)
 
-    recorder(0.0, eps0)
-    problem = FlowProblem(
-        rhs=rhs, s_span=(0.0, config.grad_s_max), initial=eps0,
-        ds_min=config.ds_min, ds_max=config.ds_max,
-    )
-    report = config.integrate(problem, observer=recorder)
-    log.accepted_steps = report.accepted_steps
-    log.rejected_steps = report.rejected_steps
-    log.rhs_evaluations = report.rhs_evaluations
-    log.stopped_early = report.stopped_early
-    return {
-        "name": "grad-flow",
-        "logs": {"gradient": log},
-        "report": report,
-        "summary": {"log": log.summary()},
-    }
+    recorder = _Recorder(system, state, oset1, None, log, stop_phi1_at=threshold)
+    _integrate_logged(config, recorder, rhs, eps0, s_end=config.grad_s_max)
+    return {"name": "grad-flow", "logs": {"gradient": log}, "summary": {"log": log.summary()}}
 
 
 def run_efficiency_comparison(config: ExperimentConfig) -> dict:
     """Accepted ASRK5 steps to reach Phi_1 >= threshold: MOTC (largest m)
     versus the gradient flow, identical tolerances."""
-    system = config.build_system()
-    state = config.build_state(system)
-    oset_full = config.build_observables()
-    m_big = max(config.observables)
-    eps0 = sample_random_field(system, substream(config.seed, _STREAM_FIELD0))
-    prop0 = propagate(system, eps0)
-    u0 = prop0.final
-    w, flow = _compute_flow_target(u0, state, oset_full.subset(1), config)
-    threshold = config.threshold_fraction * float(flow.phi[-1])
-    correction = config.correction_spec()
+    system, state, oset_full, eps0 = _setup(config)
+    prop0, w, flow_info = _compute_flow_target(config, system, state, oset_full, eps0)
+    threshold = config.threshold_fraction * flow_info["kinematic_max_phi1"]
 
     # MOTC leg
+    m_big = max(config.observables)
     oset = oset_full.subset(m_big)
-    target = geodesic_target_observables(u0, w, state, oset)
+    target = geodesic_target_observables(prop0.final, w, state, oset)
     motc_log = TrajectoryLog(label=f"efficiency_motc_m{m_big}", m=m_big)
-    motc_rec = _Recorder(system, state, oset, target, motc_log, stop_phi1_at=threshold)
-
-    def rhs_motc(s: float, control: ControlField) -> np.ndarray:
-        prop = propagate(system, control)
-        return motc_rhs(
-            prop, state, oset, target, s,
-            free=config.free_function(control.samples), correction=correction,
-        )
-
-    motc_rec(0.0, eps0)
-    motc_report = config.integrate(
-        FlowProblem(rhs=rhs_motc, s_span=(0.0, 1.0), initial=eps0,
-                    ds_min=config.ds_min, ds_max=config.ds_max),
-        observer=motc_rec,
-    )
-    motc_log.accepted_steps = motc_report.accepted_steps
-    motc_log.rejected_steps = motc_report.rejected_steps
-    motc_log.rhs_evaluations = motc_report.rhs_evaluations
-    motc_log.stopped_early = motc_report.stopped_early
+    recorder = _Recorder(system, state, oset, target, motc_log, stop_phi1_at=threshold)
+    _integrate_logged(config, recorder, _tracking_rhs(config, system, motc_rhs, state, oset, target), eps0)
 
     # gradient-flow leg
     grad = run_gradient_flow(config, threshold=threshold)
@@ -637,18 +591,17 @@ def run_efficiency_comparison(config: ExperimentConfig) -> dict:
     grad_steps = steps_to_threshold(grad_log)
     header = "method,accepted_steps_to_threshold,censored,total_accepted,rejected,rhs_evaluations"
     rows = [
-        ["motc", -1 if motc_steps is None else motc_steps, int(motc_steps is None),
-         motc_log.accepted_steps, motc_log.rejected_steps, motc_log.rhs_evaluations],
-        ["gradient", -1 if grad_steps is None else grad_steps, int(grad_steps is None),
-         grad_log.accepted_steps, grad_log.rejected_steps, grad_log.rhs_evaluations],
+        [method, -1 if steps is None else steps, int(steps is None),
+         log.accepted_steps, log.rejected_steps, log.rhs_evaluations]
+        for method, log, steps in (("motc", motc_log, motc_steps), ("gradient", grad_log, grad_steps))
     ]
     return {
         "name": "efficiency",
         "logs": {f"motc_m{m_big}": motc_log, "gradient": grad_log},
         "table": (header, rows),
         "summary": {
+            **flow_info,
             "threshold": threshold,
-            "kinematic_max_phi1": float(flow.phi[-1]),
             "motc_steps_to_threshold": motc_steps,
             "gradient_steps_to_threshold": grad_steps,
             "motc": motc_log.summary(),

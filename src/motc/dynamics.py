@@ -232,14 +232,15 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
     )
 
 
-def expectations(prop: PropagationResult, state: StateSpec, observables) -> np.ndarray:
-    """Phi_k = Tr(U(T) rho(0) U^dag(T) Theta_k) for each observable."""
+def expectations(prop: PropagationResult | np.ndarray, state: StateSpec, observables) -> np.ndarray:
+    """Phi_k = Tr(U(T) rho(0) U^dag(T) Theta_k) for each observable; ``prop``
+    is a propagation or U(T) itself (such as a flow target W)."""
     theta = observables.operators if hasattr(observables, "operators") else np.asarray(observables)
     theta = np.asarray(theta, dtype=complex)
     if theta.ndim == 2:
         theta = theta[None]
-    u = prop.final
-    if state.dim != prop.dim or theta.shape[-1] != prop.dim:
+    u = prop.final if isinstance(prop, PropagationResult) else np.asarray(prop)
+    if state.dim != u.shape[-1] or theta.shape[-1] != u.shape[-1]:
         raise ValueError("dimension mismatch between propagation, state, and observables")
     rho_t = u @ state.rho0 @ u.conj().T
     vals = np.einsum("ab,kba->k", rho_t, theta)

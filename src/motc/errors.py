@@ -2,7 +2,10 @@
 
 
 class MotcError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  An integrator that propagates one
+    sets ``counts`` to its (accepted, rejected, rhs evaluations) so far."""
+
+    counts: tuple[int, int, int] | None = None
 
 
 class ConvergenceError(MotcError):

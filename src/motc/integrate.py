@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import ControlField
-from .errors import NoBracketError, StallError
+from .errors import MotcError, NoBracketError, StallError
 
 # Cash-Karp tableau.
 _CK_C = np.array([0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8])
@@ -68,18 +68,25 @@ class FlowProblem:
 
 @dataclass
 class IntegrationReport:
-    """Step accounting and the accepted (s, field) trajectory."""
+    """Step accounting, the accepted (s, field) trajectory and why it ended:
+    ``termination`` is "completed" (reached the end of the s interval),
+    "observer" (the observer asked to stop) or "max_steps" (the step budget
+    ran out first)."""
 
     accepted_steps: int
     rejected_steps: int
     rhs_evaluations: int
     s_values: np.ndarray
     fields: np.ndarray
-    stopped_early: bool = False
+    termination: str = "completed"
 
     @property
     def final_field(self) -> ControlField:
         return ControlField(self.fields[-1])
+
+    @property
+    def counts(self) -> tuple[int, int, int]:
+        return self.accepted_steps, self.rejected_steps, self.rhs_evaluations
 
 
 Observer = Callable[[float, ControlField], bool | None]
@@ -91,32 +98,37 @@ def euler_integrate(
     """Fixed-step forward Euler: eps <- eps + ds * rhs(s, eps).
 
     The observer (if any) is called after every accepted step; returning
-    True stops the integration early.
+    True stops the integration early.  A MotcError from the right-hand side
+    or the observer propagates with ``counts`` set.
     """
     if ds <= 0:
         raise ValueError("ds must be positive")
     s0, s1 = problem.s_span
     y = problem.initial.samples.copy()
     s_values, fields = [s0], [y.copy()]
-    s, n_eval, stopped = s0, 0, False
-    while s < s1 - 1e-14:
-        h = min(ds, s1 - s)
-        dy = problem.rhs(s, ControlField(y))
-        n_eval += 1
-        y = y + h * dy
-        s = s + h
-        s_values.append(s)
-        fields.append(y.copy())
-        if observer is not None and observer(s, ControlField(y)):
-            stopped = True
-            break
+    s, n_eval, termination = s0, 0, "completed"
+    try:
+        while s < s1 - 1e-14:
+            h = min(ds, s1 - s)
+            dy = problem.rhs(s, ControlField(y))
+            n_eval += 1
+            y = y + h * dy
+            s = s + h
+            s_values.append(s)
+            fields.append(y.copy())
+            if observer is not None and observer(s, ControlField(y)):
+                termination = "observer"
+                break
+    except MotcError as exc:
+        exc.counts = (len(s_values) - 1, 0, n_eval)
+        raise
     return IntegrationReport(
         accepted_steps=len(s_values) - 1,
         rejected_steps=0,
         rhs_evaluations=n_eval,
         s_values=np.array(s_values),
         fields=np.array(fields),
-        stopped_early=stopped,
+        termination=termination,
     )
 
 
@@ -132,61 +144,68 @@ def rkck_adaptive(
     RMS norm; a step is accepted when the scaled error is at most 1.  The
     next step is safety * err^(-1/5) times the current one, clamped to
     [ds_min, ds_max] with growth at most 5x.  A required step below ds_min
-    raises StallError.
+    raises StallError.  After ``max_steps`` attempted steps the integration
+    returns with termination "max_steps" short of the interval's end.  Any
+    MotcError propagates with ``counts`` set.
     """
     s0, s1 = problem.s_span
     y = problem.initial.samples.copy()
     h = min(problem.ds_max, ds_init if ds_init is not None else 0.01, s1 - s0)
     h = max(h, problem.ds_min)
     s_values, fields = [s0], [y.copy()]
-    s, acc, rej, n_eval, stopped = s0, 0, 0, 0, False
+    s, acc, rej, n_eval, termination = s0, 0, 0, 0, "completed"
     k = [None] * 6
-    while s < s1 - 1e-14:
-        h = min(h, s1 - s)
-        k[0] = problem.rhs(s, ControlField(y))
-        n_eval += 1
-        for i in range(1, 6):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_CK_A[i]))
-            k[i] = problem.rhs(s + _CK_C[i] * h, ControlField(yi))
+    try:
+        while s < s1 - 1e-14:
+            h = min(h, s1 - s)
+            k[0] = problem.rhs(s, ControlField(y))
             n_eval += 1
-        y5 = y + h * sum(b * ki for b, ki in zip(_CK_B5, k))
-        y4 = y + h * sum(b * ki for b, ki in zip(_CK_B4, k))
-        scale = problem.atol + problem.rtol * np.abs(y)
-        err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
-        at_floor = h <= problem.ds_min * (1 + 1e-12)
-        if err <= 1.0 or (at_floor and problem.clamp_at_ds_min):
-            s = s + h
-            y = y5
-            acc += 1
-            s_values.append(s)
-            fields.append(y.copy())
-            if observer is not None and observer(s, ControlField(y)):
-                stopped = True
+            for i in range(1, 6):
+                yi = y + h * sum(a * k[j] for j, a in enumerate(_CK_A[i]))
+                k[i] = problem.rhs(s + _CK_C[i] * h, ControlField(yi))
+                n_eval += 1
+            y5 = y + h * sum(b * ki for b, ki in zip(_CK_B5, k))
+            y4 = y + h * sum(b * ki for b, ki in zip(_CK_B4, k))
+            scale = problem.atol + problem.rtol * np.abs(y)
+            err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
+            at_floor = h <= problem.ds_min * (1 + 1e-12)
+            if err <= 1.0 or (at_floor and problem.clamp_at_ds_min):
+                s = s + h
+                y = y5
+                acc += 1
+                s_values.append(s)
+                fields.append(y.copy())
+                if observer is not None and observer(s, ControlField(y)):
+                    termination = "observer"
+                    break
+                factor = _GROWTH_CAP if err == 0.0 else min(_GROWTH_CAP, _SAFETY * err ** (-0.2))
+            else:
+                rej += 1
+                factor = max(_SHRINK_CAP, _SAFETY * err ** (-0.2))
+            h_new = h * factor
+            if h_new < problem.ds_min:
+                if err > 1.0 and not problem.clamp_at_ds_min:
+                    raise StallError(
+                        f"step below ds_min = {problem.ds_min:.1e} at s = {s:.6f} "
+                        f"(scaled error {err:.3e})",
+                        s=s,
+                        error_estimate=err,
+                    )
+                h_new = problem.ds_min
+            h = min(h_new, problem.ds_max)
+            if acc + rej >= max_steps and s < s1 - 1e-14:
+                termination = "max_steps"
                 break
-            factor = _GROWTH_CAP if err == 0.0 else min(_GROWTH_CAP, _SAFETY * err ** (-0.2))
-        else:
-            rej += 1
-            factor = max(_SHRINK_CAP, _SAFETY * err ** (-0.2))
-        h_new = h * factor
-        if h_new < problem.ds_min:
-            if err > 1.0 and not problem.clamp_at_ds_min:
-                raise StallError(
-                    f"step below ds_min = {problem.ds_min:.1e} at s = {s:.6f} "
-                    f"(scaled error {err:.3e})",
-                    s=s,
-                    error_estimate=err,
-                )
-            h_new = problem.ds_min
-        h = min(h_new, problem.ds_max)
-        if acc + rej >= max_steps:
-            break
+    except MotcError as exc:
+        exc.counts = (acc, rej, n_eval)
+        raise
     return IntegrationReport(
         accepted_steps=acc,
         rejected_steps=rej,
         rhs_evaluations=n_eval,
         s_values=np.array(s_values),
         fields=np.array(fields),
-        stopped_early=stopped,
+        termination=termination,
     )
 
 

@@ -351,15 +351,3 @@ def dipole_component_matrix(prop: PropagationResult) -> np.ndarray:
     """
     return herm_to_vec(prop.evolved_dipole_step) * _sample_scale(prop)[:, None]
 
-
-def f_matrix(prop: PropagationResult) -> np.ndarray:
-    """Hamiltonian-dependent kernel of the projected gradient flow on U(N).
-
-    F = int_0^T v(du/d eps(t)) v(du/d eps(t))^T dt in the real Hermitian
-    parameterization of the tangent frame at U(T); symmetric positive
-    semidefinite.  The induced motion of the propagator under the dynamical
-    gradient flow is v(dU/ds frame) = F v(grad frame).
-    """
-    b = dipole_component_matrix(prop)
-    f = (b * prop.weights[:, None]).T @ b
-    return 0.5 * (f + f.T)

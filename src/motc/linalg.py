@@ -19,10 +19,6 @@ from .errors import BranchBoundaryError, ConvergenceError, SingularMatrixError
 # a branch.  The principal branch is the open interval (-pi, pi).
 BRANCH_TOL = 1e-6
 
-# Relative singular-value cutoff of the truncated pseudo-inverse used by
-# regularized solves.
-REGULARIZED_CUTOFF = 1e-12
-
 
 def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m)
@@ -103,47 +99,37 @@ def log_unitary_principal(v: np.ndarray, branch_tol: float = BRANCH_TOL) -> np.n
     return (z * phases) @ z.conj().T
 
 
-def solve_linear(
-    m: np.ndarray,
-    b: np.ndarray,
-    mode: str = "strict",
-    cutoff: float = REGULARIZED_CUTOFF,
-) -> np.ndarray:
-    """Solve M x = b.
+def solve_linear(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve M x = b by LU factorization.
 
-    ``strict`` uses an LU factorization and raises
-    :class:`SingularMatrixError` on an exactly singular matrix.
-    ``regularized`` replaces the inverse with a truncated-singular-value
-    pseudo-inverse at relative cutoff ``cutoff``.
+    Raises :class:`SingularMatrixError`, carrying the condition number, on
+    an exactly singular matrix.
     """
     m = require_finite(m, "M")
     b = np.asarray(b)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"M must be square, got shape {m.shape}")
-    if mode == "strict":
-        try:
-            return np.linalg.solve(m, b)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                f"singular matrix in strict solve (condition ~ {condition_number(m):.3e})",
-                condition=condition_number(m),
-            ) from exc
-    if mode == "regularized":
-        u, s, vt = np.linalg.svd(m)
-        keep = s > cutoff * (s[0] if s.size else 0.0)
-        s_inv = np.zeros_like(s)
-        s_inv[keep] = 1.0 / s[keep]
-        return vt.T @ (s_inv[:, None] * (u.T.conj() @ b) if b.ndim > 1 else s_inv * (u.T.conj() @ b))
-    raise ValueError(f"unknown solve mode {mode!r}")
+    try:
+        return np.linalg.solve(m, b)
+    except np.linalg.LinAlgError as exc:
+        cond = condition_number(m)
+        raise SingularMatrixError(
+            f"singular matrix in strict solve (condition ~ {cond:.3e})", condition=cond
+        ) from exc
+
+
+def condition_from_singular_values(s: np.ndarray) -> float:
+    """sigma_max / sigma_min of descending singular values, with +inf when
+    sigma_min underflows to nothing."""
+    if s.size == 0 or s[0] == 0.0 or s[-1] < 1e-300 * s[0]:
+        return float("inf")
+    return float(s[0] / s[-1])
 
 
 def condition_number(m: np.ndarray) -> float:
     """sigma_max / sigma_min, with +inf when sigma_min underflows to nothing."""
     m = require_finite(m, "M")
-    s = np.linalg.svd(np.atleast_2d(m), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0 or s[-1] < 1e-300 * s[0]:
-        return float("inf")
-    return float(s[0] / s[-1])
+    return condition_from_singular_values(np.linalg.svd(np.atleast_2d(m), compute_uv=False))
 
 
 # ---------------------------------------------------------------------------

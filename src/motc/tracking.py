@@ -30,7 +30,7 @@ from .dynamics import ControlField, PropagationResult, StateSpec, expectations
 from .errors import SingularTrackError
 from .landscape import ObservableSet, dipole_component_matrix, single_observable_gradients
 from .linalg import (
-    condition_number,
+    condition_from_singular_values,
     herm_to_vec,
     log_unitary_principal,
     require_unitary,
@@ -42,7 +42,7 @@ from .linalg import (
 STRICT_SOLVE_CAP = 1e10
 # Observable-tracking Gramians beyond this cap abort with SingularTrackError.
 MOTC_HARD_CAP = 1e14
-# Residual fraction above which a (regularized) unitary-tracking solve is
+# Residual fraction above which a Gramian solve, of either kind of track, is
 # considered to have no usable solution at all.  The residual is measured
 # against max(||rhs||, RESIDUAL_FLOOR): on a track that does not move the
 # right-hand side is pure roundoff (~1e-15), most of it outside range(G), and
@@ -163,34 +163,24 @@ def linear_target_observables(phi_start: np.ndarray, phi_target: np.ndarray) -> 
     )
 
 
-def motc_a_vector(prop: PropagationResult, state: StateSpec, oset: ObservableSet) -> np.ndarray:
-    """(m, q) matrix a_s^i(t_j) = d Phi^i / d eps(t_j), unit weights."""
-    return single_observable_gradients(prop, state, oset)
-
-
-def _report_from_gram(g: np.ndarray) -> GramianReport:
-    g = 0.5 * (g + g.T)
-    u, s, vt = np.linalg.svd(g)
-    if s.size == 0 or s[0] == 0.0 or s[-1] < 1e-300 * s[0]:
-        cond = float("inf")
-    else:
-        cond = float(s[0] / s[-1])
-    return GramianReport(matrix=g, singular_values=s, condition=cond, _u=u, _vt=vt)
-
-
 def gramian_motc(a: np.ndarray, weights: np.ndarray) -> GramianReport:
     """MOTC Gramian (Gamma)_ij = int a^i(t) a^j(t) dt by trapezoid quadrature."""
     a = np.asarray(a, float)
     if a.ndim != 2 or a.shape[1] != np.asarray(weights).size:
         raise ValueError("a must be (m, q) with one column per quadrature node")
-    return _report_from_gram((a * weights[None, :]) @ a.T)
+    g = (a * weights[None, :]) @ a.T
+    g = 0.5 * (g + g.T)
+    u, s, vt = np.linalg.svd(g)
+    return GramianReport(
+        matrix=g, singular_values=s, condition=condition_from_singular_values(s), _u=u, _vt=vt
+    )
 
 
 def gramian_unitary(prop: PropagationResult) -> GramianReport:
-    """Unitary-tracking Gramian G: the N^2 x N^2 Gram matrix of the dipole
-    basis functions in the real Hermitian parameterization."""
-    b = dipole_component_matrix(prop)
-    return _report_from_gram((b * prop.weights[:, None]).T @ b)
+    """Unitary-tracking Gramian G: the MOTC Gramian of the N^2 dipole basis
+    functions in the real Hermitian parameterization (a = B^T).  G is also
+    the kernel F of the projected gradient flow on U(N)."""
+    return gramian_motc(dipole_component_matrix(prop).T, prop.weights)
 
 
 def free_function_min_fluence(field_or_samples, eta: float, w: np.ndarray) -> np.ndarray:
@@ -205,10 +195,13 @@ def free_function_min_fluence(field_or_samples, eta: float, w: np.ndarray) -> np
 
 
 def solve_gramian(report: GramianReport, b: np.ndarray, hard_cap: float | None = None) -> np.ndarray:
-    """Solve Gramian x = b under the conditioning policy.
+    """Solve Gramian x = b under the conditioning policy of every track.
 
-    LU below `STRICT_SOLVE_CAP`; truncated-SVD pseudo-inverse above it;
-    SingularTrackError beyond ``hard_cap`` (when given).
+    SingularTrackError beyond ``hard_cap`` (when given); LU below
+    `STRICT_SOLVE_CAP`; truncated-SVD pseudo-inverse above it.  The solve
+    residual, measured against max(||b||, RESIDUAL_FLOOR), must then stay
+    below RESIDUAL_CAP, else SingularTrackError: b has no usable component
+    in the range of the Gramian.
     """
     if hard_cap is not None and not (report.condition <= hard_cap):
         raise SingularTrackError(
@@ -216,13 +209,41 @@ def solve_gramian(report: GramianReport, b: np.ndarray, hard_cap: float | None =
             condition=report.condition,
         )
     if report.condition <= STRICT_SOLVE_CAP:
-        return solve_linear(report.matrix, b, mode="strict")
-    s = report.singular_values
-    keep = s > 1e-12 * s[0]
-    coeff = np.zeros_like(s)
-    proj = report._u.T @ b
-    coeff[keep] = proj[keep] / s[keep]
-    return report._vt.T @ coeff
+        x = solve_linear(report.matrix, b)
+    else:
+        s = report.singular_values
+        keep = s > 1e-12 * s[0]
+        coeff = np.zeros_like(s)
+        proj = report._u.T @ b
+        coeff[keep] = proj[keep] / s[keep]
+        x = report._vt.T @ coeff
+    b_norm = np.linalg.norm(b)
+    abs_residual = np.linalg.norm(report.matrix @ x - b)
+    residual = abs_residual / max(b_norm, RESIDUAL_FLOOR)
+    if residual > RESIDUAL_CAP:
+        raise SingularTrackError(
+            f"track unreachable: solve residual {residual:.2f} "
+            f"(absolute {abs_residual:.3e}, |rhs| {b_norm:.3e}; "
+            f"Gramian condition {report.condition:.3e})",
+            condition=report.condition,
+        )
+    return x
+
+
+def _track_rhs(
+    a: np.ndarray,
+    weights: np.ndarray,
+    dw: np.ndarray,
+    free: np.ndarray | None,
+    hard_cap: float | None,
+) -> np.ndarray:
+    """d eps/d s = f + x^T a with Gamma x = dw - int a f dt: the tracking
+    solve shared by observable and unitary tracks."""
+    f = np.zeros(a.shape[1]) if free is None else np.asarray(free, float)
+    if f.shape != (a.shape[1],):
+        raise ValueError("free function must have one sample per grid node")
+    x = solve_gramian(gramian_motc(a, weights), dw - a @ (weights * f), hard_cap=hard_cap)
+    return x @ a + f
 
 
 def motc_rhs(
@@ -239,18 +260,12 @@ def motc_rhs(
         raise ValueError("motc_rhs requires an observable-kind target")
     if target.m != oset.m:
         raise ValueError(f"target tracks {target.m} observables, set has {oset.m}")
-    a = motc_a_vector(prop, state, oset)
-    wq = prop.weights
-    f = np.zeros(prop.q) if free is None else np.asarray(free, float)
-    if f.shape != (prop.q,):
-        raise ValueError("free function must have one sample per grid node")
+    a = single_observable_gradients(prop, state, oset)
     dw = target.dw_ds(s)
     if correction is not None and correction.enabled:
         phi = expectations(prop, state, oset)
         dw = dw + correction.beta * (target.w_of_s(s) - phi)
-    gam = gramian_motc(a, wq)
-    x = solve_gramian(gam, dw - a @ (wq * f), hard_cap=MOTC_HARD_CAP)
-    return x @ a + f
+    return _track_rhs(a, prop.weights, dw, free, MOTC_HARD_CAP)
 
 
 def unitary_rhs(
@@ -262,15 +277,15 @@ def unitary_rhs(
 ) -> np.ndarray:
     """d eps/d s for unitary-propagator tracking at algorithmic time s.
 
+    This is observable tracking with a = B^T, the N^2 dipole basis rows.
     The track derivative is mapped into the tangent frame at U_s(T):
     Delta_s = Herm(-i U_s^dag(T) dQ_s/ds), whose real coordinates the dipole
     basis must reproduce.  G is routinely ill-conditioned, so solves above
     the strict cap use the truncated pseudo-inverse; there is no hard
-    condition cap (a cap would reject essentially every propagation).
-    Instead the solve residual, measured against max(||rhs||,
-    RESIDUAL_FLOOR), must stay below RESIDUAL_CAP, else SingularTrackError.
-    The absolute floor matters on a track that does not move: its
-    right-hand side is pure roundoff and its answer is d eps/d s = 0.
+    condition cap (a cap would reject essentially every propagation).  As
+    for every track, the residual check of `solve_gramian` applies; its
+    absolute floor matters on a track that does not move, whose right-hand
+    side is pure roundoff and whose answer is d eps/d s = 0.
     """
     if target.kind != "unitary":
         raise ValueError("unitary_rhs requires a unitary-kind target")
@@ -280,22 +295,4 @@ def unitary_rhs(
     delta = 0.5 * (delta + delta.conj().T)
     if correction is not None and correction.enabled:
         delta = delta + correction.beta * log_unitary_principal(uh @ target.q_of_s(s))
-    b = dipole_component_matrix(prop)
-    wq = prop.weights
-    f = np.zeros(prop.q) if free is None else np.asarray(free, float)
-    if f.shape != (prop.q,):
-        raise ValueError("free function must have one sample per grid node")
-    rhs_vec = herm_to_vec(delta) - b.T @ (wq * f)
-    g = gramian_unitary(prop)
-    x = solve_gramian(g, rhs_vec, hard_cap=None)
-    rhs_norm = np.linalg.norm(rhs_vec)
-    abs_residual = np.linalg.norm(g.matrix @ x - rhs_vec)
-    residual = abs_residual / max(rhs_norm, RESIDUAL_FLOOR)
-    if residual > RESIDUAL_CAP:
-        raise SingularTrackError(
-            f"unitary track unreachable: solve residual {residual:.2f} "
-            f"(absolute {abs_residual:.3e}, |rhs| {rhs_norm:.3e}; "
-            f"G condition {g.condition:.3e})",
-            condition=g.condition,
-        )
-    return b @ x + f
+    return _track_rhs(dipole_component_matrix(prop).T, prop.weights, herm_to_vec(delta), free, None)

@@ -53,6 +53,8 @@ class TestConfig:
             {"observables": (0,)},
             {"samples": 0},
             {"threshold_fraction": 1.5},
+            {"correction": "beta=1.2.3"},
+            {"integrator": "euler:ds=1e"},
         ],
     )
     def test_validation_rejects(self, kw):
@@ -303,3 +305,48 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "gramian-dist" in proc.stdout
+
+
+_TINY = ["--levels", "3", "--state", "pure", "--t-final", "20", "--grid", "32", "--observables", "2"]
+_LOOSE = ["--integrator", "rkck:atol=1e-4,rtol=1e-4"]
+
+
+class TestTrackingEndToEnd:
+    """The headline runners at a tiny config, through the CLI: every run
+    ends with exit code 0 and a recorded termination reason, logs each
+    accepted step, and repeats byte for byte."""
+
+    @pytest.mark.parametrize(
+        "command,flags,config,summary_path,csv_name,termination",
+        [
+            ("motc-track", _LOOSE, {}, ("per_m", "2"), "motc-track_2.csv", "completed"),
+            ("efficiency", _LOOSE, {}, ("motc",), "efficiency_motc_m2.csv", "observer"),
+            ("unitary-track", [], {}, ("log",), "unitary-track_unitary.csv", "stall"),
+            (
+                "unitary-track", _LOOSE, {"max_steps": 20}, ("log",),
+                "unitary-track_unitary.csv", "max_steps",
+            ),
+        ],
+        ids=["motc-completed", "efficiency-observer", "unitary-stall", "unitary-max-steps"],
+    )
+    def test_runner(self, tmp_path, command, flags, config, summary_path, csv_name, termination):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            rc = cli_main([command, "--config", str(cfg_file), *_TINY, *flags, "--out", str(out)])
+            assert rc == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+
+        summary = json.loads(outputs[0][f"{command}_summary.json"])["summary"]
+        for key in summary_path:
+            summary = summary[key]
+        rows = list(csv.reader(outputs[0][csv_name].decode().splitlines()))
+        s = np.array([float(row[rows[0].index("s")]) for row in rows[1:]])
+        assert s[0] == 0.0 and np.all(np.diff(s) > 0) and s[-1] <= 1.0
+        assert summary["termination"] == termination
+        assert (s[-1] == 1.0) == (termination == "completed")
+        assert summary["accepted_steps"] == summary["records"] - 1 == len(s) - 1
+        assert ("error" in summary) == (termination == "stall")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from motc.dynamics import ControlField
-from motc.errors import NoBracketError, StallError
+from motc.errors import ConsistencyError, NoBracketError, StallError
 from motc.integrate import (
     FlowProblem,
     brent_line_search,
@@ -53,14 +53,28 @@ class TestEuler:
         rep = euler_integrate(
             make_problem(lambda s, f: np.ones(32)), ds=0.1, observer=observer
         )
-        assert rep.stopped_early
+        assert rep.termination == "observer"
         assert rep.s_values[-1] == pytest.approx(0.5)
+
+    def test_error_carries_counts(self):
+        calls = []
+
+        def rhs(s, field):
+            calls.append(s)
+            if len(calls) == 3:
+                raise ConsistencyError("third call fails")
+            return np.ones(32)
+
+        with pytest.raises(ConsistencyError) as err:
+            euler_integrate(make_problem(rhs), ds=0.1)
+        assert err.value.counts == (2, 0, 2)
 
 
 class TestRkckAdaptive:
     def test_constant_rhs_no_rejections(self):
         c = np.full(16, 0.3)
         rep = rkck_adaptive(make_problem(lambda s, f: c, q=16))
+        assert rep.termination == "completed"
         assert rep.rejected_steps == 0
         assert np.allclose(rep.fields[-1], 0.3, atol=1e-12)
 
@@ -131,6 +145,15 @@ class TestRkckAdaptive:
         with pytest.raises(StallError) as err:
             rkck_adaptive(problem)
         assert np.isfinite(err.value.error_estimate)
+        accepted, rejected, n_eval = err.value.counts
+        assert rejected > 0 and n_eval == 6 * (accepted + rejected)
+
+    def test_max_steps_termination(self):
+        # The step budget ends the run short of s1 and says so; no error.
+        rep = rkck_adaptive(make_problem(lambda s, f: np.cos(5 * s) * np.ones(4), q=4), max_steps=3)
+        assert rep.termination == "max_steps"
+        assert rep.accepted_steps + rep.rejected_steps == 3
+        assert rep.s_values[-1] < 1.0
 
     def test_clamp_mode_marches_through(self):
         def rhs(s, field):

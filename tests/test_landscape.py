@@ -8,7 +8,6 @@ from motc.landscape import (
     analytic_purestate_flow,
     dipole_component_matrix,
     distance_derivative,
-    f_matrix,
     gradient_field,
     gradient_field_targeted,
     kinematic_flow,
@@ -20,6 +19,7 @@ from motc.landscape import (
     single_observable_gradients,
     unitary_gradient,
 )
+from motc.tracking import gramian_unitary
 
 from conftest import random_unitary
 
@@ -354,9 +354,12 @@ class TestNaturalBasis:
 
 
 class TestFMatrix:
+    """The projected-gradient-flow kernel F on U(N) is the unitary-tracking
+    Gramian G."""
+
     def test_symmetry_and_psd(self, small_system, small_field):
         prop = propagate(small_system, small_field)
-        f = f_matrix(prop)
+        f = gramian_unitary(prop).matrix
         assert np.abs(f - f.T).max() <= 1e-10
         assert np.linalg.eigvalsh(f).min() >= -1e-8 * np.abs(f).max()
 
@@ -375,5 +378,5 @@ class TestFMatrix:
         b = dipole_component_matrix(prop)
         a_m = gradient_field(prop, rank7_state, oset)
         direct = b.T @ (prop.weights * a_m)
-        chained = f_matrix(prop) @ vp
+        chained = gramian_unitary(prop).matrix @ vp
         assert np.abs(chained - direct).max() <= 1e-10 * max(1.0, np.abs(direct).max())

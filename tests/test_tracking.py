@@ -4,7 +4,7 @@ import pytest
 from motc.bench import build_model_system, build_observable_set, sample_random_field
 from motc.dynamics import ControlField, expectations, propagate
 from motc.errors import BranchBoundaryError, SingularTrackError
-from motc.landscape import dipole_component_matrix, gradient_field
+from motc.landscape import dipole_component_matrix, gradient_field, single_observable_gradients
 from motc.linalg import expi_hermitian, herm_to_vec, vec_to_herm
 from motc.tracking import (
     CorrectionSpec,
@@ -15,7 +15,6 @@ from motc.tracking import (
     gramian_motc,
     gramian_unitary,
     linear_target_observables,
-    motc_a_vector,
     motc_rhs,
     solve_gramian,
     unitary_rhs,
@@ -103,7 +102,7 @@ class TestAVector:
 
         _, _, prop, _ = track_setup
         st = StateSpec.from_density(np.eye(11) / 11)
-        a = motc_a_vector(prop, st, observable_set)
+        a = single_observable_gradients(prop, st, observable_set)
         assert np.abs(a).max() < 1e-12
 
     def test_identity_observable_row_zero(self, track_setup, rank7_state, observable_set):
@@ -111,7 +110,7 @@ class TestAVector:
 
         _, _, prop, _ = track_setup
         ops = np.concatenate([np.eye(11)[None], observable_set.operators[:2]])
-        a = motc_a_vector(prop, rank7_state, ObservableSet(ops))
+        a = single_observable_gradients(prop, rank7_state, ObservableSet(ops))
         assert np.abs(a[0]).max() < 1e-12
         assert np.abs(a[1]).max() > 0
 
@@ -119,7 +118,7 @@ class TestAVector:
         from motc.landscape import ObservableSet
 
         _, _, prop, _ = track_setup
-        a = motc_a_vector(prop, rank7_state, observable_set)
+        a = single_observable_gradients(prop, rank7_state, observable_set)
         for k in (0, 4, 9):
             single = ObservableSet(observable_set.operators[k][None])
             g = gradient_field(prop, rank7_state, single)
@@ -134,7 +133,7 @@ class TestGramians:
 
     def test_m1_scalar_fluence_identity(self, track_setup, rank7_state, observable_set):
         _, _, prop, _ = track_setup
-        a = motc_a_vector(prop, rank7_state, observable_set.subset(1))
+        a = single_observable_gradients(prop, rank7_state, observable_set.subset(1))
         rep = gramian_motc(a, prop.weights)
         gamma = float(((a[0] ** 2) * prop.weights).sum())
         assert rep.matrix[0, 0] == pytest.approx(gamma, rel=1e-12)
@@ -144,7 +143,7 @@ class TestGramians:
 
     def test_scale_covariance(self, track_setup, rank7_state, observable_set):
         _, _, prop, _ = track_setup
-        a = motc_a_vector(prop, rank7_state, observable_set.subset(3))
+        a = single_observable_gradients(prop, rank7_state, observable_set.subset(3))
         r1 = gramian_motc(a, prop.weights)
         r2 = gramian_motc(2.5 * a, prop.weights)
         assert np.allclose(r2.matrix, 2.5**2 * r1.matrix)
@@ -173,7 +172,7 @@ class TestGramians:
         field = sample_random_field(model_system, np.random.default_rng(2008))
         prop = propagate(model_system, field)
         st = build_thermal_state(model_system, 1.0)
-        rep = gramian_motc(motc_a_vector(prop, st, observable_set), prop.weights)
+        rep = gramian_motc(single_observable_gradients(prop, st, observable_set), prop.weights)
         assert 1e3 <= rep.condition <= 1e8
 
 
@@ -217,6 +216,19 @@ class TestSolvePolicy:
         x = solve_gramian(rep, np.array([1.0, 0.0]))
         assert np.allclose(x, [1.0, 0.0])
 
+    def test_residual_check_covers_every_solve(self):
+        # Within the observable-tracking hard cap, a right-hand side that
+        # lies in the truncated direction has no usable solution.
+        rep = GramianReport(
+            matrix=np.diag([1.0, 1e-13]),
+            singular_values=np.array([1.0, 1e-13]),
+            condition=1e13,
+            _u=np.eye(2),
+            _vt=np.eye(2),
+        )
+        with pytest.raises(SingularTrackError, match="unreachable"):
+            solve_gramian(rep, np.array([0.0, 1.0]), hard_cap=1e14)
+
 
 class TestMotcRhs:
     def test_stationary_track_zero(self, track_setup, rank7_state, observable_set):
@@ -238,7 +250,7 @@ class TestMotcRhs:
         f = 0.1 * rng.standard_normal(system.q)
         corr = CorrectionSpec(enabled=True, beta=10.0)
         out = motc_rhs(prop, rank7_state, oset, target, 0.3, free=f, correction=corr)
-        a = motc_a_vector(prop, rank7_state, oset)[0]
+        a = single_observable_gradients(prop, rank7_state, oset)[0]
         gamma = float((a * a * prop.weights).sum())
         phi = expectations(prop, rank7_state, oset)
         c = corr.beta * (target.w_of_s(0.3) - phi)[0]
@@ -251,7 +263,7 @@ class TestMotcRhs:
         oset = observable_set.subset(4)
         target = linear_target_observables(np.zeros(4), np.ones(4) / 10)
         out = motc_rhs(prop, rank7_state, oset, target, 0.5)
-        a = motc_a_vector(prop, rank7_state, oset)
+        a = single_observable_gradients(prop, rank7_state, oset)
         # Residual of projecting out the row space must vanish.
         coeff, *_ = np.linalg.lstsq(a.T, out, rcond=None)
         assert np.linalg.norm(out - coeff @ a) <= 1e-8 * np.linalg.norm(out)
