@@ -19,7 +19,6 @@ from .dynamics import (
 from .integrate import (
     FlowProblem,
     IntegrationReport,
-    brent_line_search,
     euler_integrate,
     rkck_adaptive,
 )
@@ -40,10 +39,7 @@ from .landscape import (
     unitary_gradient,
 )
 from .linalg import (
-    EigDecomposition,
     condition_number,
-    eig_hermitian,
-    expi_hermitian,
     herm_to_vec,
     log_unitary_principal,
     solve_linear,
@@ -77,7 +73,6 @@ __all__ = [
     "zero_field",
     "FlowProblem",
     "IntegrationReport",
-    "brent_line_search",
     "euler_integrate",
     "rkck_adaptive",
     "KinematicFlowResult",
@@ -94,10 +89,7 @@ __all__ = [
     "objective_weighted",
     "single_observable_gradients",
     "unitary_gradient",
-    "EigDecomposition",
     "condition_number",
-    "eig_hermitian",
-    "expi_hermitian",
     "herm_to_vec",
     "log_unitary_principal",
     "solve_linear",

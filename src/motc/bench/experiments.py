@@ -547,10 +547,13 @@ def run_unitary_experiment(config: ExperimentConfig) -> dict:
     return {"name": "unitary-track", "logs": {"unitary": log}, "summary": summary}
 
 
-def run_gradient_flow(config: ExperimentConfig, threshold: float | None = None) -> dict:
-    """Integrate the dynamical gradient flow of <Theta_1> with the configured
-    integrator, optionally stopping once Phi_1 reaches ``threshold``."""
-    system, state, oset_full, eps0 = _setup(config)
+def _gradient_leg(
+    config: ExperimentConfig, system: QuantumSystem, state: StateSpec, oset_full: ObservableSet,
+    eps0: ControlField, threshold: float | None,
+) -> TrajectoryLog:
+    """Integrate the dynamical gradient flow of <Theta_1> from eps_0 with the
+    configured integrator, stopping once Phi_1 reaches ``threshold`` (if
+    given); returns the flow's log."""
     oset1 = oset_full.subset(1)
     log = TrajectoryLog(label="grad_flow", m=1)
 
@@ -559,6 +562,13 @@ def run_gradient_flow(config: ExperimentConfig, threshold: float | None = None) 
 
     recorder = _Recorder(system, state, oset1, None, log, stop_phi1_at=threshold)
     _integrate_logged(config, recorder, rhs, eps0, s_end=config.grad_s_max)
+    return log
+
+
+def run_gradient_flow(config: ExperimentConfig) -> dict:
+    """Integrate the dynamical gradient flow of <Theta_1> with the configured
+    integrator over [0, grad_s_max]."""
+    log = _gradient_leg(config, *_setup(config), threshold=None)
     return {"name": "grad-flow", "logs": {"gradient": log}, "summary": {"log": log.summary()}}
 
 
@@ -578,8 +588,7 @@ def run_efficiency_comparison(config: ExperimentConfig) -> dict:
     _integrate_logged(config, recorder, _tracking_rhs(config, system, motc_rhs, state, oset, target), eps0)
 
     # gradient-flow leg
-    grad = run_gradient_flow(config, threshold=threshold)
-    grad_log: TrajectoryLog = grad["logs"]["gradient"]
+    grad_log = _gradient_leg(config, system, state, oset_full, eps0, threshold)
 
     def steps_to_threshold(log: TrajectoryLog) -> int | None:
         for i, phi in enumerate(log.phi):

@@ -6,8 +6,8 @@ sampled on q uniform nodes over [0, T] and held constant on each step
 exp(-i H(t_j) dt) with dt = T/(q-1).  Local propagators are built by
 diagonalization, exponentiation of the eigenvalues, and sandwiching back.
 
-Besides the node-sampled evolved dipole mu(t_j) = U^dag(t_j,0) mu U(t_j,0),
-the propagation also returns the within-step average of mu(t) over each step,
+Besides the cumulative propagators, the propagation returns the within-step
+average of the evolved dipole mu(t) = U^dag(t,0) mu U(t,0) over each step,
 obtained in closed form from the step eigenbasis.  That average is what makes
 functional derivatives of the discrete dynamics exact: the sensitivity of
 U(T) to the j-th field sample is i dt U(T) mu_avg(t_j).
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError
-from .linalg import require_finite, require_hermitian
+from .linalg import require_hermitian
 
 # Eigenvalue clustering tolerance for the state eigenstructure metadata.
 DEGENERACY_TOL = 1e-8
@@ -161,16 +161,15 @@ def pure_state(n: int, index: int = 0) -> StateSpec:
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Cumulative propagators and evolved dipole operators on the grid.
+    """Cumulative propagators and step-averaged evolved dipoles on the grid.
 
-    ``evolved_dipole[j]`` is mu(t_j) at the grid node; ``evolved_dipole_step[j]``
-    is the exact average of mu(t) over the step [t_j, t_{j+1}] (zero matrix at
-    j = q-1, where no step starts: the last field sample never enters the
+    ``cumulative[j]`` is U(t_j, 0); ``evolved_dipole_step[j]`` is the exact
+    average of mu(t) over the step [t_j, t_{j+1}] (zero matrix at j = q-1,
+    where no step starts: the last field sample never enters the
     left-endpoint dynamics).
     """
 
     cumulative: np.ndarray
-    evolved_dipole: np.ndarray
     evolved_dipole_step: np.ndarray
     dt: float
     weights: np.ndarray = field(repr=False)
@@ -209,8 +208,6 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
         cumulative[j + 1] = u
     uh = cumulative.conj().transpose(0, 2, 1)
 
-    evolved = uh @ mu[None] @ cumulative
-
     # Within-step average of the interaction-picture dipole, in closed form:
     # (1/dt) int_0^dt e^{iHs} mu e^{-iHs} ds has eigenbasis elements
     # mu'_{ab} * phi(i (w_a - w_b) dt) with phi(x) = (e^x - 1)/x.
@@ -225,7 +222,6 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
 
     return PropagationResult(
         cumulative=cumulative,
-        evolved_dipole=evolved,
         evolved_dipole_step=evolved_step,
         dt=dt,
         weights=system.quadrature_weights,
@@ -250,8 +246,3 @@ def expectations(prop: PropagationResult | np.ndarray, state: StateSpec, observa
         raise ConsistencyError(f"expectation imaginary residue {resid:.3e} above tolerance")
     return vals.real
 
-
-def free_evolution_final(system: QuantumSystem) -> np.ndarray:
-    """U(T) for eps = 0, directly from the H0 eigenbasis (test oracle aid)."""
-    w, v = np.linalg.eigh(system.h0)
-    return (v * np.exp(-1j * system.t_final * w)) @ v.conj().T

@@ -8,10 +8,6 @@ class MotcError(Exception):
     counts: tuple[int, int, int] | None = None
 
 
-class ConvergenceError(MotcError):
-    """An iterative kernel (eigensolver) failed to converge."""
-
-
 class BranchBoundaryError(MotcError):
     """A unitary logarithm has an eigenphase too close to the +-pi branch cut."""
 
@@ -43,10 +39,6 @@ class StallError(MotcError):
         super().__init__(msg)
         self.s = s
         self.error_estimate = error_estimate
-
-
-class NoBracketError(MotcError):
-    """Line-search bracketing failed (objective monotone on the probed ray)."""
 
 
 class ConfigError(MotcError):

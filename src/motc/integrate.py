@@ -1,4 +1,4 @@
-"""Algorithmic-time integrators for field-update flows, plus a line search.
+"""Algorithmic-time integrators for field-update flows.
 
 The integrators drive a right-hand side mapping (s, ControlField) to the
 field derivative d eps/d s.  `euler_integrate` is the fixed-step linear
@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import ControlField
-from .errors import MotcError, NoBracketError, StallError
+from .errors import MotcError, StallError
 
 # Cash-Karp tableau.
 _CK_C = np.array([0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8])
@@ -38,14 +38,8 @@ _SHRINK_CAP = 0.1
 
 @dataclass(frozen=True)
 class FlowProblem:
-    """A field-update flow over an s interval with error targets.
-
-    ``clamp_at_ds_min`` selects what happens when the controller wants a
-    step below ``ds_min``: abort with StallError (default), or march at the
-    floor accepting the local error (the regime where ds_min is chosen as
-    the largest value permitting stable integration, with tracking error
-    handled by the correction term).
-    """
+    """A field-update flow over an s interval with error targets and the
+    adaptive integrator's step bounds [ds_min, ds_max]."""
 
     rhs: Callable[[float, ControlField], np.ndarray]
     s_span: tuple[float, float]
@@ -54,7 +48,6 @@ class FlowProblem:
     rtol: float = 1e-6
     ds_min: float = 1e-6
     ds_max: float = 0.1
-    clamp_at_ds_min: bool = False
 
     def __post_init__(self):
         s0, s1 = self.s_span
@@ -134,7 +127,6 @@ def euler_integrate(
 
 def rkck_adaptive(
     problem: FlowProblem,
-    ds_init: float | None = None,
     observer: Observer | None = None,
     max_steps: int = 100_000,
 ) -> IntegrationReport:
@@ -150,7 +142,7 @@ def rkck_adaptive(
     """
     s0, s1 = problem.s_span
     y = problem.initial.samples.copy()
-    h = min(problem.ds_max, ds_init if ds_init is not None else 0.01, s1 - s0)
+    h = min(problem.ds_max, 0.01, s1 - s0)
     h = max(h, problem.ds_min)
     s_values, fields = [s0], [y.copy()]
     s, acc, rej, n_eval, termination = s0, 0, 0, 0, "completed"
@@ -168,8 +160,7 @@ def rkck_adaptive(
             y4 = y + h * sum(b * ki for b, ki in zip(_CK_B4, k))
             scale = problem.atol + problem.rtol * np.abs(y)
             err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
-            at_floor = h <= problem.ds_min * (1 + 1e-12)
-            if err <= 1.0 or (at_floor and problem.clamp_at_ds_min):
+            if err <= 1.0:
                 s = s + h
                 y = y5
                 acc += 1
@@ -184,7 +175,7 @@ def rkck_adaptive(
                 factor = max(_SHRINK_CAP, _SAFETY * err ** (-0.2))
             h_new = h * factor
             if h_new < problem.ds_min:
-                if err > 1.0 and not problem.clamp_at_ds_min:
+                if err > 1.0:
                     raise StallError(
                         f"step below ds_min = {problem.ds_min:.1e} at s = {s:.6f} "
                         f"(scaled error {err:.3e})",
@@ -208,128 +199,3 @@ def rkck_adaptive(
         termination=termination,
     )
 
-
-def brent_line_search(
-    objective: Callable[[float], float],
-    bracket_seed: float,
-    xtol_rel: float = 1e-4,
-    max_evals: int = 100,
-) -> float:
-    """Step length minimizing a scalar objective along a ray.
-
-    Brackets a minimum starting from steps (0, bracket_seed) by parabolic
-    extrapolation with golden-ratio growth, then pinpoints it with Brent's
-    inverse parabolic interpolation.  Raises NoBracketError if the objective
-    is monotone over the probed range.
-    """
-    if bracket_seed <= 0:
-        raise ValueError("bracket_seed must be positive")
-    gold = 1.618033988749895
-    glimit = 100.0
-    evals = 0
-
-    def f(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        val = float(objective(x))
-        if not np.isfinite(val):
-            raise ValueError(f"objective not finite at step {x!r}")
-        return val
-
-    # -- bracketing (downhill parabolic extrapolation) --
-    ax, bx = 0.0, float(bracket_seed)
-    fa, fb = f(ax), f(bx)
-    if fb > fa:
-        ax, bx, fa, fb = bx, ax, fb, fa
-    cx = bx + gold * (bx - ax)
-    fc = f(cx)
-    while fb >= fc:
-        if evals >= max_evals // 2:
-            raise NoBracketError(
-                f"no bracket after {evals} evaluations (objective monotone on the probed ray)"
-            )
-        r = (bx - ax) * (fb - fc)
-        qq = (bx - cx) * (fb - fa)
-        denom = 2.0 * np.copysign(max(abs(qq - r), 1e-21), qq - r)
-        u = bx - ((bx - cx) * qq - (bx - ax) * r) / denom
-        ulim = bx + glimit * (cx - bx)
-        if (bx - u) * (u - cx) > 0.0:
-            fu = f(u)
-            if fu < fc:
-                ax, bx, fa, fb = bx, u, fb, fu
-                break
-            if fu > fb:
-                cx, fc = u, fu
-                break
-            u = cx + gold * (cx - bx)
-            fu = f(u)
-        elif (cx - u) * (u - ulim) > 0.0:
-            fu = f(u)
-            if fu < fc:
-                bx, cx = cx, u
-                fb, fc = fc, fu
-                u = cx + gold * (cx - bx)
-                fu = f(u)
-        elif (u - ulim) * (ulim - cx) >= 0.0:
-            u = ulim
-            fu = f(u)
-        else:
-            u = cx + gold * (cx - bx)
-            fu = f(u)
-        ax, bx, cx = bx, cx, u
-        fa, fb, fc = fb, fc, fu
-
-    lo, hi = (ax, cx) if ax < cx else (cx, ax)
-
-    # -- Brent minimization on [lo, hi] --
-    cgold = 0.381966011250105
-    x = w = v = bx
-    fx = fw = fv = fb
-    d = e = 0.0
-    while evals < max_evals:
-        xm = 0.5 * (lo + hi)
-        tol1 = xtol_rel * abs(x) + 1e-14
-        tol2 = 2.0 * tol1
-        if abs(x - xm) <= tol2 - 0.5 * (hi - lo):
-            return x
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            qq = (x - v) * (fx - fw)
-            p = (x - v) * qq - (x - w) * r
-            qq = 2.0 * (qq - r)
-            if qq > 0.0:
-                p = -p
-            qq = abs(qq)
-            etemp = e
-            e = d
-            if abs(p) >= abs(0.5 * qq * etemp) or p <= qq * (lo - x) or p >= qq * (hi - x):
-                e = hi - x if x < xm else lo - x
-                d = cgold * e
-            else:
-                d = p / qq
-                u = x + d
-                if u - lo < tol2 or hi - u < tol2:
-                    d = np.copysign(tol1, xm - x)
-        else:
-            e = hi - x if x < xm else lo - x
-            d = cgold * e
-        u = x + d if abs(d) >= tol1 else x + np.copysign(tol1, d)
-        fu = f(u)
-        if fu <= fx:
-            if u >= x:
-                lo = x
-            else:
-                hi = x
-            v, w, x = w, x, u
-            fv, fw, fx = fw, fx, fu
-        else:
-            if u < x:
-                lo = u
-            else:
-                hi = u
-            if fu <= fw or w == x:
-                v, w = w, u
-                fv, fw = fw, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x

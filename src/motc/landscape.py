@@ -183,7 +183,6 @@ def kinematic_flow(
     oset: ObservableSet,
     s_max: float,
     ds: float = 0.01,
-    method: str = "rk4",
     grad_tol: float = GRAD_NORM_TOL,
     ds_min: float = 1e-9,
     record_every: int = 1,
@@ -191,19 +190,17 @@ def kinematic_flow(
 ) -> KinematicFlowResult:
     """Integrate dV/ds = [Theta_M, V rho V^dag] V with re-unitarization.
 
-    Steps whose Phi_M decreases are halved and retried, so Phi_M is
-    nondecreasing across accepted states.  ``method`` is "rk4" (default;
-    needed for closed-form-oracle accuracy) or "euler".  Accepted steps may
-    regrow up to ``ds_cap`` (defaults to the initial ds, i.e. no growth;
-    set it larger to speed up the slow tail toward a critical point).
-    Terminates at ``s_max`` or when the gradient norm drops below
-    ``grad_tol``.
+    Each step is classical RK4 (the closed-form-oracle accuracy needs it)
+    followed by the polar projection back onto U(N).  Steps whose Phi_M
+    decreases are halved and retried, so Phi_M is nondecreasing across
+    accepted states.  Accepted steps may regrow up to ``ds_cap`` (defaults
+    to the initial ds, i.e. no growth; set it larger to speed up the slow
+    tail toward a critical point).  Terminates at ``s_max`` or when the
+    gradient norm drops below ``grad_tol``.
     """
     v = require_unitary(np.asarray(v0, dtype=complex), name="V0").copy()
     if ds <= 0:
         raise ValueError("ds must be positive")
-    if method not in ("rk4", "euler"):
-        raise ValueError(f"unknown method {method!r}")
     rho, theta_m = state.rho0, oset.weighted_operator()
 
     def rhs(vc: np.ndarray) -> np.ndarray:
@@ -221,15 +218,11 @@ def kinematic_flow(
     converged = grad_norm < grad_tol
     while not converged and s < s_max - 1e-12:
         h = min(ds, s_max - s)
-        if method == "rk4":
-            k1 = rhs(v)
-            k2 = rhs(v + 0.5 * h * k1)
-            k3 = rhs(v + 0.5 * h * k2)
-            k4 = rhs(v + h * k3)
-            cand = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        else:
-            cand = v + h * rhs(v)
-        cand = _polar_unitary(cand)
+        k1 = rhs(v)
+        k2 = rhs(v + 0.5 * h * k1)
+        k3 = rhs(v + 0.5 * h * k2)
+        k4 = rhs(v + h * k3)
+        cand = _polar_unitary(v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
         phi_cand = phi_of(cand)
         if phi_cand < phi_cur:
             ds = ds / 2.0
@@ -312,13 +305,16 @@ def natural_basis_functions(prop: PropagationResult, state: StateSpec) -> np.nda
     varies the gradient spans {Re mu(t)_{ij}, Im mu(t)_{ij}} over pairs
     i < j with p_i != p_j.  Returns those real functions sampled on the
     grid, shape (n_functions, q); generically n_functions equals
-    :func:`natural_basis_dimension`.
+    :func:`natural_basis_dimension`.  mu(t) is the step-averaged evolved
+    dipole scaled by dt/w_j, as in :func:`single_observable_gradients`, so
+    the functions span the exact discrete gradients.
     """
     if state.dim != prop.dim:
         raise ValueError("dimension mismatch")
     p, r = np.linalg.eigh(state.rho0)
     p = np.clip(p, 0.0, None)
-    mu_eig = np.einsum("ai,jab,bk->jik", r.conj(), prop.evolved_dipole, r)
+    mu_step = prop.evolved_dipole_step * _sample_scale(prop)[:, None, None]
+    mu_eig = np.einsum("ai,jab,bk->jik", r.conj(), mu_step, r)
     rows = []
     n = state.dim
     for i in range(n):

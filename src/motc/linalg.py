@@ -1,19 +1,17 @@
 """Dense complex matrix kernel.
 
-Hermitian eigendecomposition, unitary exponential/logarithm, linear solves,
-singular values, and the real Hermitian-basis vectorization used by the
-gradient and Gramian machinery.  Everything is a pure function over numpy
-arrays; LAPACK (via numpy/scipy) does the heavy lifting.
+Input validation, the principal unitary logarithm, linear solves, condition
+numbers, and the real Hermitian-basis vectorization used by the gradient and
+Gramian machinery.  Everything is a pure function over numpy arrays; LAPACK
+(via numpy/scipy) does the heavy lifting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
-from .errors import BranchBoundaryError, ConvergenceError, SingularMatrixError
+from .errors import BranchBoundaryError, SingularMatrixError
 
 # Distance of a unitary-log eigenphase to +-pi below which we refuse to pick
 # a branch.  The principal branch is the open interval (-pi, pi).
@@ -45,38 +43,6 @@ def require_unitary(v: np.ndarray, tol: float = 1e-8, name: str = "matrix") -> n
     if dev > tol:
         raise ValueError(f"{name} is not unitary (||V^dag V - I||_F = {dev:.3e} > {tol:.1e})")
     return v
-
-
-@dataclass(frozen=True)
-class EigDecomposition:
-    """Hermitian eigendecomposition H = V diag(w) V^dag, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-
-
-def eig_hermitian(h: np.ndarray) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted ascending."""
-    h = require_hermitian(h, name="H")
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise ConvergenceError(
-            f"Hermitian eigensolver did not converge (||H||_F = {np.linalg.norm(h):.3e})"
-        ) from exc
-    return EigDecomposition(eigenvalues=w, eigenvectors=v)
-
-
-def expi_hermitian(h: np.ndarray, theta: float = 1.0) -> np.ndarray:
-    """exp(-i * theta * H) for Hermitian H, unitary by construction."""
-    if not np.isfinite(theta):
-        raise ValueError("theta must be finite")
-    dec = eig_hermitian(h)
-    phase = np.exp(-1j * theta * dec.eigenvalues)
-    return (dec.eigenvectors * phase) @ dec.eigenvectors.conj().T
 
 
 def log_unitary_principal(v: np.ndarray, branch_tol: float = BRANCH_TOL) -> np.ndarray:

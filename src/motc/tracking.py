@@ -82,13 +82,21 @@ class TrackTarget:
 
     kind: str
     m: int
-    u0: np.ndarray | None = None
-    w_final: np.ndarray | None = None
     generator: np.ndarray | None = None
     q_of_s: Callable[[float], np.ndarray] | None = None
     dq_ds: Callable[[float], np.ndarray] | None = None
     w_of_s: Callable[[float], np.ndarray] | None = None
     dw_ds: Callable[[float], np.ndarray] | None = None
+
+
+def _geodesic(u0: np.ndarray, w: np.ndarray):
+    """Validated U0, the geodesic generator A = -i log(U0^dag W) and its
+    eigendecomposition A = va diag(wa) vah."""
+    u0 = require_unitary(np.asarray(u0, complex), name="U0")
+    w = require_unitary(np.asarray(w, complex), name="W")
+    a = log_unitary_principal(u0.conj().T @ w)
+    wa, va = np.linalg.eigh(a)
+    return u0, a, wa, va, va.conj().T
 
 
 def geodesic_target_unitary(u0: np.ndarray, w: np.ndarray) -> TrackTarget:
@@ -97,11 +105,7 @@ def geodesic_target_unitary(u0: np.ndarray, w: np.ndarray) -> TrackTarget:
     The generator is oriented so the endpoints close: A = -i log(U0^dag W)
     and Q_s = U0 exp(iAs) gives Q_1 = W exactly.
     """
-    u0 = require_unitary(np.asarray(u0, complex), name="U0")
-    w = require_unitary(np.asarray(w, complex), name="W")
-    a = log_unitary_principal(u0.conj().T @ w)
-    wa, va = np.linalg.eigh(a)
-    vah = va.conj().T
+    u0, a, wa, va, vah = _geodesic(u0, w)
 
     def q_of_s(s: float) -> np.ndarray:
         return u0 @ ((va * np.exp(1j * s * wa)) @ vah)
@@ -109,10 +113,7 @@ def geodesic_target_unitary(u0: np.ndarray, w: np.ndarray) -> TrackTarget:
     def dq_ds(s: float) -> np.ndarray:
         return u0 @ ((va * (1j * wa * np.exp(1j * s * wa))) @ vah)
 
-    return TrackTarget(
-        kind="unitary", m=u0.shape[0] ** 2, u0=u0, w_final=w, generator=a,
-        q_of_s=q_of_s, dq_ds=dq_ds,
-    )
+    return TrackTarget(kind="unitary", m=u0.shape[0] ** 2, generator=a, q_of_s=q_of_s, dq_ds=dq_ds)
 
 
 def geodesic_target_observables(
@@ -123,11 +124,7 @@ def geodesic_target_observables(
     w_s^k = Tr(rho(0) M_k(s)) with M_k(s) = e^{-iAs} U0^dag Theta_k U0 e^{iAs},
     and dw_s^k/ds = i Tr(rho(0) [M_k(s), A]) by commutator differentiation.
     """
-    u0 = require_unitary(np.asarray(u0, complex), name="U0")
-    w = require_unitary(np.asarray(w, complex), name="W")
-    a = log_unitary_principal(u0.conj().T @ w)
-    wa, va = np.linalg.eigh(a)
-    vah = va.conj().T
+    u0, a, wa, va, vah = _geodesic(u0, w)
     kern = np.einsum("ba,kbc,cd->kad", u0.conj(), oset.operators, u0)
     rho = state.rho0
 
@@ -143,10 +140,7 @@ def geodesic_target_observables(
         comm = m @ a - a @ m
         return (1j * np.einsum("kab,ba->k", comm, rho)).real
 
-    return TrackTarget(
-        kind="observable", m=oset.m, u0=u0, w_final=w, generator=a,
-        w_of_s=w_of_s, dw_ds=dw_ds,
-    )
+    return TrackTarget(kind="observable", m=oset.m, generator=a, w_of_s=w_of_s, dw_ds=dw_ds)
 
 
 def linear_target_observables(phi_start: np.ndarray, phi_target: np.ndarray) -> TrackTarget:

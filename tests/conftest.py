@@ -21,6 +21,17 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def expi(h: np.ndarray, theta: float = 1.0) -> np.ndarray:
+    """exp(-i theta H) for Hermitian H, from its eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * theta * w)) @ v.conj().T
+
+
+def free_evolution_final(system) -> np.ndarray:
+    """U(T) for eps = 0, directly from the H0 eigenbasis."""
+    return expi(system.h0, system.t_final)
+
+
 @pytest.fixture(scope="session")
 def model_system():
     return build_model_system(11, t_final=100.0, q=1024)

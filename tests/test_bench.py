@@ -16,10 +16,12 @@ from motc.bench import (
     count_high_frequency_modes,
     emit_results,
     field_power_spectrum,
+    run_efficiency_comparison,
     run_gradient_flow,
     run_gramian_distribution,
     substream,
 )
+from motc.bench import experiments
 from motc.bench.cli import main as cli_main
 from motc.errors import ConfigError
 
@@ -248,6 +250,20 @@ class TestGradientFlowRunner:
         phi1 = [p[0] for p in log.phi]
         assert len(phi1) == 5  # s0 + 4 accepted euler steps
         assert all(b >= a - 1e-12 for a, b in zip(phi1, phi1[1:]))
+
+
+class TestEfficiencyRunner:
+    def test_setup_built_once(self, monkeypatch):
+        # Both legs start from one model, state, observable set and eps_0.
+        calls = []
+        setup = experiments._setup
+        monkeypatch.setattr(experiments, "_setup", lambda config: calls.append(config) or setup(config))
+        cfg = ExperimentConfig(
+            experiment="efficiency", n_levels=3, state="pure", t_final=20.0, q=32,
+            observables=(2,), max_steps=3, kinematic_s_max=1.0,
+        )
+        run_efficiency_comparison(cfg)
+        assert len(calls) == 1
 
 
 class TestCli:

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from motc.dynamics import ControlField
-from motc.errors import ConsistencyError, NoBracketError, StallError
-from motc.integrate import (
-    FlowProblem,
-    brent_line_search,
-    euler_integrate,
-    rkck_adaptive,
-)
+from motc.errors import ConsistencyError, StallError
+from motc.integrate import FlowProblem, euler_integrate, rkck_adaptive
 
 
 def make_problem(rhs, q=32, s_span=(0.0, 1.0), **kw):
@@ -155,17 +150,6 @@ class TestRkckAdaptive:
         assert rep.accepted_steps + rep.rejected_steps == 3
         assert rep.s_values[-1] < 1.0
 
-    def test_clamp_mode_marches_through(self):
-        def rhs(s, field):
-            return np.sign(np.sin(1000 * s)) * 1e3 * np.ones(4)
-
-        problem = FlowProblem(
-            rhs=rhs, s_span=(0.0, 0.05), initial=ControlField(np.zeros(4)),
-            atol=1e-12, rtol=1e-12, ds_min=1e-3, ds_max=0.1, clamp_at_ds_min=True,
-        )
-        rep = rkck_adaptive(problem)
-        assert rep.s_values[-1] == pytest.approx(0.05)
-
     def test_euler_rkck_agreement(self):
         def rhs(s, field):
             return -0.7 * field.samples + np.cos(s)
@@ -179,53 +163,3 @@ class TestRkckAdaptive:
         # Euler global error ~ 1e-4 here; rkck must sit well inside it.
         assert np.abs(e.fields[-1] - r.fields[-1]).max() <= 1e-3
 
-
-class TestBrentLineSearch:
-    def test_quadratic_optimum(self):
-        step = brent_line_search(lambda x: (x - 0.7) ** 2, bracket_seed=0.1)
-        assert step == pytest.approx(0.7, abs=1e-4)
-
-    def test_monotone_raises(self):
-        with pytest.raises(NoBracketError):
-            brent_line_search(lambda x: x, bracket_seed=1.0)
-
-    def test_eval_budget(self):
-        evals = []
-
-        def f(x):
-            evals.append(x)
-            return (x - 2.3) ** 2 + np.sin(5 * x) * 0.01
-
-        brent_line_search(f, bracket_seed=0.5)
-        assert len(evals) <= 100
-
-    def test_matches_golden_section_oracle(self):
-        # Nonconvex seeded ray; oracle = exhaustive golden-section on the
-        # same bracket found by parabolic expansion.
-        rng = np.random.default_rng(77)
-        coeffs = rng.standard_normal(4) * 0.1
-
-        def f(x):
-            return (x - 1.3) ** 2 + coeffs @ np.sin(np.arange(1, 5) * x)
-
-        found = brent_line_search(f, bracket_seed=0.2)
-
-        def golden(lo, hi, tol=1e-10):
-            invphi = (np.sqrt(5) - 1) / 2
-            a, b = lo, hi
-            c, d = b - invphi * (b - a), a + invphi * (b - a)
-            while abs(b - a) > tol:
-                if f(c) < f(d):
-                    b, d = d, c
-                    c = b - invphi * (b - a)
-                else:
-                    a, c = c, d
-                    d = a + invphi * (b - a)
-            return (a + b) / 2
-
-        oracle = golden(0.0, 4.0)
-        assert found == pytest.approx(oracle, abs=1e-3)
-
-    def test_rejects_bad_seed(self):
-        with pytest.raises(ValueError, match="positive"):
-            brent_line_search(lambda x: x * x, bracket_seed=0.0)

@@ -335,6 +335,16 @@ class TestNaturalBasis:
         # n=3, degeneracies (2, 1): D = 3(2*4-3) - (4+1) = 10
         assert natural_basis_dimension(st, 4) == 10
 
+    def test_spans_exact_gradients(self, small_system, small_field, rank7_state, observable_set):
+        # The basis functions come from the same step-averaged dipole as the
+        # exact discrete gradients, so each gradient lies in their span.
+        prop = propagate(small_system, small_field)
+        fam = natural_basis_functions(prop, rank7_state)
+        grads = single_observable_gradients(prop, rank7_state, observable_set)
+        coef = np.linalg.lstsq(fam.T, grads.T, rcond=None)[0]
+        resid = np.linalg.norm(fam.T @ coef - grads.T, axis=0) / np.linalg.norm(grads, axis=1)
+        assert resid.max() <= 1e-10
+
     @pytest.mark.parametrize("rank,expected", [(1, 20), (7, 98), (11, 110)])
     def test_gram_rank_oracle(self, rank, expected):
         # Longer controllable horizon: the basis functions decorrelate and the

@@ -4,71 +4,35 @@ import pytest
 from motc.errors import BranchBoundaryError, SingularMatrixError
 from motc.linalg import (
     condition_number,
-    eig_hermitian,
-    expi_hermitian,
     herm_to_vec,
     log_unitary_principal,
     solve_linear,
     vec_to_herm,
 )
 
-from conftest import random_hermitian, random_unitary
-
-
-class TestEigHermitian:
-    def test_identity(self):
-        dec = eig_hermitian(np.eye(2))
-        assert np.allclose(dec.eigenvalues, [1.0, 1.0])
-        assert np.allclose(dec.eigenvectors.conj().T @ dec.eigenvectors, np.eye(2))
-
-    def test_diagonal_sorted_ascending(self):
-        dec = eig_hermitian(np.diag([0.3, 0.1]))
-        assert np.allclose(dec.eigenvalues, [0.1, 0.3])
-
-    def test_reconstruction_residual(self, rng):
-        h = random_hermitian(11, rng)
-        dec = eig_hermitian(h)
-        assert np.linalg.norm(dec.reconstruct() - h) <= 1e-10 * np.linalg.norm(h)
-        assert np.linalg.norm(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(11)) <= 1e-10
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_2x2_characteristic_polynomial_oracle(self, seed):
-        # Closed-form roots of the 2x2 characteristic polynomial.
-        rng = np.random.default_rng(seed)
-        h = random_hermitian(2, rng)
-        tr = h.trace().real
-        det = np.linalg.det(h).real
-        disc = np.sqrt(tr * tr / 4 - det)
-        roots = np.sort([tr / 2 - disc, tr / 2 + disc])
-        assert np.allclose(eig_hermitian(h).eigenvalues, roots, atol=1e-10)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="finite"):
-            eig_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+from conftest import expi, random_hermitian, random_unitary
 
 
 class TestExpiHermitian:
+    """The exp(-i theta H) oracle that the dynamics and tracking tests compare against."""
+
     def test_zero_angle(self, rng):
         h = random_hermitian(5, rng)
-        assert np.allclose(expi_hermitian(h, 0.0), np.eye(5))
+        assert np.allclose(expi(h, 0.0), np.eye(5))
 
     def test_scalar_phase(self):
-        assert np.allclose(expi_hermitian(np.array([[np.pi]]), 1.0), [[-1.0]])
+        assert np.allclose(expi(np.array([[np.pi]]), 1.0), [[-1.0]])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_inverse_roundtrip(self, seed):
         rng = np.random.default_rng(seed)
         h = random_hermitian(7, rng)
         theta = rng.uniform(-3, 3)
-        u = expi_hermitian(h, theta)
-        assert np.linalg.norm(u @ expi_hermitian(h, -theta) - np.eye(7)) <= 1e-10
+        u = expi(h, theta)
+        assert np.linalg.norm(u @ expi(h, -theta) - np.eye(7)) <= 1e-10
 
     def test_unitarity(self, rng):
-        u = expi_hermitian(random_hermitian(11, rng), 2.7)
+        u = expi(random_hermitian(11, rng), 2.7)
         assert np.linalg.norm(u.conj().T @ u - np.eye(11)) <= 1e-10
 
 
@@ -98,7 +62,7 @@ class TestLogUnitaryPrincipal:
         v = (z * np.exp(1j * phases)) @ z.conj().T
         a = log_unitary_principal(v)
         assert np.abs(a - a.conj().T).max() < 1e-12
-        assert np.linalg.norm(expi_hermitian(a, -1.0) - v) <= 1e-8
+        assert np.linalg.norm(expi(a, -1.0) - v) <= 1e-8
 
 
 class TestSolveLinear:

@@ -5,7 +5,7 @@ from motc.bench import build_model_system, build_observable_set, sample_random_f
 from motc.dynamics import ControlField, expectations, propagate
 from motc.errors import BranchBoundaryError, SingularTrackError
 from motc.landscape import dipole_component_matrix, gradient_field, single_observable_gradients
-from motc.linalg import expi_hermitian, herm_to_vec, vec_to_herm
+from motc.linalg import herm_to_vec, vec_to_herm
 from motc.tracking import (
     CorrectionSpec,
     GramianReport,
@@ -20,7 +20,7 @@ from motc.tracking import (
     unitary_rhs,
 )
 
-from conftest import random_unitary
+from conftest import expi, random_unitary
 
 
 @pytest.fixture(scope="module")
@@ -305,7 +305,7 @@ class TestUnitaryRhs:
         n = u0.shape[0]
         u_svd, _, _ = np.linalg.svd(gramian_unitary(prop).matrix)
         h = vec_to_herm(c * u_svd[:, -1], n)
-        w = u0 @ expi_hermitian(h, theta=-1.0)  # U0 exp(iH)
+        w = u0 @ expi(h, theta=-1.0)  # U0 exp(iH)
         target = geodesic_target_unitary(u0, w)
         with pytest.raises(SingularTrackError, match="unreachable"):
             unitary_rhs(prop, target, 0.0)
