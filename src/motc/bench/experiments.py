@@ -13,7 +13,14 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from ..dynamics import ControlField, QuantumSystem, StateSpec, expectations, propagate
+from ..dynamics import (
+    ControlField,
+    PropagationResult,
+    QuantumSystem,
+    StateSpec,
+    expectations,
+    propagate,
+)
 from ..errors import BranchBoundaryError, ConfigError, MotcError, StallError
 from ..integrate import FlowProblem, IntegrationReport, euler_integrate, rkck_adaptive
 from ..landscape import ObservableSet, gradient_field, kinematic_flow, single_observable_gradients
@@ -305,26 +312,55 @@ def count_high_frequency_modes(
     return int(((omega > omega_min) & (power >= threshold)).sum())
 
 
+class _RunPropagator:
+    """A run's system with a one-entry memo of its last propagation.
+
+    Called on a field, it returns that field's propagation, computing it
+    only when the field differs from the last one it was called on.  Within
+    a run the same field is asked for in turn: eps_0 by the flow target, the
+    first record and the first stage; each accepted field by the recorder
+    and then by the next step's first stage.  The memo is keyed on an exact
+    copy of the field samples, so a hit returns what ``propagate`` would.
+    ``propagate`` is looked up in this module at call time, so a wrapper
+    bound there sees every propagation.
+    """
+
+    def __init__(self, system: QuantumSystem):
+        self.system = system
+        self._samples: np.ndarray | None = None
+        self._prop: PropagationResult | None = None
+
+    def __call__(self, control: ControlField) -> PropagationResult:
+        if self._samples is None or not np.array_equal(control.samples, self._samples):
+            self._prop = propagate(self.system, control)
+            self._samples = control.samples.copy()
+        return self._prop
+
+
 class _Recorder:
-    """Observer logging accepted integrator steps into a TrajectoryLog."""
+    """Observer logging accepted integrator steps into a TrajectoryLog.
+
+    It takes each accepted field's propagation from the run's
+    `_RunPropagator`, which keeps it for the next step's first stage.
+    """
 
     def __init__(
         self,
-        system: QuantumSystem,
+        propagator: _RunPropagator,
         state: StateSpec,
         oset: ObservableSet,
         target: TrackTarget | None,
         log: TrajectoryLog,
         stop_phi1_at: float | None = None,
     ):
-        self.system, self.state, self.oset = system, state, oset
+        self.propagator, self.state, self.oset = propagator, state, oset
         self.target, self.log = target, log
         self.stop_phi1_at = stop_phi1_at
         self._prev_u = None
         self._prev_field = None
 
     def __call__(self, s: float, control: ControlField) -> bool:
-        prop = propagate(self.system, control)
+        prop = self.propagator(control)
         phi = expectations(prop, self.state, self.oset)
         err = err_inf = dist = float("nan")
         kind = None if self.target is None else self.target.kind
@@ -352,21 +388,24 @@ class _Recorder:
 
 def _setup(config: ExperimentConfig):
     """The model system, initial state, full observable set and initial
-    field eps_0 that every tracking or flow run starts from."""
+    field eps_0 that every tracking or flow run starts from.  The system
+    comes wrapped in the run's own `_RunPropagator`, through which every
+    propagation of the run goes, so a field asked for twice in a row is
+    propagated once."""
     system = config.build_system()
     state = config.build_state(system)
     eps0 = sample_random_field(system, substream(config.seed, _STREAM_FIELD0))
-    return system, state, config.build_observables(), eps0
+    return _RunPropagator(system), state, config.build_observables(), eps0
 
 
 def _compute_flow_target(
-    config: ExperimentConfig, system: QuantumSystem, state: StateSpec, oset_full: ObservableSet,
-    eps0: ControlField,
+    config: ExperimentConfig, propagator: _RunPropagator, state: StateSpec,
+    oset_full: ObservableSet, eps0: ControlField,
 ):
     """Propagation of eps_0 and the kinematic-flow maximizer W of <Theta_1>
     from U_0, nudged off the log branch cut if the geodesic generator lands
     on it; plus the flow's summary entries."""
-    prop0 = propagate(system, eps0)
+    prop0 = propagator(eps0)
     u0 = prop0.final
     flow = kinematic_flow(
         u0, state, oset_full.subset(1), s_max=config.kinematic_s_max, ds=0.05,
@@ -391,14 +430,14 @@ def _compute_flow_target(
     raise BranchBoundaryError("could not move the geodesic generator off the branch cut")
 
 
-def _tracking_rhs(config: ExperimentConfig, system: QuantumSystem, track_rhs, *args):
+def _tracking_rhs(config: ExperimentConfig, propagator: _RunPropagator, track_rhs, *args):
     """d eps/d s of a tracking run: ``track_rhs(prop, *args, s, ...)`` on the
     propagation of the field, with the configured free function and error
     correction."""
     correction = config.correction_spec()
 
     def rhs(s: float, control: ControlField) -> np.ndarray:
-        prop = propagate(system, control)
+        prop = propagator(control)
         free = config.free_function(control.samples)
         return track_rhs(prop, *args, s, free=free, correction=correction)
 
@@ -503,8 +542,8 @@ def run_motc_experiment(config: ExperimentConfig) -> dict:
     <Theta_1> to the maximizer W, build the observable track per m, then
     integrate the tracking equation, logging every accepted step.
     """
-    system, state, oset_full, eps0 = _setup(config)
-    prop0, w, flow_info = _compute_flow_target(config, system, state, oset_full, eps0)
+    propagator, state, oset_full, eps0 = _setup(config)
+    prop0, w, flow_info = _compute_flow_target(config, propagator, state, oset_full, eps0)
     logs: dict[int, TrajectoryLog] = {}
     spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for m in config.observables:
@@ -515,11 +554,11 @@ def run_motc_experiment(config: ExperimentConfig) -> dict:
             phi0 = expectations(prop0, state, oset)
             target = linear_target_observables(phi0, expectations(w, state, oset))
         logs[m] = TrajectoryLog(label=f"motc_m{m}", m=m)
-        recorder = _Recorder(system, state, oset, target, logs[m])
-        rhs = _tracking_rhs(config, system, motc_rhs, state, oset, target)
+        recorder = _Recorder(propagator, state, oset, target, logs[m])
+        rhs = _tracking_rhs(config, propagator, motc_rhs, state, oset, target)
         final = _integrate_logged(config, recorder, rhs, eps0)
         if final is not None:
-            spectra[m] = field_power_spectrum(system, final)
+            spectra[m] = field_power_spectrum(propagator.system, final)
     summary = {
         **flow_info,
         "phi1_at_u0": float(expectations(prop0, state, oset_full.subset(1))[0]),
@@ -533,12 +572,12 @@ def run_motc_experiment(config: ExperimentConfig) -> dict:
 
 def run_unitary_experiment(config: ExperimentConfig) -> dict:
     """Track the geodesic Q_s in U(N) itself with the N^2-dimensional solve."""
-    system, state, oset_full, eps0 = _setup(config)
-    prop0, w, flow_info = _compute_flow_target(config, system, state, oset_full, eps0)
+    propagator, state, oset_full, eps0 = _setup(config)
+    prop0, w, flow_info = _compute_flow_target(config, propagator, state, oset_full, eps0)
     target = geodesic_target_unitary(prop0.final, w)
     log = TrajectoryLog(label="unitary_track", m=max(config.observables))
-    recorder = _Recorder(system, state, oset_full.subset(log.m), target, log)
-    _integrate_logged(config, recorder, _tracking_rhs(config, system, unitary_rhs, target), eps0)
+    recorder = _Recorder(propagator, state, oset_full.subset(log.m), target, log)
+    _integrate_logged(config, recorder, _tracking_rhs(config, propagator, unitary_rhs, target), eps0)
     summary = {
         **flow_info,
         "final_track_distance": log.track_distance[-1] if log.track_distance else float("nan"),
@@ -548,8 +587,8 @@ def run_unitary_experiment(config: ExperimentConfig) -> dict:
 
 
 def _gradient_leg(
-    config: ExperimentConfig, system: QuantumSystem, state: StateSpec, oset_full: ObservableSet,
-    eps0: ControlField, threshold: float | None,
+    config: ExperimentConfig, propagator: _RunPropagator, state: StateSpec,
+    oset_full: ObservableSet, eps0: ControlField, threshold: float | None,
 ) -> TrajectoryLog:
     """Integrate the dynamical gradient flow of <Theta_1> from eps_0 with the
     configured integrator, stopping once Phi_1 reaches ``threshold`` (if
@@ -558,9 +597,9 @@ def _gradient_leg(
     log = TrajectoryLog(label="grad_flow", m=1)
 
     def rhs(s: float, control: ControlField) -> np.ndarray:
-        return gradient_field(propagate(system, control), state, oset1)
+        return gradient_field(propagator(control), state, oset1)
 
-    recorder = _Recorder(system, state, oset1, None, log, stop_phi1_at=threshold)
+    recorder = _Recorder(propagator, state, oset1, None, log, stop_phi1_at=threshold)
     _integrate_logged(config, recorder, rhs, eps0, s_end=config.grad_s_max)
     return log
 
@@ -575,8 +614,8 @@ def run_gradient_flow(config: ExperimentConfig) -> dict:
 def run_efficiency_comparison(config: ExperimentConfig) -> dict:
     """Accepted ASRK5 steps to reach Phi_1 >= threshold: MOTC (largest m)
     versus the gradient flow, identical tolerances."""
-    system, state, oset_full, eps0 = _setup(config)
-    prop0, w, flow_info = _compute_flow_target(config, system, state, oset_full, eps0)
+    propagator, state, oset_full, eps0 = _setup(config)
+    prop0, w, flow_info = _compute_flow_target(config, propagator, state, oset_full, eps0)
     threshold = config.threshold_fraction * flow_info["kinematic_max_phi1"]
 
     # MOTC leg
@@ -584,11 +623,12 @@ def run_efficiency_comparison(config: ExperimentConfig) -> dict:
     oset = oset_full.subset(m_big)
     target = geodesic_target_observables(prop0.final, w, state, oset)
     motc_log = TrajectoryLog(label=f"efficiency_motc_m{m_big}", m=m_big)
-    recorder = _Recorder(system, state, oset, target, motc_log, stop_phi1_at=threshold)
-    _integrate_logged(config, recorder, _tracking_rhs(config, system, motc_rhs, state, oset, target), eps0)
+    recorder = _Recorder(propagator, state, oset, target, motc_log, stop_phi1_at=threshold)
+    rhs = _tracking_rhs(config, propagator, motc_rhs, state, oset, target)
+    _integrate_logged(config, recorder, rhs, eps0)
 
     # gradient-flow leg
-    grad_log = _gradient_leg(config, system, state, oset_full, eps0, threshold)
+    grad_log = _gradient_leg(config, propagator, state, oset_full, eps0, threshold)
 
     def steps_to_threshold(log: TrajectoryLog) -> int | None:
         for i, phi in enumerate(log.phi):

@@ -19,7 +19,11 @@ average of mu(t) over [t_j, t_{j+1}] (``evolved_dipole_step``), not the node
 value.  Gradient samples are reported divided by the trapezoidal quadrature
 weights, which makes  d Phi  =  sum_j w_j g_j d eps_j  an exact chain rule
 and keeps per-sample finite differences commensurate with the functional
-derivative.
+derivative.  By cyclicity of the trace,
+i Tr([Theta_k(T), mu_j] rho(0)) = i Tr(C_k mu_j) with the one commutator
+C_k = [rho(0), Theta_k(T)] per observable, so all (m, q) samples are a
+single product of C, flattened to (m, N^2), with the flattened step dipoles
+(the exact GRAPE gradient: Khaneja et al., J. Magn. Reson. 172, 296 (2005)).
 """
 
 from __future__ import annotations
@@ -114,14 +118,17 @@ def single_observable_gradients(
 ) -> np.ndarray:
     """(m, q) matrix of d Phi_k / d eps(t_j), unit observable weights.
 
-    Row k is  (dt/w_j) * i Tr([Theta_k(T), mu_step(t_j)] rho(0)).
+    Row k is  (dt/w_j) * i Tr([Theta_k(T), mu_step(t_j)] rho(0))
+    = (dt/w_j) * i Tr(C_k mu_step(t_j)),  C_k = [rho(0), Theta_k(T)].
     """
     if oset.dim != prop.dim or state.dim != prop.dim:
         raise ValueError("dimension mismatch")
-    u = prop.final
-    theta_t = np.einsum("ba,kbc,cd->kad", u.conj(), oset.operators, u)
-    comm = prop.evolved_dipole_step @ state.rho0 - state.rho0 @ prop.evolved_dipole_step
-    raw = 1j * np.einsum("kab,jba->kj", theta_t, comm)
+    u, rho, n = prop.final, state.rho0, prop.dim
+    theta_t = u.conj().T @ oset.operators @ u
+    c = rho @ theta_t - theta_t @ rho
+    # Tr(C mu) = sum_ab (C^T)_ab mu_ab: one GEMM over the flattened matrices.
+    c_flat = c.transpose(0, 2, 1).reshape(oset.m, n * n)
+    raw = 1j * (c_flat @ prop.evolved_dipole_step.reshape(prop.q, n * n).T)
     resid = np.abs(raw.imag).max()
     scale = max(np.abs(raw.real).max(), 1e-30)
     if resid > 1e-10 * max(scale, 1.0):
@@ -314,7 +321,7 @@ def natural_basis_functions(prop: PropagationResult, state: StateSpec) -> np.nda
     p, r = np.linalg.eigh(state.rho0)
     p = np.clip(p, 0.0, None)
     mu_step = prop.evolved_dipole_step * _sample_scale(prop)[:, None, None]
-    mu_eig = np.einsum("ai,jab,bk->jik", r.conj(), mu_step, r)
+    mu_eig = r.conj().T @ mu_step @ r
     rows = []
     n = state.dim
     for i in range(n):

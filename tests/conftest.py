@@ -32,6 +32,28 @@ def free_evolution_final(system) -> np.ndarray:
     return expi(system.h0, system.t_final)
 
 
+def propagate_direct(system, control) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative propagators and step-averaged evolved dipoles by the direct
+    formula U_j^dag V_j (mu' o Phi_j) V_j^dag U_j, with the complex eigh.
+
+    phi(i g) = sin(g)/g + i (1 - cos g)/g is taken as
+    sinc(g/pi) + (i g/2) sinc(g/(2 pi))^2, which has no cancellation.
+    """
+    h0, mu, dt = np.asarray(system.h0, complex), np.asarray(system.mu, complex), system.dt
+    w, v = np.linalg.eigh(h0 - control.samples[:-1, None, None] * mu)
+    vh = v.conj().transpose(0, 2, 1)
+    cumulative = [np.eye(system.dim, dtype=complex)]
+    for step in (v * np.exp(-1j * dt * w)[:, None, :]) @ vh:
+        cumulative.append(step @ cumulative[-1])
+    cumulative = np.array(cumulative)
+    g = (w[:, :, None] - w[:, None, :]) * dt
+    phi = np.sinc(g / np.pi) + 0.5j * g * np.sinc(g / (2 * np.pi)) ** 2
+    mu_local = v @ ((vh @ mu @ v) * phi) @ vh
+    step_dipoles = np.zeros_like(cumulative)
+    step_dipoles[:-1] = cumulative[:-1].conj().transpose(0, 2, 1) @ mu_local @ cumulative[:-1]
+    return cumulative, step_dipoles
+
+
 @pytest.fixture(scope="session")
 def model_system():
     return build_model_system(11, t_final=100.0, q=1024)

@@ -366,3 +366,52 @@ class TestTrackingEndToEnd:
         assert (s[-1] == 1.0) == (termination == "completed")
         assert summary["accepted_steps"] == summary["records"] - 1 == len(s) - 1
         assert ("error" in summary) == (termination == "stall")
+
+
+class TestOnePropagationPerField:
+    """Each run propagates a field once even when the recorder, the flow
+    target and the integrator's next first stage all ask for it, so a run
+    that ends on an accepted step makes one propagation per rhs evaluation
+    plus one for eps_0.  The count goes through the module attribute that a
+    wrapper (such as the benchmark's probe) rebinds."""
+
+    @pytest.mark.parametrize(
+        "command,flags,config,summary_path",
+        [
+            ("motc-track", _LOOSE, {}, ("per_m", "2")),
+            ("grad-flow", [], {"grad_s_max": 1.0}, ("log",)),
+        ],
+        ids=["motc-completed", "grad-flow"],
+    )
+    def test_calls(self, tmp_path, monkeypatch, command, flags, config, summary_path):
+        calls = []
+        propagate = experiments.propagate
+        monkeypatch.setattr(
+            experiments, "propagate", lambda *args: calls.append(1) or propagate(*args)
+        )
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        rc = cli_main([command, "--config", str(cfg_file), *_TINY, *flags, "--out", str(out)])
+        assert rc == 0
+        summary = json.loads((out / f"{command}_summary.json").read_text())["summary"]
+        for key in summary_path:
+            summary = summary[key]
+        assert summary["termination"] == "completed"
+        assert len(calls) == summary["rhs_evaluations"] + 1
+
+
+class TestTrackStallCounters:
+    def test_short_run_pinned(self):
+        # track-stall's config (perfbench/workloads.py) cut to 30 attempts:
+        # the integrator's counters repeat exactly, the reached s to roundoff.
+        cfg = ExperimentConfig(
+            n_levels=11, state="rank7", t_final=20.0, q=128, observables=(2,),
+            correction="beta=10", integrator="rkck:atol=1e-6,rtol=1e-6", seed=2008,
+            max_steps=30,
+        )
+        summary = experiments.run_motc_experiment(cfg)["summary"]["per_m"]["2"]
+        counts = (summary["accepted_steps"], summary["rejected_steps"], summary["rhs_evaluations"])
+        assert counts == (23, 7, 180)
+        assert summary["termination"] == "max_steps"
+        assert summary["final_s"] == pytest.approx(0.17648891214016296, rel=1e-9)

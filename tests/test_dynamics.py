@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from motc.dynamics import (
 )
 from motc.landscape import ObservableSet
 
-from conftest import free_evolution_final
+from conftest import free_evolution_final, propagate_direct, random_hermitian
 
 
 class TestTypes:
@@ -78,6 +80,33 @@ class TestPropagate:
             prop.evolved_dipole_step - prop.evolved_dipole_step.conj().transpose(0, 2, 1)
         ).max()
         assert dev <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_direct_formula(self, kind, small_system, small_field):
+        # The real case takes the real-symmetric eigh, the complex one the
+        # complex-Hermitian eigh; both must agree with U^dag V (mu' o Phi) V^dag U.
+        if kind == "real":
+            system, field = small_system, small_field
+        else:
+            rng = np.random.default_rng(11)
+            system = QuantumSystem(random_hermitian(5, rng), random_hermitian(5, rng), 5.0, 64)
+            field = ControlField(rng.standard_normal(64))
+            assert system.h0.imag.any() and system.mu.imag.any()
+        prop = propagate(system, field)
+        cumulative, step_dipoles = propagate_direct(system, field)
+        assert np.abs(prop.cumulative - cumulative).max() <= 1e-12
+        assert np.abs(prop.evolved_dipole_step - step_dipoles).max() <= 1e-12
+
+    @pytest.mark.parametrize("x", [1.01e-7, 1e-6, 1e-4, 1e-2])
+    def test_step_average_phi_small_gaps(self, x):
+        # Two levels x/dt apart (dt = 1) and no field: the (1, 0) entry of the
+        # first step-averaged dipole is phi(ix) = (e^{ix} - 1)/(ix).  Just
+        # above the series cutoff, e^{ix} - 1 loses |log10 x| digits unless
+        # it is taken with expm1.
+        system = QuantumSystem(np.diag([0.0, x]), np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0, 2)
+        phi = propagate(system, zero_field(system)).evolved_dipole_step[0, 1, 0]
+        series = sum((1j * x) ** k / math.factorial(k + 1) for k in range(8))
+        assert abs(phi - series) <= 1e-14 * abs(series)
 
     def test_length_mismatch(self, small_system):
         with pytest.raises(ValueError, match="samples"):
