@@ -470,7 +470,8 @@ def _integrate_logged(
 
 def run_gramian_distribution(config: ExperimentConfig) -> dict:
     """Condition numbers of G and of Gamma (thermal and pure states) over an
-    ensemble of random fields; histogram plus log10 summary statistics."""
+    ensemble of random fields; histogram plus log10 summary statistics, and
+    per Gramian the count of numerically singular samples."""
     rows, failures = [], 0
     if config.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -493,6 +494,11 @@ def run_gramian_distribution(config: ExperimentConfig) -> dict:
     table = np.array(rows) if rows else np.empty((0, 4))
     summary = {"samples": config.samples, "failures": failures}
     names = ["cond_g", "cond_gamma_thermal", "cond_gamma_pure"]
+    # G is N^2 x N^2 and each Gamma m x m.  A condition at or above
+    # 1/(size * eps), numpy's matrix_rank tolerance, marks a numerically
+    # singular Gramian, whose condition number is roundoff.
+    m = max(config.observables)
+    sizes = [config.n_levels**2, m, m]
     histograms = {}
     for i, name in enumerate(names):
         vals = table[:, i + 1]
@@ -503,6 +509,7 @@ def run_gramian_distribution(config: ExperimentConfig) -> dict:
             "log10_median": float(np.median(logs)) if logs.size else float("nan"),
             "log10_mean": float(np.mean(logs)) if logs.size else float("nan"),
             "infinite": int(np.sum(~np.isfinite(vals))),
+            "numerically_singular": int(np.sum(vals >= 1.0 / (sizes[i] * np.finfo(float).eps))),
         }
         if logs.size:
             lo, hi = math.floor(logs.min()), math.ceil(logs.max())

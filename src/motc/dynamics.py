@@ -17,9 +17,13 @@ are diagonalized in one batched ``eigh``: the real-symmetric one when H0 and
 mu have no imaginary part (as in the banded model of ``motc.bench``), the
 complex-Hermitian one otherwise.  With W_j = V_j^dag U(t_j, 0), the step average is
 W_j^dag (mu'_j o Phi_j) W_j, where mu'_j = V_j^dag mu V_j is the dipole in
-the step eigenbasis and (Phi_j)_ab = phi(i (w_a - w_b) dt),
-phi(z) = (e^z - 1)/z, taken with ``expm1`` so that small gaps keep their
-digits.
+the step eigenbasis and (Phi_j)_ab = phi(i g_ab) with g_ab = (w_a - w_b) dt,
+phi(ig) = (e^{ig} - 1)/(ig) = sin(g)/g + i 2 sin^2(g/2)/g and phi(0) = 1.
+The sine form is taken from real sines, so no gap loses digits to the
+cancellation in e^{ig} - 1.  For a real system V_j, mu'_j and Phi_j's
+gaps are real, and the products with a real left factor, the step
+exponentials S_j = V_j (e^{-i w_j dt} o V_j^T) and W_j = V_j^T U(t_j, 0),
+run as real GEMMs on the complex right factor's float64 view.
 """
 
 from __future__ import annotations
@@ -177,8 +181,9 @@ class PropagationResult:
     where no step starts: the last field sample never enters the
     left-endpoint dynamics).  Both come from one eigendecomposition per
     step, real-symmetric when the system is real: the average is
-    W_j^dag (mu'_j o Phi_j) W_j with W_j = V_j^dag U(t_j, 0) (see the module
-    docstring).
+    W_j^dag (mu'_j o Phi_j) W_j with W_j = V_j^dag U(t_j, 0) and Phi_j
+    taken in the sine form phi(ig) = sin(g)/g + i 2 sin^2(g/2)/g; with a
+    real V_j, S_j and W_j are real GEMMs (see the module docstring).
     """
 
     cumulative: np.ndarray
@@ -199,6 +204,19 @@ class PropagationResult:
         return self.cumulative.shape[1]
 
 
+def _matmul_real_left(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b into ``out`` for complex ``b`` and ``out`` with contiguous last axes.
+
+    A real ``a`` multiplies b's float64 view, whose interleaved real and
+    imaginary columns make one real GEMM of twice the width in place of a
+    complex GEMM that first promotes ``a`` to complex.
+    """
+    if np.iscomplexobj(a):
+        return np.matmul(a, b, out=out)
+    np.matmul(a, b.view(np.float64), out=out.view(np.float64))
+    return out
+
+
 def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult:
     """Piecewise-constant propagation of the driven system over [0, T]."""
     eps = control.samples
@@ -213,7 +231,10 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
 
     w, v = np.linalg.eigh(h0[None, :, :] - eps[:-1, None, None] * mu[None, :, :])
     vh = v.conj().transpose(0, 2, 1)
-    steps = (v * np.exp(-1j * dt * w)[:, None, :]) @ vh
+    # S_j = V_j (e^{-i w_j dt} o V_j^dag), the phases scaling the rows of a
+    # C-ordered operand that a real V_j multiplies as one real GEMM.
+    rows = np.multiply(np.exp(-1j * dt * w)[:, :, None], vh, order="C")
+    steps = _matmul_real_left(v, rows, out=np.empty_like(rows))
 
     cumulative = np.empty((q, n, n), dtype=complex)
     cumulative[0] = np.eye(n)
@@ -222,15 +243,28 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
 
     # Within-step average of the interaction-picture dipole, in closed form:
     # (1/dt) int_0^dt e^{iHs} mu e^{-iHs} ds has eigenbasis elements
-    # mu'_{ab} * phi(i (w_a - w_b) dt) with phi(z) = (e^z - 1)/z.  Below
-    # |z| = 1e-7 the two-term series 1 + z/2 is accurate to |z|^2/6 < 2e-15;
-    # above it, expm1 keeps the digits that e^z - 1 would cancel.
-    iz = 1j * ((w[:, :, None] - w[:, None, :]) * dt)
-    phi = 1.0 + 0.5 * iz
-    np.divide(np.expm1(iz), iz, out=phi, where=np.abs(iz) >= 1e-7)
-    wj = vh @ cumulative[:-1]
+    # mu'_{ab} * phi(i g_ab) with g_ab = (w_a - w_b) dt and
+    # phi(ig) = (e^{ig} - 1)/(ig) = sin(g)/g + i 2 sin^2(g/2)/g, phi(0) = 1.
+    # Real sines lose no digits at any gap, where e^{ig} - 1 cancels them.
+    # The buffers of the step exponentials and of their rows, spent once
+    # the cumulative product is built, take mu' o Phi and W_j.
+    g = (w[:, :, None] - w[:, None, :]) * dt
+    gap = g != 0
+    phi = steps
+    phi.real = 1.0
+    np.divide(np.sin(g), g, out=phi.real, where=gap)
+    half = np.sin(0.5 * g)
+    np.multiply(half, half, out=half)
+    phi.imag = 0.0
+    np.divide(2.0 * half, g, out=phi.imag, where=gap)
+    mu_phi = np.multiply(vh @ mu @ v, phi, out=phi)
+    wj = _matmul_real_left(vh, cumulative[:-1], out=rows)
+    mixed = mu_phi @ wj
+    # W_j^dag is the transposed view of W_j conjugated in place: BLAS takes
+    # a transposed operand as it is, where a conjugated copy costs a pass.
+    np.conjugate(wj, out=wj)
     evolved_step = np.zeros((q, n, n), dtype=complex)
-    evolved_step[:-1] = wj.conj().transpose(0, 2, 1) @ ((vh @ mu @ v) * phi) @ wj
+    np.matmul(wj.transpose(0, 2, 1), mixed, out=evolved_step[:-1])
 
     return PropagationResult(
         cumulative=cumulative,

@@ -139,6 +139,13 @@ def rkck_adaptive(
     raises StallError.  After ``max_steps`` attempted steps the integration
     returns with termination "max_steps" short of the interval's end.  Any
     MotcError propagates with ``counts`` set.
+
+    A rejected attempt keeps k[0] = rhs(s, eps): the next attempt starts
+    from the same (s, eps), so it evaluates only the five later stages.
+    The right-hand side is thus evaluated 5 times per attempt plus once per
+    state an attempt starts from (the initial one and each accepted one
+    that another attempt follows); rejections do not change the step
+    sequence.
     """
     s0, s1 = problem.s_span
     y = problem.initial.samples.copy()
@@ -150,8 +157,9 @@ def rkck_adaptive(
     try:
         while s < s1 - 1e-14:
             h = min(h, s1 - s)
-            k[0] = problem.rhs(s, ControlField(y))
-            n_eval += 1
+            if k[0] is None:
+                k[0] = problem.rhs(s, ControlField(y))
+                n_eval += 1
             for i in range(1, 6):
                 yi = y + h * sum(a * k[j] for j, a in enumerate(_CK_A[i]))
                 k[i] = problem.rhs(s + _CK_C[i] * h, ControlField(yi))
@@ -163,6 +171,7 @@ def rkck_adaptive(
             if err <= 1.0:
                 s = s + h
                 y = y5
+                k[0] = None
                 acc += 1
                 s_values.append(s)
                 fields.append(y.copy())

@@ -203,7 +203,9 @@ def kinematic_flow(
     accepted states.  Accepted steps may regrow up to ``ds_cap`` (defaults
     to the initial ds, i.e. no growth; set it larger to speed up the slow
     tail toward a critical point).  Terminates at ``s_max`` or when the
-    gradient norm drops below ``grad_tol``.
+    gradient norm drops below ``grad_tol``.  The right-hand side at each
+    accepted V serves both the gradient-norm test and the next step's k1,
+    also across halved retries.
     """
     v = require_unitary(np.asarray(v0, dtype=complex), name="V0").copy()
     if ds <= 0:
@@ -221,11 +223,11 @@ def kinematic_flow(
     s_list, v_list, phi_list = [0.0], [v.copy()], [phi_cur]
     s, step_index = 0.0, 0
     ds_cap = ds if ds_cap is None else max(ds, ds_cap)
-    grad_norm = float(np.linalg.norm(rhs(v)))
+    k1 = rhs(v)
+    grad_norm = float(np.linalg.norm(k1))
     converged = grad_norm < grad_tol
     while not converged and s < s_max - 1e-12:
         h = min(ds, s_max - s)
-        k1 = rhs(v)
         k2 = rhs(v + 0.5 * h * k1)
         k3 = rhs(v + 0.5 * h * k2)
         k4 = rhs(v + h * k3)
@@ -248,7 +250,8 @@ def kinematic_flow(
             s_list.append(s)
             v_list.append(v.copy())
             phi_list.append(phi_cur)
-        grad_norm = float(np.linalg.norm(rhs(v)))
+        k1 = rhs(v)
+        grad_norm = float(np.linalg.norm(k1))
         converged = grad_norm < grad_tol
     if s_list[-1] != s:
         s_list.append(s)

@@ -172,6 +172,23 @@ class TestGramianDistributionSmall:
         assert table.shape == (3, 4)
         assert np.all(np.isfinite(table[:, 2]))  # thermal Gamma conditions
 
+    def test_numerically_singular_counted(self):
+        # At N=3 with observables [1, 2, 3] every Gamma is singular to
+        # roundoff (conditions 1e16-1e18, above 1/(3 eps) = 1.5e15); G, with
+        # conditions near 1e8, is not.  The table keeps the values.
+        cfg = ExperimentConfig(
+            experiment="gramian-dist", n_levels=3, state="pure", t_final=30.0, q=64,
+            observables=(1, 2, 3), samples=6,
+        )
+        out = run_gramian_distribution(cfg)
+        summary, table = out["summary"], out["table"][1]
+        assert summary["cond_g"]["numerically_singular"] == 0
+        assert np.all(table[:, 1] < 1.0 / (9 * np.finfo(float).eps))
+        for i, name in [(2, "cond_gamma_thermal"), (3, "cond_gamma_pure")]:
+            assert summary[name]["numerically_singular"] == 6
+            assert np.all(np.isfinite(table[:, i]))
+            assert summary[name]["log10_median"] == pytest.approx(np.median(np.log10(table[:, i])))
+
     def test_deterministic_across_runs_and_workers(self):
         cfg = ExperimentConfig(
             experiment="gramian-dist", samples=4, q=128, t_final=30.0, observables=(4,)
@@ -405,6 +422,8 @@ class TestTrackStallCounters:
     def test_short_run_pinned(self):
         # track-stall's config (perfbench/workloads.py) cut to 30 attempts:
         # the integrator's counters repeat exactly, the reached s to roundoff.
+        # Seven rejections, each followed by another attempt that reuses
+        # k[0]: 6 * 30 - 7 = 173 evaluations.
         cfg = ExperimentConfig(
             n_levels=11, state="rank7", t_final=20.0, q=128, observables=(2,),
             correction="beta=10", integrator="rkck:atol=1e-6,rtol=1e-6", seed=2008,
@@ -412,6 +431,6 @@ class TestTrackStallCounters:
         )
         summary = experiments.run_motc_experiment(cfg)["summary"]["per_m"]["2"]
         counts = (summary["accepted_steps"], summary["rejected_steps"], summary["rhs_evaluations"])
-        assert counts == (23, 7, 180)
+        assert counts == (23, 7, 173)
         assert summary["termination"] == "max_steps"
         assert summary["final_s"] == pytest.approx(0.17648891214016296, rel=1e-9)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,13 +101,36 @@ class TestPropagate:
     @pytest.mark.parametrize("x", [1.01e-7, 1e-6, 1e-4, 1e-2])
     def test_step_average_phi_small_gaps(self, x):
         # Two levels x/dt apart (dt = 1) and no field: the (1, 0) entry of the
-        # first step-averaged dipole is phi(ix) = (e^{ix} - 1)/(ix).  Just
-        # above the series cutoff, e^{ix} - 1 loses |log10 x| digits unless
-        # it is taken with expm1.
+        # first step-averaged dipole is phi(ix) = (e^{ix} - 1)/(ix).  Taken
+        # as written, e^{ix} - 1 loses |log10 x| digits at small gaps.
         system = QuantumSystem(np.diag([0.0, x]), np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0, 2)
         phi = propagate(system, zero_field(system)).evolved_dipole_step[0, 1, 0]
         series = sum((1j * x) ** k / math.factorial(k + 1) for k in range(8))
         assert abs(phi - series) <= 1e-14 * abs(series)
+
+    @pytest.mark.parametrize("x", [0.0, 1.0, 3.0])
+    def test_step_average_phi_closed_form(self, x):
+        # The same (1, 0) entry against phi(ix) = sin(x)/x + i (1 - cos x)/x,
+        # with phi(0) = 1 at an exactly degenerate pair.
+        system = QuantumSystem(np.diag([0.0, x]), np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0, 2)
+        phi = propagate(system, zero_field(system)).evolved_dipole_step[0, 1, 0]
+        expected = 1.0 if x == 0.0 else math.sin(x) / x + 1j * (1.0 - math.cos(x)) / x
+        assert abs(phi - expected) <= 1e-14 * abs(expected)
+
+    def test_peak_allocation(self, model_system):
+        # One propagation at N=11, q=1024 allocates at most 9.5 complex
+        # (q, N, N) arrays at its peak (18.0 MiB): the two it returns plus
+        # the temporaries of its stages.
+        field = sample_random_field(model_system, np.random.default_rng(3))
+        propagate(model_system, field)
+        tracemalloc.start()
+        try:
+            propagate(model_system, field)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one = model_system.q * model_system.dim**2 * np.dtype(complex).itemsize
+        assert peak <= 9.5 * one
 
     def test_length_mismatch(self, small_system):
         with pytest.raises(ValueError, match="samples"):

@@ -141,7 +141,27 @@ class TestRkckAdaptive:
             rkck_adaptive(problem)
         assert np.isfinite(err.value.error_estimate)
         accepted, rejected, n_eval = err.value.counts
-        assert rejected > 0 and n_eval == 6 * (accepted + rejected)
+        # Five stages per attempt, plus k[0] once per state an attempt starts
+        # from: the initial one and every accepted one (the last attempt was
+        # rejected, so each accepted state was followed by another attempt).
+        assert rejected > 0 and n_eval == 5 * (accepted + rejected) + accepted + 1
+
+    def test_rejection_keeps_first_stage(self):
+        # Every stage of every attempt is at its own (s, eps) except k[0]
+        # after a rejection, which the next attempt reuses instead of
+        # evaluating it again.
+        calls = []
+
+        def rhs(s, field):
+            calls.append((s, field.samples.tobytes()))
+            return np.cos(30 * s) * np.ones(4) + 0.1 * field.samples
+
+        rep = rkck_adaptive(make_problem(rhs, q=4))
+        accepted, rejected, n_eval = rep.counts
+        assert rep.termination == "completed" and rejected > 0
+        assert len(set(calls)) == len(calls) == n_eval
+        # The final accepted state starts no attempt.
+        assert n_eval == 5 * (accepted + rejected) + accepted
 
     def test_max_steps_termination(self):
         # The step budget ends the run short of s1 and says so; no error.
