@@ -30,6 +30,7 @@ from .landscape import (
     gradient_field,
     gradient_field_targeted,
     kinematic_flow,
+    kinematic_maximizer,
     natural_basis_dimension,
     natural_basis_functions,
     natural_basis_rank,
@@ -42,7 +43,6 @@ from .linalg import (
     condition_number,
     herm_to_vec,
     log_unitary_principal,
-    solve_linear,
     vec_to_herm,
 )
 from .tracking import (
@@ -82,6 +82,7 @@ __all__ = [
     "gradient_field",
     "gradient_field_targeted",
     "kinematic_flow",
+    "kinematic_maximizer",
     "natural_basis_dimension",
     "natural_basis_functions",
     "natural_basis_rank",
@@ -92,7 +93,6 @@ __all__ = [
     "condition_number",
     "herm_to_vec",
     "log_unitary_principal",
-    "solve_linear",
     "vec_to_herm",
     "CorrectionSpec",
     "GramianReport",

@@ -7,6 +7,8 @@ results are reproducible and independent of sample execution order.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass, field, asdict, replace
@@ -23,7 +25,9 @@ from ..dynamics import (
 )
 from ..errors import BranchBoundaryError, ConfigError, MotcError, StallError
 from ..integrate import FlowProblem, IntegrationReport, euler_integrate, rkck_adaptive
-from ..landscape import ObservableSet, gradient_field, kinematic_flow, single_observable_gradients
+from ..landscape import (
+    ObservableSet, gradient_field, kinematic_maximizer, single_observable_gradients,
+)
 from ..tracking import (
     CorrectionSpec,
     TrackTarget,
@@ -97,7 +101,6 @@ class ExperimentConfig:
     threshold_fraction: float = 0.95
     grad_s_max: float = 2000.0
     max_steps: int = 20000
-    kinematic_s_max: float = 2000.0
     workers: int = 1
 
     def __post_init__(self):
@@ -107,6 +110,11 @@ class ExperimentConfig:
             raise ConfigError("need q >= 2 and t_final > 0")
         if self.samples < 1:
             raise ConfigError("samples must be positive")
+        if not 0 < self.ds_min <= self.ds_max:
+            raise ConfigError("need 0 < ds_min <= ds_max")
+        for name in ("temperature", "grad_s_max", "max_steps"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
         if self.seed is None:
             raise ConfigError("a seed is mandatory for reproducibility")
         obs = tuple(int(m) for m in self.observables)
@@ -154,9 +162,10 @@ class ExperimentConfig:
             return build_thermal_state(system, self.temperature)
         return build_rank_truncated_state(system, self._rank, self.temperature)
 
-    def build_observables(self, m: int | None = None) -> ObservableSet:
-        m_max = max(self.observables) if m is None else m
-        return build_observable_set(self.n_levels, m_max, substream(self.seed, _STREAM_OBSERVABLES))
+    def build_observables(self) -> ObservableSet:
+        return build_observable_set(
+            self.n_levels, max(self.observables), substream(self.seed, _STREAM_OBSERVABLES)
+        )
 
     def correction_spec(self) -> CorrectionSpec:
         return self._correction
@@ -402,21 +411,14 @@ def _compute_flow_target(
     config: ExperimentConfig, propagator: _RunPropagator, state: StateSpec,
     oset_full: ObservableSet, eps0: ControlField,
 ):
-    """Propagation of eps_0 and the kinematic-flow maximizer W of <Theta_1>
-    from U_0, nudged off the log branch cut if the geodesic generator lands
-    on it; plus the flow's summary entries."""
+    """Propagation of eps_0 and the maximizer W of <Theta_1> nearest U_0
+    (`kinematic_maximizer`, in closed form), nudged off the log branch cut
+    if the geodesic generator lands on it; plus the summary entry
+    ``kinematic_max_phi1``, Phi_1 at W before any nudge."""
     prop0 = propagator(eps0)
     u0 = prop0.final
-    flow = kinematic_flow(
-        u0, state, oset_full.subset(1), s_max=config.kinematic_s_max, ds=0.05,
-        grad_tol=1e-5, record_every=1000, ds_cap=1.0,
-    )
-    info = {
-        "kinematic_max_phi1": float(flow.phi[-1]),
-        "kinematic_converged": flow.converged,
-        "kinematic_gradient_norm": flow.gradient_norm,
-    }
-    w = flow.final
+    w = kinematic_maximizer(u0, state, oset_full.operators[0])
+    info = {"kinematic_max_phi1": float(expectations(w, state, oset_full.subset(1))[0])}
     rng = substream(config.seed, _STREAM_PERTURB)
     for _ in range(5):
         try:
@@ -479,13 +481,12 @@ def run_gramian_distribution(config: ExperimentConfig) -> dict:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(
                 pool.map(
-                    _gramian_sample,
-                    [(config.to_dict(), k) for k in range(config.samples)],
+                    _gramian_sample, itertools.repeat(config), range(config.samples),
                     chunksize=max(1, config.samples // (8 * config.workers)),
                 )
             )
     else:
-        results = [_gramian_sample((config.to_dict(), k)) for k in range(config.samples)]
+        results = [_gramian_sample(config, k) for k in range(config.samples)]
     for rec in results:
         if rec is None:
             failures += 1
@@ -523,14 +524,18 @@ def run_gramian_distribution(config: ExperimentConfig) -> dict:
     }
 
 
-def _gramian_sample(args: tuple[dict, int]):
-    """One field sample of the Gramian survey (top level for process pools)."""
-    config_dict, k = args
-    config = ExperimentConfig.from_dict(config_dict)
+@functools.lru_cache(maxsize=1)
+def _gramian_survey(config: ExperimentConfig):
+    """The system, observable set and thermal and pure states that every
+    sample of a survey shares: built once per survey and process."""
     system = config.build_system()
-    oset = config.build_observables(m=max(config.observables))
-    thermal = build_thermal_state(system, config.temperature)
-    pure = build_pure_ground_state(system)
+    oset = config.build_observables()
+    return system, oset, build_thermal_state(system, config.temperature), build_pure_ground_state(system)
+
+
+def _gramian_sample(config: ExperimentConfig, k: int):
+    """One field sample of the Gramian survey (top level for process pools)."""
+    system, oset, thermal, pure = _gramian_survey(config)
     try:
         control = sample_random_field(system, substream(config.seed, _STREAM_SAMPLES, k))
         prop = propagate(system, control)
@@ -545,9 +550,9 @@ def _gramian_sample(args: tuple[dict, int]):
 def run_motc_experiment(config: ExperimentConfig) -> dict:
     """Track the geodesic-induced multiobservable path for each configured m.
 
-    Pipeline: sample eps_0, propagate to U_0, run the kinematic flow of
-    <Theta_1> to the maximizer W, build the observable track per m, then
-    integrate the tracking equation, logging every accepted step.
+    Pipeline: sample eps_0, propagate to U_0, take the maximizer W of
+    <Theta_1> nearest U_0, build the observable track per m, then integrate
+    the tracking equation, logging every accepted step.
     """
     propagator, state, oset_full, eps0 = _setup(config)
     prop0, w, flow_info = _compute_flow_target(config, propagator, state, oset_full, eps0)

@@ -12,14 +12,6 @@ class BranchBoundaryError(MotcError):
     """A unitary logarithm has an eigenphase too close to the +-pi branch cut."""
 
 
-class SingularMatrixError(MotcError):
-    """A strict linear solve hit an (exactly) singular matrix."""
-
-    def __init__(self, msg: str, condition: float = float("inf")):
-        super().__init__(msg)
-        self.condition = condition
-
-
 class SingularTrackError(MotcError):
     """A tracking Gramian is beyond the usable conditioning cap."""
 

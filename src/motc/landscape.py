@@ -192,7 +192,6 @@ def kinematic_flow(
     ds: float = 0.01,
     grad_tol: float = GRAD_NORM_TOL,
     ds_min: float = 1e-9,
-    record_every: int = 1,
     ds_cap: float | None = None,
 ) -> KinematicFlowResult:
     """Integrate dV/ds = [Theta_M, V rho V^dag] V with re-unitarization.
@@ -221,7 +220,7 @@ def kinematic_flow(
 
     phi_cur = phi_of(v)
     s_list, v_list, phi_list = [0.0], [v.copy()], [phi_cur]
-    s, step_index = 0.0, 0
+    s = 0.0
     ds_cap = ds if ds_cap is None else max(ds, ds_cap)
     k1 = rhs(v)
     grad_norm = float(np.linalg.norm(k1))
@@ -245,18 +244,12 @@ def kinematic_flow(
             continue
         v, s, phi_cur = cand, s + h, phi_cand
         ds = min(ds * 2.0, ds_cap)
-        step_index += 1
-        if step_index % record_every == 0:
-            s_list.append(s)
-            v_list.append(v.copy())
-            phi_list.append(phi_cur)
-        k1 = rhs(v)
-        grad_norm = float(np.linalg.norm(k1))
-        converged = grad_norm < grad_tol
-    if s_list[-1] != s:
         s_list.append(s)
         v_list.append(v.copy())
         phi_list.append(phi_cur)
+        k1 = rhs(v)
+        grad_norm = float(np.linalg.norm(k1))
+        converged = grad_norm < grad_tol
     return KinematicFlowResult(
         s=np.array(s_list),
         v=np.array(v_list),
@@ -264,6 +257,29 @@ def kinematic_flow(
         converged=converged,
         gradient_norm=grad_norm,
     )
+
+
+def kinematic_maximizer(u0: np.ndarray, state: StateSpec, theta: np.ndarray) -> np.ndarray:
+    """The maximizer W of Tr(W rho W^dag Theta) on U(N) nearest U0 in the
+    Frobenius norm, in closed form.
+
+    With both eigenbases ascending, the maximum sum_k p_k lambda_k (von
+    Neumann's trace inequality) is attained on W = V_Theta D V_rho^dag, D
+    block-unitary over rho's degenerate eigenspaces: the fixed points of the
+    double-bracket flow `kinematic_flow` integrates (Brockett, Linear Algebra
+    Appl. 146, 79 (1991)).  ||U0 - W||_F = ||V_Theta^dag U0 V_rho - D||_F is
+    least for the polar factor of each diagonal block.  Theta is taken
+    nondegenerate, as the model's Theta_1 is.
+    """
+    u0 = require_unitary(np.asarray(u0, dtype=complex), name="U0")
+    p, v_rho = np.linalg.eigh(state.rho0)
+    _, v_theta = np.linalg.eigh(require_hermitian(np.asarray(theta, dtype=complex), name="Theta"))
+    u = v_theta.conj().T @ u0 @ v_rho
+    d = np.zeros_like(u)
+    edges = [0, *(np.flatnonzero(np.diff(p) > DEGENERACY_CLUSTER_TOL) + 1), p.size]
+    for lo, hi in zip(edges, edges[1:]):
+        d[lo:hi, lo:hi] = _polar_unitary(u[lo:hi, lo:hi])
+    return v_theta @ d @ v_rho.conj().T
 
 
 def analytic_purestate_flow(x0: np.ndarray, lambdas: np.ndarray, s: float) -> np.ndarray:

@@ -1,7 +1,6 @@
 """Dense complex matrix kernel.
 
-Input validation, the principal unitary logarithm, linear solves, condition
-numbers, and the real Hermitian-basis vectorization used by the gradient and
+Input validation, the principal unitary logarithm, condition numbers, and the real Hermitian-basis vectorization used by the gradient and
 Gramian machinery.  Everything is a pure function over numpy arrays; LAPACK
 (via numpy/scipy) does the heavy lifting.
 """
@@ -11,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import BranchBoundaryError, SingularMatrixError
+from .errors import BranchBoundaryError
 
 # Distance of a unitary-log eigenphase to +-pi below which we refuse to pick
 # a branch.  The principal branch is the open interval (-pi, pi).
@@ -63,25 +62,6 @@ def log_unitary_principal(v: np.ndarray, branch_tol: float = BRANCH_TOL) -> np.n
             f"eigenphase {worst:+.8f} within {branch_tol:.1e} of the +-pi branch cut"
         )
     return (z * phases) @ z.conj().T
-
-
-def solve_linear(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b by LU factorization.
-
-    Raises :class:`SingularMatrixError`, carrying the condition number, on
-    an exactly singular matrix.
-    """
-    m = require_finite(m, "M")
-    b = np.asarray(b)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"M must be square, got shape {m.shape}")
-    try:
-        return np.linalg.solve(m, b)
-    except np.linalg.LinAlgError as exc:
-        cond = condition_number(m)
-        raise SingularMatrixError(
-            f"singular matrix in strict solve (condition ~ {cond:.3e})", condition=cond
-        ) from exc
 
 
 def condition_from_singular_values(s: np.ndarray) -> float:

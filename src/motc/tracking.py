@@ -34,12 +34,8 @@ from .linalg import (
     herm_to_vec,
     log_unitary_principal,
     require_unitary,
-    solve_linear,
 )
 
-# Above this condition number, Gramian solves switch from LU to the
-# truncated-SVD pseudo-inverse (relative cutoff 1e-12).
-STRICT_SOLVE_CAP = 1e10
 # Observable-tracking Gramians beyond this cap abort with SingularTrackError.
 MOTC_HARD_CAP = 1e14
 # Residual fraction above which a Gramian solve, of either kind of track, is
@@ -191,26 +187,23 @@ def free_function_min_fluence(field_or_samples, eta: float, w: np.ndarray) -> np
 def solve_gramian(report: GramianReport, b: np.ndarray, hard_cap: float | None = None) -> np.ndarray:
     """Solve Gramian x = b under the conditioning policy of every track.
 
-    SingularTrackError beyond ``hard_cap`` (when given); LU below
-    `STRICT_SOLVE_CAP`; truncated-SVD pseudo-inverse above it.  The solve
-    residual, measured against max(||b||, RESIDUAL_FLOOR), must then stay
-    below RESIDUAL_CAP, else SingularTrackError: b has no usable component
-    in the range of the Gramian.
+    SingularTrackError beyond ``hard_cap`` (when given); otherwise x comes
+    from the report's SVD, dropping singular values below 1e-12 sigma_max
+    (none below condition 1e12).  The solve residual, measured against
+    max(||b||, RESIDUAL_FLOOR), must then stay below RESIDUAL_CAP, else
+    SingularTrackError: b has no usable component in the range of the
+    Gramian.
     """
     if hard_cap is not None and not (report.condition <= hard_cap):
         raise SingularTrackError(
             f"Gramian condition {report.condition:.3e} beyond cap {hard_cap:.1e}",
             condition=report.condition,
         )
-    if report.condition <= STRICT_SOLVE_CAP:
-        x = solve_linear(report.matrix, b)
-    else:
-        s = report.singular_values
-        keep = s > 1e-12 * s[0]
-        coeff = np.zeros_like(s)
-        proj = report._u.T @ b
-        coeff[keep] = proj[keep] / s[keep]
-        x = report._vt.T @ coeff
+    s = report.singular_values
+    keep = s > 1e-12 * s[0]
+    coeff = np.zeros_like(s)
+    coeff[keep] = (report._u.T @ b)[keep] / s[keep]
+    x = report._vt.T @ coeff
     b_norm = np.linalg.norm(b)
     abs_residual = np.linalg.norm(report.matrix @ x - b)
     residual = abs_residual / max(b_norm, RESIDUAL_FLOOR)
@@ -274,10 +267,10 @@ def unitary_rhs(
     This is observable tracking with a = B^T, the N^2 dipole basis rows.
     The track derivative is mapped into the tangent frame at U_s(T):
     Delta_s = Herm(-i U_s^dag(T) dQ_s/ds), whose real coordinates the dipole
-    basis must reproduce.  G is routinely ill-conditioned, so solves above
-    the strict cap use the truncated pseudo-inverse; there is no hard
-    condition cap (a cap would reject essentially every propagation).  As
-    for every track, the residual check of `solve_gramian` applies; its
+    basis must reproduce.  G is routinely ill-conditioned, so its solve
+    drops the directions below 1e-12 sigma_max; there is no hard condition
+    cap (a cap would reject essentially every propagation).  As for every
+    track, the residual check of `solve_gramian` applies; its
     absolute floor matters on a track that does not move, whose right-hand
     side is pure roundoff and whose answer is d eps/d s = 0.
     """

@@ -21,6 +21,7 @@ from motc.bench import (
     run_gramian_distribution,
     substream,
 )
+from motc import landscape
 from motc.bench import experiments
 from motc.bench.cli import main as cli_main
 from motc.errors import ConfigError
@@ -57,6 +58,11 @@ class TestConfig:
             {"threshold_fraction": 1.5},
             {"correction": "beta=1.2.3"},
             {"integrator": "euler:ds=1e"},
+            {"ds_min": 0},
+            {"ds_min": 0.01, "ds_max": 0.001},
+            {"temperature": 0},
+            {"grad_s_max": -1},
+            {"max_steps": 0},
         ],
     )
     def test_validation_rejects(self, kw):
@@ -66,6 +72,11 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_dict({"volume": 11})
+
+    def test_kinematic_s_max_removed(self):
+        # The flow target is closed-form; the flow's budget is no longer a key.
+        with pytest.raises(ConfigError, match="kinematic_s_max"):
+            ExperimentConfig.from_dict({"kinematic_s_max": 2000.0})
 
     def test_correction_spec_parsing(self):
         assert not ExperimentConfig(correction="off").correction_spec().enabled
@@ -189,6 +200,19 @@ class TestGramianDistributionSmall:
             assert np.all(np.isfinite(table[:, i]))
             assert summary[name]["log10_median"] == pytest.approx(np.median(np.log10(table[:, i])))
 
+    def test_setup_built_once(self, monkeypatch):
+        # The system, observables and states do not depend on the sample.
+        calls = []
+        build = ExperimentConfig.build_system
+        monkeypatch.setattr(ExperimentConfig, "build_system", lambda cfg: calls.append(1) or build(cfg))
+        experiments._gramian_survey.cache_clear()
+        cfg = ExperimentConfig(
+            experiment="gramian-dist", n_levels=3, state="pure", t_final=30.0, q=64,
+            observables=(2,), samples=4,
+        )
+        assert run_gramian_distribution(cfg)["summary"]["failures"] == 0
+        assert len(calls) == 1
+
     def test_deterministic_across_runs_and_workers(self):
         cfg = ExperimentConfig(
             experiment="gramian-dist", samples=4, q=128, t_final=30.0, observables=(4,)
@@ -277,7 +301,7 @@ class TestEfficiencyRunner:
         monkeypatch.setattr(experiments, "_setup", lambda config: calls.append(config) or setup(config))
         cfg = ExperimentConfig(
             experiment="efficiency", n_levels=3, state="pure", t_final=20.0, q=32,
-            observables=(2,), max_steps=3, kinematic_s_max=1.0,
+            observables=(2,), max_steps=3,
         )
         run_efficiency_comparison(cfg)
         assert len(calls) == 1
@@ -294,6 +318,13 @@ class TestCli:
             ["gramian-dist", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)]
         )
         assert rc == 2
+
+    def test_invalid_config_value_exit_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"ds_min": 0}))
+        rc = cli_main(["motc-track", "--config", str(cfg_file), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "ds_min" in capsys.readouterr().err
 
     def test_bad_flag_value_exit_2(self, tmp_path):
         rc = cli_main(["gramian-dist", "--observables", "2,x", "--out", str(tmp_path)])
@@ -418,19 +449,52 @@ class TestOnePropagationPerField:
         assert len(calls) == summary["rhs_evaluations"] + 1
 
 
+class TestNoKinematicFlowInRunners:
+    """The tracking target is closed-form: no runner integrates the flow."""
+
+    @pytest.mark.parametrize(
+        "runner", ["run_motc_experiment", "run_unitary_experiment", "run_efficiency_comparison"]
+    )
+    def test_zero_calls(self, monkeypatch, runner):
+        calls = []
+        flow = landscape.kinematic_flow
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return flow(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "motc" or name.startswith("motc."):
+                for attr, value in list(vars(module).items()):
+                    if value is flow:
+                        monkeypatch.setattr(module, attr, counted)
+        cfg = ExperimentConfig(
+            n_levels=3, state="pure", t_final=20.0, q=32, observables=(2,), max_steps=3
+        )
+        summary = getattr(experiments, runner)(cfg)["summary"]
+        assert calls == []
+        assert 0 < summary["kinematic_max_phi1"] <= 1
+
+
 class TestTrackStallCounters:
     def test_short_run_pinned(self):
         # track-stall's config (perfbench/workloads.py) cut to 30 attempts:
         # the integrator's counters repeat exactly, the reached s to roundoff.
-        # Seven rejections, each followed by another attempt that reuses
-        # k[0]: 6 * 30 - 7 = 173 evaluations.
+        # Eight rejections, each followed by another attempt that reuses
+        # k[0]: 6 * 30 - 8 = 172 evaluations.  The target W is the exact
+        # maximizer, so Phi_1(W) is the trace-inequality bound.
         cfg = ExperimentConfig(
             n_levels=11, state="rank7", t_final=20.0, q=128, observables=(2,),
             correction="beta=10", integrator="rkck:atol=1e-6,rtol=1e-6", seed=2008,
             max_steps=30,
         )
-        summary = experiments.run_motc_experiment(cfg)["summary"]["per_m"]["2"]
+        out = experiments.run_motc_experiment(cfg)["summary"]
+        summary = out["per_m"]["2"]
         counts = (summary["accepted_steps"], summary["rejected_steps"], summary["rhs_evaluations"])
-        assert counts == (23, 7, 173)
+        assert counts == (22, 8, 172)
         assert summary["termination"] == "max_steps"
-        assert summary["final_s"] == pytest.approx(0.17648891214016296, rel=1e-9)
+        assert summary["final_s"] == pytest.approx(0.18349678454623236, rel=1e-9)
+        system = cfg.build_system()
+        rho, theta = cfg.build_state(system).rho0, cfg.build_observables().operators[0]
+        bound = np.sort(np.linalg.eigvalsh(rho)) @ np.sort(np.linalg.eigvalsh(theta))
+        assert out["kinematic_max_phi1"] == pytest.approx(bound, abs=1e-12)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from motc.bench import build_model_system, build_observable_set, sample_random_field
+from motc.bench import (
+    build_model_system, build_observable_set, build_pure_ground_state, sample_random_field,
+)
 from motc.dynamics import ControlField, StateSpec, expectations, propagate, pure_state
 from motc.landscape import (
     ObservableSet,
@@ -11,6 +13,7 @@ from motc.landscape import (
     gradient_field,
     gradient_field_targeted,
     kinematic_flow,
+    kinematic_maximizer,
     natural_basis_dimension,
     natural_basis_functions,
     natural_basis_rank,
@@ -21,7 +24,7 @@ from motc.landscape import (
 )
 from motc.tracking import gramian_unitary
 
-from conftest import random_unitary
+from conftest import expi, random_hermitian, random_unitary
 
 
 def fd_gradient_at(system, state, oset, field, indices, step=1e-5):
@@ -240,6 +243,63 @@ class TestKinematicFlow:
             xs = np.abs(v @ psi0) ** 2
             worst = max(worst, np.abs(xs - analytic_purestate_flow(x0, lam, s)).max())
         assert worst <= 1e-6
+
+
+class TestKinematicMaximizer:
+    """W = V_Theta D V_rho^dag in closed form, D block-unitary over the
+    degenerate eigenspaces of rho: exact maximum, nearest to U0."""
+
+    @pytest.fixture(params=["pure", "thermal", "rank7"])
+    def state(self, request, small_system, thermal_state, rank7_state):
+        # pure: a 10-fold zero cluster; rank7: a 4-fold one; thermal: none.
+        return {
+            "pure": build_pure_ground_state(small_system),
+            "thermal": thermal_state,
+            "rank7": rank7_state,
+        }[request.param]
+
+    @staticmethod
+    def _maximizers(state, theta, rng, count, near=None):
+        """count maximizers V_Theta D' V_rho^dag with random block-unitary D',
+        or, given a maximizer ``near``, with D' its D times a block rotation
+        by at most 0.01 rad."""
+        p, v_rho = np.linalg.eigh(state.rho0)
+        _, v_theta = np.linalg.eigh(theta)
+        edges = [0, *(np.flatnonzero(np.diff(p) > 1e-8) + 1), p.size]
+        for _ in range(count):
+            d = np.zeros((p.size, p.size), dtype=complex)
+            for lo, hi in zip(edges, edges[1:]):
+                block = random_hermitian(hi - lo, rng)
+                rotation = expi(block, 0.01 / np.abs(np.linalg.eigvalsh(block)).max())
+                d[lo:hi, lo:hi] = random_unitary(hi - lo, rng) if near is None else rotation
+            if near is not None:
+                d = v_theta.conj().T @ near @ v_rho @ d
+            yield v_theta @ d @ v_rho.conj().T
+
+    def test_attains_trace_bound(self, state, observable_set, rng):
+        theta = observable_set.operators[0]
+        w = kinematic_maximizer(random_unitary(11, rng), state, theta)
+        bound = np.sort(np.linalg.eigvalsh(state.rho0)) @ np.sort(np.linalg.eigvalsh(theta))
+        assert expectations(w, state, observable_set.subset(1))[0] == pytest.approx(bound, abs=1e-12)
+        assert np.linalg.norm(w.conj().T @ w - np.eye(11)) <= 1e-12
+
+    def test_maximizer_returned(self, state, observable_set, rng):
+        theta = observable_set.operators[0]
+        (u0,) = self._maximizers(state, theta, rng, 1)
+        assert np.abs(kinematic_maximizer(u0, state, theta) - u0).max() <= 1e-12
+
+    def test_nearest_to_u0(self, state, observable_set, rng):
+        theta = observable_set.operators[0]
+        u0 = random_unitary(11, rng)
+        w = kinematic_maximizer(u0, state, theta)
+        best = np.linalg.norm(u0 - w)
+        far = [np.linalg.norm(u0 - v) for v in self._maximizers(state, theta, rng, 20)]
+        near = [np.linalg.norm(u0 - v) for v in self._maximizers(state, theta, rng, 20, near=w)]
+        assert best <= min(far) and best <= min(near)
+
+    def test_rejects_nonunitary(self, thermal_state, observable_set):
+        with pytest.raises(ValueError, match="unitary"):
+            kinematic_maximizer(2 * np.eye(11), thermal_state, observable_set.operators[0])
 
 
 class TestAnalyticFlow:

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from motc.errors import BranchBoundaryError, SingularMatrixError
+from motc.errors import BranchBoundaryError
 from motc.linalg import (
     condition_number,
     herm_to_vec,
     log_unitary_principal,
-    solve_linear,
     vec_to_herm,
 )
 
@@ -63,32 +62,6 @@ class TestLogUnitaryPrincipal:
         a = log_unitary_principal(v)
         assert np.abs(a - a.conj().T).max() < 1e-12
         assert np.linalg.norm(expi(a, -1.0) - v) <= 1e-8
-
-
-class TestSolveLinear:
-    def test_identity_system(self, rng):
-        b = rng.standard_normal(6)
-        assert np.allclose(solve_linear(np.eye(6), b), b)
-
-    def test_diagonal(self):
-        assert np.allclose(solve_linear(np.diag([2.0, 4.0]), np.array([2.0, 4.0])), [1.0, 1.0])
-
-    def test_residual_well_conditioned(self, rng):
-        m = rng.standard_normal((100, 100)) + 10 * np.eye(100)
-        b = rng.standard_normal(100)
-        x = solve_linear(m, b)
-        assert np.linalg.norm(m @ x - b) <= 1e-8 * np.linalg.norm(b)
-
-    def test_singular_strict_raises(self):
-        m = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularMatrixError) as err:
-            solve_linear(m, np.array([1.0, 0.0]))
-        assert err.value.condition > 1e15  # condition estimate travels with the error
-
-    def test_multiple_rhs(self, rng):
-        m = rng.standard_normal((8, 8)) + 8 * np.eye(8)
-        b = rng.standard_normal((8, 3))
-        assert np.allclose(m @ solve_linear(m, b), b, atol=1e-8)
 
 
 class TestConditionNumber:

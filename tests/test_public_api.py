@@ -2,15 +2,17 @@
 every program name the benchmark wraps.
 
 The demos take seconds to run; executing only their import statements
-catches a demo that still imports a deleted name.  The benchmark
-(``perfbench/layertrace.py``) looks its layer functions, runners, emitter
-and config class up by module and name; a deletion that breaks that lookup
-fails here, not only in a benchmark run.
+catches a demo that still imports a deleted name.  Demo 03, the kinematic
+flow against its closed forms, takes under a second and runs in full.  The
+benchmark (``perfbench/layertrace.py``) looks its layer functions, runners,
+emitter and config class up by module and name; a deletion that breaks that
+lookup fails here, not only in a benchmark run.
 """
 
 import ast
 import dataclasses
 import importlib.util
+import runpy
 from pathlib import Path
 
 import pytest
@@ -50,6 +52,11 @@ def test_demo_imports_resolve(demo):
     tree = ast.parse(demo.read_text(), filename=str(demo))
     imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
     exec(compile(ast.Module(body=imports, type_ignores=[]), str(demo), "exec"), {})
+
+
+def test_kinematic_demo_runs(capsys):
+    runpy.run_path(str(ROOT / "demos" / "03_kinematic_flow_closed_form.py"), run_name="__main__")
+    assert "closed-form maximizer" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("module,name", WRAPPED, ids=lambda x: x)

@@ -203,6 +203,16 @@ class TestSolvePolicy:
         with pytest.raises(SingularTrackError):
             solve_gramian(rep, np.ones(2), hard_cap=1e14)
 
+    def test_well_conditioned_matches_lu(self, rng):
+        # Nothing is truncated: the SVD solve is the exact one.
+        a = rng.standard_normal((6, 40))
+        rep = gramian_motc(a, np.full(40, 0.1))
+        assert rep.condition < 1e4
+        b = rng.standard_normal(6)
+        expected = np.linalg.solve(rep.matrix, b)
+        x = solve_gramian(rep, b, hard_cap=1e14)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
     def test_regularized_above_strict_cap(self):
         # Condition ~1e12: solved via truncation without error.
         m = np.diag([1.0, 1e-12])
