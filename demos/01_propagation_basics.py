@@ -9,7 +9,7 @@ properties that every downstream computation relies on.
 import numpy as np
 
 from motc import expectations, propagate, zero_field
-from motc.bench import build_model_system, build_thermal_state, sample_random_field
+from motc.bench import build_model_system, build_rank_truncated_state, sample_random_field
 from motc.landscape import ObservableSet
 
 system = build_model_system(11, t_final=100.0, q=1024)
@@ -28,11 +28,12 @@ prop = propagate(system, field)
 unitarity = np.linalg.norm(prop.final.conj().T @ prop.final - np.eye(11))
 print(f"||U(T)^dag U(T) - I||_F = {unitarity:.2e}")
 
-state = build_thermal_state(system, temperature=1.0)
+# The thermal state: the rank-N truncation keeps every Boltzmann weight.
+state = build_rank_truncated_state(system, system.dim, temperature=1.0)
 rho_t = prop.final @ state.rho0 @ prop.final.conj().T
 print(f"Tr rho(T) = {np.trace(rho_t).real:.15f}")
 print("spectrum preserved:",
-      np.allclose(np.linalg.eigvalsh(rho_t), np.linalg.eigvalsh(state.rho0), atol=1e-9))
+      np.allclose(np.linalg.eigvalsh(rho_t), state.populations, atol=1e-9))
 
 # Populations move, of course:
 proj_ground = np.zeros((11, 11), dtype=complex)

@@ -23,7 +23,7 @@ x0 = rng.uniform(0.05, 1.0, n)
 x0 /= x0.sum()
 
 psi0 = np.sqrt(x0)
-state = StateSpec.from_density(np.outer(psi0, psi0))
+state = StateSpec(np.outer(psi0, psi0))
 oset = ObservableSet(np.diag(lam))
 
 flow = kinematic_flow(np.eye(n, dtype=complex), state, oset, s_max=5.0, ds=0.01, grad_tol=0.0)
@@ -38,7 +38,7 @@ print(f"max deviation from the closed form over s in [0,5]: {worst:.2e}")
 
 w = kinematic_maximizer(np.eye(n, dtype=complex), state, oset.operators[0])
 phi_w = expectations(w, state, oset)[0]
-bound = np.sort(np.linalg.eigvalsh(state.rho0)) @ np.sort(lam)
+bound = state.populations @ np.sort(lam)
 print(f"Phi at the closed-form maximizer {phi_w:.12f}, flow endpoint {flow.phi[-1]:.12f}, "
       f"trace bound {bound:.12f}")
 

@@ -46,7 +46,6 @@ from .linalg import (
     vec_to_herm,
 )
 from .tracking import (
-    CorrectionSpec,
     GramianReport,
     TrackTarget,
     free_function_min_fluence,
@@ -94,7 +93,6 @@ __all__ = [
     "herm_to_vec",
     "log_unitary_principal",
     "vec_to_herm",
-    "CorrectionSpec",
     "GramianReport",
     "TrackTarget",
     "free_function_min_fluence",

@@ -17,9 +17,7 @@ from .io import config_hash, emit_results
 from .models import (
     build_model_system,
     build_observable_set,
-    build_pure_ground_state,
     build_rank_truncated_state,
-    build_thermal_state,
     sample_random_field,
 )
 
@@ -39,8 +37,6 @@ __all__ = [
     "emit_results",
     "build_model_system",
     "build_observable_set",
-    "build_pure_ground_state",
     "build_rank_truncated_state",
-    "build_thermal_state",
     "sample_random_field",
 ]

@@ -29,7 +29,6 @@ from ..landscape import (
     ObservableSet, gradient_field, kinematic_maximizer, single_observable_gradients,
 )
 from ..tracking import (
-    CorrectionSpec,
     TrackTarget,
     free_function_min_fluence,
     geodesic_target_observables,
@@ -43,9 +42,7 @@ from ..tracking import (
 from .models import (
     build_model_system,
     build_observable_set,
-    build_pure_ground_state,
     build_rank_truncated_state,
-    build_thermal_state,
     sample_random_field,
 )
 
@@ -58,6 +55,11 @@ _STREAM_SAMPLES = 2
 _STREAM_PERTURB = 3
 
 _NUMBER = r"([0-9.eE+-]+)"
+
+# A field mode counts as high-frequency above this angular frequency when
+# its power is within this many dB of the spectrum's peak.
+HIGH_MODE_OMEGA_MIN = 1.0
+HIGH_MODE_DB_FLOOR = -40.0
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -123,15 +125,16 @@ class ExperimentConfig:
         object.__setattr__(self, "observables", obs)
         # Typed values of the string specs, parsed once; kept outside the
         # dataclass fields so to_dict() and config_hash see only the specs.
-        rank = None
-        if self.state not in ("pure", "thermal"):
+        # The pure state is the thermal one truncated to rank 1, the
+        # thermal state its truncation to rank N.
+        rank = {"pure": 1, "thermal": self.n_levels}.get(self.state)
+        if rank is None:
             rank = int(_spec_numbers("state", self.state, r"rank(\d+)")[0])
             if rank > self.n_levels:
                 raise ConfigError(f"unknown state spec {self.state!r}")
-        correction = CorrectionSpec(enabled=False)
+        beta = None
         if self.correction != "off":
             (beta,) = _spec_numbers("correction", self.correction, "beta=" + _NUMBER)
-            correction = CorrectionSpec(enabled=True, beta=beta)
         eta = None
         if self.free_fn != "zero":
             (eta,) = _spec_numbers("free-function", self.free_fn, "fluence:eta=" + _NUMBER)
@@ -140,7 +143,7 @@ class ExperimentConfig:
             "integrator", self.integrator, f"euler:ds={_NUMBER}|rkck:atol={_NUMBER},rtol={_NUMBER}"
         )
         object.__setattr__(self, "_rank", rank)
-        object.__setattr__(self, "_correction", correction)
+        object.__setattr__(self, "_beta", beta)
         object.__setattr__(self, "_eta", eta)
         object.__setattr__(self, "_integrator", integrator)
         if self.track not in ("geodesic", "linear"):
@@ -156,10 +159,6 @@ class ExperimentConfig:
         return build_model_system(self.n_levels, self.t_final, self.q)
 
     def build_state(self, system: QuantumSystem) -> StateSpec:
-        if self.state == "pure":
-            return build_pure_ground_state(system)
-        if self.state == "thermal":
-            return build_thermal_state(system, self.temperature)
         return build_rank_truncated_state(system, self._rank, self.temperature)
 
     def build_observables(self) -> ObservableSet:
@@ -167,21 +166,20 @@ class ExperimentConfig:
             self.n_levels, max(self.observables), substream(self.seed, _STREAM_OBSERVABLES)
         )
 
-    def correction_spec(self) -> CorrectionSpec:
-        return self._correction
+    def correction_beta(self) -> float | None:
+        """The error-correction gain beta, or None when correction is off."""
+        return self._beta
 
     def free_function(self, samples: np.ndarray) -> np.ndarray | None:
         if self._eta is None:
             return None
-        return free_function_min_fluence(samples, self._eta, np.ones_like(samples))
+        return free_function_min_fluence(samples, self._eta)
 
     def integrate(self, problem: FlowProblem, observer=None) -> IntegrationReport:
         if len(self._integrator) == 1:
             return euler_integrate(problem, self._integrator[0], observer=observer)
         atol, rtol = self._integrator
-        return rkck_adaptive(
-            replace(problem, atol=atol, rtol=rtol), observer=observer, max_steps=self.max_steps
-        )
+        return rkck_adaptive(replace(problem, atol=atol, rtol=rtol), observer=observer)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -311,14 +309,13 @@ def field_power_spectrum(system: QuantumSystem, samples: np.ndarray):
     return omega, power
 
 
-def count_high_frequency_modes(
-    omega: np.ndarray, power: np.ndarray, omega_min: float = 1.0, db_floor: float = -40.0
-) -> int:
-    """Modes above ``omega_min`` whose power is within ``db_floor`` of the peak."""
+def count_high_frequency_modes(omega: np.ndarray, power: np.ndarray) -> int:
+    """Modes above HIGH_MODE_OMEGA_MIN whose power is within
+    HIGH_MODE_DB_FLOOR of the peak."""
     if power.max() <= 0:
         return 0
-    threshold = power.max() * 10.0 ** (db_floor / 10.0)
-    return int(((omega > omega_min) & (power >= threshold)).sum())
+    threshold = power.max() * 10.0 ** (HIGH_MODE_DB_FLOOR / 10.0)
+    return int(((omega > HIGH_MODE_OMEGA_MIN) & (power >= threshold)).sum())
 
 
 class _RunPropagator:
@@ -436,12 +433,12 @@ def _tracking_rhs(config: ExperimentConfig, propagator: _RunPropagator, track_rh
     """d eps/d s of a tracking run: ``track_rhs(prop, *args, s, ...)`` on the
     propagation of the field, with the configured free function and error
     correction."""
-    correction = config.correction_spec()
+    beta = config.correction_beta()
 
     def rhs(s: float, control: ControlField) -> np.ndarray:
         prop = propagator(control)
         free = config.free_function(control.samples)
-        return track_rhs(prop, *args, s, free=free, correction=correction)
+        return track_rhs(prop, *args, s, free=free, beta=beta)
 
     return rhs
 
@@ -457,6 +454,7 @@ def _integrate_logged(
     recorder(0.0, eps0)
     problem = FlowProblem(
         rhs=rhs, s_span=(0.0, s_end), initial=eps0, ds_min=config.ds_min, ds_max=config.ds_max,
+        max_steps=config.max_steps,
     )
     try:
         report = config.integrate(problem, observer=recorder)
@@ -530,7 +528,8 @@ def _gramian_survey(config: ExperimentConfig):
     sample of a survey shares: built once per survey and process."""
     system = config.build_system()
     oset = config.build_observables()
-    return system, oset, build_thermal_state(system, config.temperature), build_pure_ground_state(system)
+    thermal = build_rank_truncated_state(system, system.dim, config.temperature)
+    return system, oset, thermal, build_rank_truncated_state(system, 1, config.temperature)
 
 
 def _gramian_sample(config: ExperimentConfig, k: int):

@@ -42,26 +42,18 @@ def sample_random_field(system: QuantumSystem, rng: np.random.Generator) -> Cont
     return ControlField(eps)
 
 
-def build_thermal_state(system: QuantumSystem, temperature: float) -> StateSpec:
-    """Boltzmann-weighted state, diagonal in the H0 eigenbasis.
-
-    lambda_i = exp(-E_i / T_e) / sum_k exp(-E_k / T_e); full-rank and
-    nondegenerate whenever the energies are distinct.
-    """
-    if not temperature > 0:
-        raise ValueError("temperature must be positive")
-    w, v = np.linalg.eigh(system.h0)
-    lam = np.exp(-(w - w.min()) / temperature)
-    lam /= lam.sum()
-    rho = (v * lam) @ v.conj().T
-    return StateSpec.from_density(rho)
-
-
 def build_rank_truncated_state(
     system: QuantumSystem, rank: int, temperature: float = 1.0
 ) -> StateSpec:
-    """Rank-n nondegenerate state: the thermal spectrum truncated to its
-    ``rank`` largest weights (lowest energies) and renormalized."""
+    """The thermal state of H0, truncated to its ``rank`` largest weights.
+
+    lambda_i = exp(-E_i / T_e) / sum_k exp(-E_k / T_e) over the ``rank``
+    lowest energies, zero above them, renormalized; nondegenerate whenever
+    the energies are distinct.  Rank N is the full thermal state and rank 1
+    the projector onto the ground state of H0.
+    """
+    if not temperature > 0:
+        raise ValueError("temperature must be positive")
     if not 1 <= rank <= system.dim:
         raise ValueError(f"rank must be in 1..{system.dim}")
     w, v = np.linalg.eigh(system.h0)
@@ -72,14 +64,7 @@ def build_rank_truncated_state(
     lam = np.where(keep, lam, 0.0)
     lam /= lam.sum()
     rho = (v * lam) @ v.conj().T
-    return StateSpec.from_density(rho)
-
-
-def build_pure_ground_state(system: QuantumSystem) -> StateSpec:
-    """Projector onto the lowest-energy eigenstate of H0."""
-    w, v = np.linalg.eigh(system.h0)
-    psi = v[:, 0]
-    return StateSpec.from_density(np.outer(psi, psi.conj()))
+    return StateSpec(rho)
 
 
 def build_observable_set(n: int, m: int, rng: np.random.Generator) -> ObservableSet:

@@ -35,10 +35,9 @@ import numpy as np
 from .errors import ConsistencyError
 from .linalg import require_hermitian
 
-# Eigenvalue clustering tolerance for the state eigenstructure metadata.
+# Eigenvalues of rho closer than this form one degenerate cluster; those
+# within it of zero count as zero.
 DEGENERACY_TOL = 1e-8
-# Eigenvalues of rho below this are treated as exact zeros for the rank.
-RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -110,66 +109,56 @@ def zero_field(system: QuantumSystem) -> ControlField:
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Initial density matrix with eigenstructure metadata.
+    """Initial density matrix rho(0) and the eigenstructure derived from it.
 
-    ``rank`` is the number of nonzero eigenvalues, ``degeneracies`` the
-    multiplicities (n_1, ..., n_r) of the r distinct nonzero eigenvalues.
+    One ``eigh`` at construction gives the ascending ``populations`` p and
+    the ``eigenbasis`` whose columns are rho's eigenvectors.  Sorted
+    eigenvalues are split into degenerate clusters wherever consecutive
+    ones differ by more than DEGENERACY_TOL; ``cluster_edges`` are the
+    index bounds of the clusters in p.  When p_0 is within DEGENERACY_TOL
+    of zero, the first cluster is rho's kernel: ``rank`` counts the
+    eigenvalues outside it, and ``degeneracies`` are the sizes
+    (n_1, ..., n_r) of the other clusters, ascending in eigenvalue.
     """
 
     rho0: np.ndarray
-    rank: int
-    distinct_count: int
-    degeneracies: tuple[int, ...]
+    populations: np.ndarray = field(init=False, repr=False)
+    eigenbasis: np.ndarray = field(init=False, repr=False)
+    cluster_edges: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         rho = require_hermitian(np.asarray(self.rho0, dtype=complex), name="rho0")
-        w = np.linalg.eigvalsh(rho)
-        if w.min() < -1e-12:
-            raise ValueError(f"rho0 not positive semidefinite (min eigenvalue {w.min():.3e})")
+        p, v = np.linalg.eigh(rho)
+        if p[0] < -1e-12:
+            raise ValueError(f"rho0 not positive semidefinite (min eigenvalue {p[0]:.3e})")
         tr = np.trace(rho).real
         if abs(tr - 1.0) > 1e-12:
             raise ValueError(f"rho0 trace {tr!r} differs from 1 beyond 1e-12")
-        n = int((w > RANK_TOL).sum())
-        if n != self.rank:
-            raise ValueError(f"declared rank {self.rank} but spectrum has {n} nonzero eigenvalues")
-        if sum(self.degeneracies) != self.rank or len(self.degeneracies) != self.distinct_count:
-            raise ValueError("degeneracies inconsistent with rank / distinct_count")
-        if self.rank > rho.shape[0]:
-            raise ValueError("rank exceeds dimension")
+        edges = (0, *(int(k) + 1 for k in np.flatnonzero(np.diff(p) > DEGENERACY_TOL)), p.size)
         object.__setattr__(self, "rho0", rho)
-        object.__setattr__(self, "degeneracies", tuple(int(k) for k in self.degeneracies))
+        object.__setattr__(self, "populations", p)
+        object.__setattr__(self, "eigenbasis", v)
+        object.__setattr__(self, "cluster_edges", edges)
 
     @property
     def dim(self) -> int:
         return self.rho0.shape[0]
 
-    @classmethod
-    def from_density(cls, rho: np.ndarray, cluster_tol: float = DEGENERACY_TOL) -> "StateSpec":
-        """Build the metadata from the spectrum, clustering at ``cluster_tol``."""
-        rho = require_hermitian(np.asarray(rho, dtype=complex), name="rho0")
-        w = np.sort(np.linalg.eigvalsh(rho))
-        nonzero = w[w > RANK_TOL]
-        degens: list[int] = []
-        last = None
-        for lam in nonzero:
-            if last is not None and abs(lam - last) <= cluster_tol:
-                degens[-1] += 1
-            else:
-                degens.append(1)
-            last = lam
-        return cls(
-            rho0=rho,
-            rank=int(nonzero.size),
-            distinct_count=len(degens),
-            degeneracies=tuple(degens),
-        )
+    @property
+    def degeneracies(self) -> tuple[int, ...]:
+        sizes = tuple(int(k) for k in np.diff(self.cluster_edges))
+        return sizes[1:] if self.populations[0] <= DEGENERACY_TOL else sizes
+
+    @property
+    def rank(self) -> int:
+        return sum(self.degeneracies)
 
 
 def pure_state(n: int, index: int = 0) -> StateSpec:
     """Projector |index><index| as a StateSpec."""
     rho = np.zeros((n, n), dtype=complex)
     rho[index, index] = 1.0
-    return StateSpec(rho0=rho, rank=1, distinct_count=1, degeneracies=(1,))
+    return StateSpec(rho)
 
 
 @dataclass(frozen=True)
@@ -274,13 +263,11 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
     )
 
 
-def expectations(prop: PropagationResult | np.ndarray, state: StateSpec, observables) -> np.ndarray:
-    """Phi_k = Tr(U(T) rho(0) U^dag(T) Theta_k) for each observable; ``prop``
-    is a propagation or U(T) itself (such as a flow target W)."""
-    theta = observables.operators if hasattr(observables, "operators") else np.asarray(observables)
-    theta = np.asarray(theta, dtype=complex)
-    if theta.ndim == 2:
-        theta = theta[None]
+def expectations(prop: PropagationResult | np.ndarray, state: StateSpec, oset) -> np.ndarray:
+    """Phi_k = Tr(U(T) rho(0) U^dag(T) Theta_k) for each observable of the
+    ObservableSet ``oset``; ``prop`` is a propagation or U(T) itself (such
+    as a flow target W)."""
+    theta = oset.operators
     u = prop.final if isinstance(prop, PropagationResult) else np.asarray(prop)
     if state.dim != u.shape[-1] or theta.shape[-1] != u.shape[-1]:
         raise ValueError("dimension mismatch between propagation, state, and observables")

@@ -38,8 +38,9 @@ _SHRINK_CAP = 0.1
 
 @dataclass(frozen=True)
 class FlowProblem:
-    """A field-update flow over an s interval with error targets and the
-    adaptive integrator's step bounds [ds_min, ds_max]."""
+    """A field-update flow over an s interval with error targets, the
+    adaptive integrator's step bounds [ds_min, ds_max] and the budget of
+    steps either integrator attempts before it stops short of the end."""
 
     rhs: Callable[[float, ControlField], np.ndarray]
     s_span: tuple[float, float]
@@ -48,6 +49,7 @@ class FlowProblem:
     rtol: float = 1e-6
     ds_min: float = 1e-6
     ds_max: float = 0.1
+    max_steps: int = 100_000
 
     def __post_init__(self):
         s0, s1 = self.s_span
@@ -57,25 +59,23 @@ class FlowProblem:
             raise ValueError("tolerances must be positive")
         if not 0 < self.ds_min <= self.ds_max:
             raise ValueError("need 0 < ds_min <= ds_max")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be positive")
 
 
 @dataclass
 class IntegrationReport:
-    """Step accounting, the accepted (s, field) trajectory and why it ended:
-    ``termination`` is "completed" (reached the end of the s interval),
-    "observer" (the observer asked to stop) or "max_steps" (the step budget
-    ran out first)."""
+    """Step accounting, the last accepted field and why the integration
+    ended: ``termination`` is "completed" (reached the end of the s
+    interval), "observer" (the observer asked to stop) or "max_steps" (the
+    step budget ran out first).  The accepted trajectory is what the
+    observer sees."""
 
     accepted_steps: int
     rejected_steps: int
     rhs_evaluations: int
-    s_values: np.ndarray
-    fields: np.ndarray
+    final_field: ControlField
     termination: str = "completed"
-
-    @property
-    def final_field(self) -> ControlField:
-        return ControlField(self.fields[-1])
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -91,54 +91,51 @@ def euler_integrate(
     """Fixed-step forward Euler: eps <- eps + ds * rhs(s, eps).
 
     The observer (if any) is called after every accepted step; returning
-    True stops the integration early.  A MotcError from the right-hand side
-    or the observer propagates with ``counts`` set.
+    True stops the integration early.  After the problem's ``max_steps``
+    steps the integration returns with termination "max_steps" short of the
+    interval's end.  A MotcError from the right-hand side or the observer
+    propagates with ``counts`` set.
     """
     if ds <= 0:
         raise ValueError("ds must be positive")
     s0, s1 = problem.s_span
     y = problem.initial.samples.copy()
-    s_values, fields = [s0], [y.copy()]
-    s, n_eval, termination = s0, 0, "completed"
+    s, steps, termination = s0, 0, "completed"
     try:
         while s < s1 - 1e-14:
             h = min(ds, s1 - s)
             dy = problem.rhs(s, ControlField(y))
-            n_eval += 1
+            steps += 1
             y = y + h * dy
             s = s + h
-            s_values.append(s)
-            fields.append(y.copy())
             if observer is not None and observer(s, ControlField(y)):
                 termination = "observer"
                 break
+            if steps >= problem.max_steps and s < s1 - 1e-14:
+                termination = "max_steps"
+                break
     except MotcError as exc:
-        exc.counts = (len(s_values) - 1, 0, n_eval)
+        exc.counts = (steps, 0, steps)
         raise
     return IntegrationReport(
-        accepted_steps=len(s_values) - 1,
+        accepted_steps=steps,
         rejected_steps=0,
-        rhs_evaluations=n_eval,
-        s_values=np.array(s_values),
-        fields=np.array(fields),
+        rhs_evaluations=steps,
+        final_field=ControlField(y),
         termination=termination,
     )
 
 
-def rkck_adaptive(
-    problem: FlowProblem,
-    observer: Observer | None = None,
-    max_steps: int = 100_000,
-) -> IntegrationReport:
+def rkck_adaptive(problem: FlowProblem, observer: Observer | None = None) -> IntegrationReport:
     """Adaptive Cash-Karp embedded Runge-Kutta 4(5) over the s interval.
 
     Per-component errors are scaled by atol + rtol |eps| and combined in an
     RMS norm; a step is accepted when the scaled error is at most 1.  The
     next step is safety * err^(-1/5) times the current one, clamped to
     [ds_min, ds_max] with growth at most 5x.  A required step below ds_min
-    raises StallError.  After ``max_steps`` attempted steps the integration
-    returns with termination "max_steps" short of the interval's end.  Any
-    MotcError propagates with ``counts`` set.
+    raises StallError.  After the problem's ``max_steps`` attempted steps
+    the integration returns with termination "max_steps" short of the
+    interval's end.  Any MotcError propagates with ``counts`` set.
 
     A rejected attempt keeps k[0] = rhs(s, eps): the next attempt starts
     from the same (s, eps), so it evaluates only the five later stages.
@@ -151,7 +148,6 @@ def rkck_adaptive(
     y = problem.initial.samples.copy()
     h = min(problem.ds_max, 0.01, s1 - s0)
     h = max(h, problem.ds_min)
-    s_values, fields = [s0], [y.copy()]
     s, acc, rej, n_eval, termination = s0, 0, 0, 0, "completed"
     k = [None] * 6
     try:
@@ -173,8 +169,6 @@ def rkck_adaptive(
                 y = y5
                 k[0] = None
                 acc += 1
-                s_values.append(s)
-                fields.append(y.copy())
                 if observer is not None and observer(s, ControlField(y)):
                     termination = "observer"
                     break
@@ -193,7 +187,7 @@ def rkck_adaptive(
                     )
                 h_new = problem.ds_min
             h = min(h_new, problem.ds_max)
-            if acc + rej >= max_steps and s < s1 - 1e-14:
+            if acc + rej >= problem.max_steps and s < s1 - 1e-14:
                 termination = "max_steps"
                 break
     except MotcError as exc:
@@ -203,8 +197,7 @@ def rkck_adaptive(
         accepted_steps=acc,
         rejected_steps=rej,
         rhs_evaluations=n_eval,
-        s_values=np.array(s_values),
-        fields=np.array(fields),
+        final_field=ControlField(y),
         termination=termination,
     )
 

@@ -37,8 +37,11 @@ from .errors import ConsistencyError, StallError
 from .linalg import condition_number, herm_to_vec, require_hermitian, require_unitary
 
 GRAD_NORM_TOL = 1e-8
-# Eigenvalue clustering tolerance when deciding p_i != p_j in the natural basis.
-DEGENERACY_CLUSTER_TOL = 1e-8
+# Smallest step of the kinematic flow's halving retries before it stalls.
+FLOW_DS_MIN = 1e-9
+# Singular values of the natural-basis Gram matrix above this fraction of
+# the largest count toward its numerical rank.
+NATURAL_BASIS_RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,6 @@ def kinematic_flow(
     s_max: float,
     ds: float = 0.01,
     grad_tol: float = GRAD_NORM_TOL,
-    ds_min: float = 1e-9,
     ds_cap: float | None = None,
 ) -> KinematicFlowResult:
     """Integrate dV/ds = [Theta_M, V rho V^dag] V with re-unitarization.
@@ -234,11 +236,11 @@ def kinematic_flow(
         phi_cand = phi_of(cand)
         if phi_cand < phi_cur:
             ds = ds / 2.0
-            if ds < ds_min:
+            if ds < FLOW_DS_MIN:
                 if phi_cur - phi_cand <= 1e-12 * (abs(phi_cur) + 1.0):
                     break  # ascent exhausted at numerical precision
                 raise StallError(
-                    f"kinematic flow stalled at s = {s:.6f} (step below {ds_min:.1e})",
+                    f"kinematic flow stalled at s = {s:.6f} (step below {FLOW_DS_MIN:.1e})",
                     s=s,
                 )
             continue
@@ -268,15 +270,16 @@ def kinematic_maximizer(u0: np.ndarray, state: StateSpec, theta: np.ndarray) -> 
     block-unitary over rho's degenerate eigenspaces: the fixed points of the
     double-bracket flow `kinematic_flow` integrates (Brockett, Linear Algebra
     Appl. 146, 79 (1991)).  ||U0 - W||_F = ||V_Theta^dag U0 V_rho - D||_F is
-    least for the polar factor of each diagonal block.  Theta is taken
+    least for the polar factor of each diagonal block.  V_rho and the blocks
+    are the state's ``eigenbasis`` and ``cluster_edges``.  Theta is taken
     nondegenerate, as the model's Theta_1 is.
     """
     u0 = require_unitary(np.asarray(u0, dtype=complex), name="U0")
-    p, v_rho = np.linalg.eigh(state.rho0)
+    v_rho = state.eigenbasis
     _, v_theta = np.linalg.eigh(require_hermitian(np.asarray(theta, dtype=complex), name="Theta"))
     u = v_theta.conj().T @ u0 @ v_rho
     d = np.zeros_like(u)
-    edges = [0, *(np.flatnonzero(np.diff(p) > DEGENERACY_CLUSTER_TOL) + 1), p.size]
+    edges = state.cluster_edges
     for lo, hi in zip(edges, edges[1:]):
         d[lo:hi, lo:hi] = _polar_unitary(u[lo:hi, lo:hi])
     return v_theta @ d @ v_rho.conj().T
@@ -316,7 +319,8 @@ def distance_derivative(x0: np.ndarray, lambdas: np.ndarray, jstar: int, s: floa
 
 
 def natural_basis_dimension(state: StateSpec, n_levels: int) -> int:
-    """D = n(2N - n) - sum_i n_i^2 for rank n and degeneracies n_i."""
+    """D = n(2N - n) - sum_i n_i^2 for the rank n and degeneracies n_i the
+    state derives from its spectrum."""
     n = state.rank
     if n > n_levels:
         raise ValueError("state rank exceeds dimension")
@@ -329,38 +333,35 @@ def natural_basis_functions(prop: PropagationResult, state: StateSpec) -> np.nda
     In the rho(0) eigenbasis the gradient reads
     i sum_{ij} (p_i - p_j) Theta(T)_{ij} mu(t)_{ji}, so as the observable
     varies the gradient spans {Re mu(t)_{ij}, Im mu(t)_{ij}} over pairs
-    i < j with p_i != p_j.  Returns those real functions sampled on the
-    grid, shape (n_functions, q); generically n_functions equals
-    :func:`natural_basis_dimension`.  mu(t) is the step-averaged evolved
-    dipole scaled by dt/w_j, as in :func:`single_observable_gradients`, so
-    the functions span the exact discrete gradients.
+    i < j with p_i != p_j, i.e. in different clusters of the state's
+    ``cluster_edges``.  Returns those real functions sampled on the grid,
+    shape (n_functions, q), Re and Im of each pair in turn; n_functions
+    equals :func:`natural_basis_dimension`.  mu(t) is the step-averaged
+    evolved dipole scaled by dt/w_j, as in
+    :func:`single_observable_gradients`, so the functions span the exact
+    discrete gradients.
     """
     if state.dim != prop.dim:
         raise ValueError("dimension mismatch")
-    p, r = np.linalg.eigh(state.rho0)
-    p = np.clip(p, 0.0, None)
+    r = state.eigenbasis
     mu_step = prop.evolved_dipole_step * _sample_scale(prop)[:, None, None]
     mu_eig = r.conj().T @ mu_step @ r
-    rows = []
-    n = state.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(p[i] - p[j]) > DEGENERACY_CLUSTER_TOL:
-                rows.append(mu_eig[:, i, j].real)
-                rows.append(mu_eig[:, i, j].imag)
-    return np.array(rows)
+    sizes = np.diff(state.cluster_edges)
+    cluster = np.repeat(np.arange(sizes.size), sizes)
+    iu, ju = np.triu_indices(state.dim, 1)
+    apart = cluster[iu] != cluster[ju]
+    pairs = mu_eig[:, iu[apart], ju[apart]].T
+    return np.stack([pairs.real, pairs.imag], axis=1).reshape(-1, prop.q)
 
 
-def natural_basis_rank(
-    prop: PropagationResult, state: StateSpec, rel_tol: float = 1e-8
-) -> int:
+def natural_basis_rank(prop: PropagationResult, state: StateSpec) -> int:
     """Numerical rank of the natural-basis Gram matrix (trapezoid quadrature)."""
     fam = natural_basis_functions(prop, state)
     if fam.size == 0:
         return 0
     gram = (fam * prop.weights[None, :]) @ fam.T
     sv = np.linalg.svd(gram, compute_uv=False)
-    return int((sv > rel_tol * sv[0]).sum())
+    return int((sv > NATURAL_BASIS_RANK_TOL * sv[0]).sum())
 
 
 def dipole_component_matrix(prop: PropagationResult) -> np.ndarray:

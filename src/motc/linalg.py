@@ -1,8 +1,9 @@
 """Dense complex matrix kernel.
 
-Input validation, the principal unitary logarithm, condition numbers, and the real Hermitian-basis vectorization used by the gradient and
-Gramian machinery.  Everything is a pure function over numpy arrays; LAPACK
-(via numpy/scipy) does the heavy lifting.
+Input validation, the principal unitary logarithm, condition numbers, and
+the real Hermitian-basis vectorization used by the gradient and Gramian
+machinery.  Everything is a pure function over numpy arrays; LAPACK (via
+numpy/scipy) does the heavy lifting.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from .errors import BranchBoundaryError
 # Distance of a unitary-log eigenphase to +-pi below which we refuse to pick
 # a branch.  The principal branch is the open interval (-pi, pi).
 BRANCH_TOL = 1e-6
+# Largest entrywise |M - M^dag| of a matrix taken as Hermitian.
+HERMITIAN_TOL = 1e-12
+# Largest ||V^dag V - I||_F of a matrix taken as unitary.
+UNITARY_TOL = 1e-8
 
 
 def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -24,31 +29,31 @@ def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def require_hermitian(m: np.ndarray, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
+def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = require_finite(m, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     dev = np.abs(m - m.conj().T).max()
-    if dev > tol:
-        raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e} > {tol:.1e})")
+    if dev > HERMITIAN_TOL:
+        raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e} > {HERMITIAN_TOL:.1e})")
     return m
 
 
-def require_unitary(v: np.ndarray, tol: float = 1e-8, name: str = "matrix") -> np.ndarray:
+def require_unitary(v: np.ndarray, name: str = "matrix") -> np.ndarray:
     v = require_finite(v, name)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError(f"{name} must be square, got shape {v.shape}")
     dev = np.linalg.norm(v.conj().T @ v - np.eye(v.shape[0]))
-    if dev > tol:
-        raise ValueError(f"{name} is not unitary (||V^dag V - I||_F = {dev:.3e} > {tol:.1e})")
+    if dev > UNITARY_TOL:
+        raise ValueError(f"{name} is not unitary (||V^dag V - I||_F = {dev:.3e} > {UNITARY_TOL:.1e})")
     return v
 
 
-def log_unitary_principal(v: np.ndarray, branch_tol: float = BRANCH_TOL) -> np.ndarray:
+def log_unitary_principal(v: np.ndarray) -> np.ndarray:
     """Hermitian A = -i log(V) on the principal branch, so V = exp(iA).
 
     All eigenphases of V are mapped into (-pi, pi).  An eigenphase within
-    ``branch_tol`` of +-pi raises :class:`BranchBoundaryError`; the caller
+    BRANCH_TOL of +-pi raises :class:`BranchBoundaryError`; the caller
     should perturb the input or re-seed.
     """
     v = require_unitary(v, name="V")
@@ -56,10 +61,10 @@ def log_unitary_principal(v: np.ndarray, branch_tol: float = BRANCH_TOL) -> np.n
     # the Schur vectors are orthonormal (unlike raw eigenvectors from geev).
     t, z = scipy.linalg.schur(v.astype(complex), output="complex")
     phases = np.angle(np.diag(t))
-    if np.any(np.pi - np.abs(phases) < branch_tol):
+    if np.any(np.pi - np.abs(phases) < BRANCH_TOL):
         worst = phases[np.argmax(np.abs(phases))]
         raise BranchBoundaryError(
-            f"eigenphase {worst:+.8f} within {branch_tol:.1e} of the +-pi branch cut"
+            f"eigenphase {worst:+.8f} within {BRANCH_TOL:.1e} of the +-pi branch cut"
         )
     return (z * phases) @ z.conj().T
 

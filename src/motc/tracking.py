@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import ControlField, PropagationResult, StateSpec, expectations
+from .dynamics import PropagationResult, StateSpec, expectations
 from .errors import SingularTrackError
 from .landscape import ObservableSet, dipole_component_matrix, single_observable_gradients
 from .linalg import (
@@ -56,15 +56,6 @@ class GramianReport:
     condition: float
     _u: np.ndarray = field(repr=False, default=None)
     _vt: np.ndarray = field(repr=False, default=None)
-
-
-@dataclass(frozen=True)
-class CorrectionSpec:
-    """Tracking error correction: c_s = beta (w_s - Phi_s) for observable
-    tracks, c_s = beta (-i log(U_s^dag(T) Q_s)) for unitary tracks."""
-
-    enabled: bool = False
-    beta: float = 10.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,15 +164,11 @@ def gramian_unitary(prop: PropagationResult) -> GramianReport:
     return gramian_motc(dipole_component_matrix(prop).T, prop.weights)
 
 
-def free_function_min_fluence(field_or_samples, eta: float, w: np.ndarray) -> np.ndarray:
-    """Minimal-fluence free function f_s(t) = -(1/eta) eps_s(t) w(t)."""
-    eps = field_or_samples.samples if isinstance(field_or_samples, ControlField) else np.asarray(field_or_samples, float)
-    w = np.asarray(w, float)
+def free_function_min_fluence(samples: np.ndarray, eta: float) -> np.ndarray:
+    """Minimal-fluence free function f_s(t) = -(1/eta) eps_s(t)."""
     if not eta > 0:
         raise ValueError("eta must be positive")
-    if w.shape != eps.shape or np.any(w <= 0):
-        raise ValueError("weight w must be positive and match the field length")
-    return -(eps * w) / eta
+    return -np.asarray(samples, float) / eta
 
 
 def solve_gramian(report: GramianReport, b: np.ndarray, hard_cap: float | None = None) -> np.ndarray:
@@ -240,18 +227,20 @@ def motc_rhs(
     target: TrackTarget,
     s: float,
     free: np.ndarray | None = None,
-    correction: CorrectionSpec | None = None,
+    beta: float | None = None,
 ) -> np.ndarray:
-    """d eps/d s for multiobservable tracking at algorithmic time s."""
+    """d eps/d s for multiobservable tracking at algorithmic time s.
+
+    With ``beta`` the track derivative gains the error correction
+    c_s = beta (w_s - Phi_s); None tracks without it."""
     if target.kind != "observable":
         raise ValueError("motc_rhs requires an observable-kind target")
     if target.m != oset.m:
         raise ValueError(f"target tracks {target.m} observables, set has {oset.m}")
     a = single_observable_gradients(prop, state, oset)
     dw = target.dw_ds(s)
-    if correction is not None and correction.enabled:
-        phi = expectations(prop, state, oset)
-        dw = dw + correction.beta * (target.w_of_s(s) - phi)
+    if beta is not None:
+        dw = dw + beta * (target.w_of_s(s) - expectations(prop, state, oset))
     return _track_rhs(a, prop.weights, dw, free, MOTC_HARD_CAP)
 
 
@@ -260,14 +249,15 @@ def unitary_rhs(
     target: TrackTarget,
     s: float,
     free: np.ndarray | None = None,
-    correction: CorrectionSpec | None = None,
+    beta: float | None = None,
 ) -> np.ndarray:
     """d eps/d s for unitary-propagator tracking at algorithmic time s.
 
     This is observable tracking with a = B^T, the N^2 dipole basis rows.
     The track derivative is mapped into the tangent frame at U_s(T):
     Delta_s = Herm(-i U_s^dag(T) dQ_s/ds), whose real coordinates the dipole
-    basis must reproduce.  G is routinely ill-conditioned, so its solve
+    basis must reproduce; with ``beta`` it gains the error correction
+    beta (-i log(U_s^dag(T) Q_s)).  G is routinely ill-conditioned, so its solve
     drops the directions below 1e-12 sigma_max; there is no hard condition
     cap (a cap would reject essentially every propagation).  As for every
     track, the residual check of `solve_gramian` applies; its
@@ -280,6 +270,6 @@ def unitary_rhs(
     uh = u.conj().T
     delta = -1j * (uh @ target.dq_ds(s))
     delta = 0.5 * (delta + delta.conj().T)
-    if correction is not None and correction.enabled:
-        delta = delta + correction.beta * log_unitary_principal(uh @ target.q_of_s(s))
+    if beta is not None:
+        delta = delta + beta * log_unitary_principal(uh @ target.q_of_s(s))
     return _track_rhs(dipole_component_matrix(prop).T, prop.weights, herm_to_vec(delta), free, None)

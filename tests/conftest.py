@@ -5,7 +5,6 @@ from motc.bench import (
     build_model_system,
     build_observable_set,
     build_rank_truncated_state,
-    build_thermal_state,
     sample_random_field,
 )
 
@@ -67,7 +66,7 @@ def small_system():
 
 @pytest.fixture(scope="session")
 def thermal_state(small_system):
-    return build_thermal_state(small_system, 1.0)
+    return build_rank_truncated_state(small_system, small_system.dim, 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -79,9 +79,8 @@ class TestConfig:
             ExperimentConfig.from_dict({"kinematic_s_max": 2000.0})
 
     def test_correction_spec_parsing(self):
-        assert not ExperimentConfig(correction="off").correction_spec().enabled
-        spec = ExperimentConfig(correction="beta=3.5").correction_spec()
-        assert spec.enabled and spec.beta == 3.5
+        assert ExperimentConfig(correction="off").correction_beta() is None
+        assert ExperimentConfig(correction="beta=3.5").correction_beta() == 3.5
 
     def test_free_fn_parsing(self):
         cfg = ExperimentConfig(free_fn="fluence:eta=100")
@@ -291,6 +290,20 @@ class TestGradientFlowRunner:
         phi1 = [p[0] for p in log.phi]
         assert len(phi1) == 5  # s0 + 4 accepted euler steps
         assert all(b >= a - 1e-12 for a, b in zip(phi1, phi1[1:]))
+
+    def test_euler_honours_max_steps(self):
+        # The step budget ends an Euler run as it ends a Cash-Karp one:
+        # 5 of the 100 steps to grad_s_max = 1, termination max_steps.
+        cfg = ExperimentConfig(
+            n_levels=3, state="pure", t_final=20.0, q=32, observables=(2,),
+            integrator="euler:ds=0.01", grad_s_max=1.0, max_steps=5,
+        )
+        summary = run_gradient_flow(cfg)["summary"]["log"]
+        assert summary["termination"] == "max_steps"
+        counts = (summary["accepted_steps"], summary["rejected_steps"], summary["rhs_evaluations"])
+        assert counts == (5, 0, 5)
+        assert summary["records"] == 6
+        assert summary["final_s"] == pytest.approx(0.05)
 
 
 class TestEfficiencyRunner:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from motc.bench import build_model_system, build_thermal_state, sample_random_field
+from motc.bench import build_model_system, build_rank_truncated_state, sample_random_field
 from motc.dynamics import (
     ControlField,
     QuantumSystem,
@@ -14,7 +14,8 @@ from motc.dynamics import (
     pure_state,
     zero_field,
 )
-from motc.landscape import ObservableSet
+from motc.dynamics import DEGENERACY_TOL
+from motc.landscape import ObservableSet, natural_basis_dimension
 
 from conftest import free_evolution_final, propagate_direct, random_hermitian
 
@@ -38,26 +39,42 @@ class TestTypes:
 
     def test_state_metadata(self):
         rho = np.diag([0.5, 0.3, 0.2, 0.0])
-        st = StateSpec.from_density(rho)
-        assert (st.rank, st.distinct_count, st.degeneracies) == (3, 3, (1, 1, 1))
+        st = StateSpec(rho)
+        assert (st.rank, st.degeneracies) == (3, (1, 1, 1))
 
     def test_state_degenerate_metadata(self):
         rho = np.diag([0.25, 0.25, 0.5, 0.0])
-        st = StateSpec.from_density(rho)
+        st = StateSpec(rho)
         assert st.rank == 3
         assert sorted(st.degeneracies) == [1, 2]
 
+    def test_state_derived_metadata(self):
+        # Rank, degeneracies and clusters all come from the one spectrum:
+        # p = (0, .25, .25, .5) splits into the kernel, a pair and a single.
+        st = StateSpec(np.diag([0.5, 0.25, 0.25, 0.0]))
+        assert np.allclose(st.populations, [0.0, 0.25, 0.25, 0.5], atol=1e-15)
+        assert st.cluster_edges == (0, 1, 3, 4)
+        assert (st.rank, st.degeneracies) == (3, (2, 1))
+        assert natural_basis_dimension(st, 4) == 10
+        # The eigenbasis diagonalizes rho in ascending order.
+        v = st.eigenbasis
+        assert np.abs(v.conj().T @ st.rho0 @ v - np.diag(st.populations)).max() < 1e-15
+
+    def test_state_near_degenerate_clusters(self):
+        # Eigenvalues closer than DEGENERACY_TOL form one cluster; a kernel
+        # eigenvalue within it of zero is not counted in the rank.
+        tiny = 0.1 * DEGENERACY_TOL
+        st = StateSpec(np.diag([0.5 - tiny, 0.5 - 2 * tiny, 3 * tiny, 0.0]))
+        assert st.cluster_edges == (0, 2, 4)
+        assert (st.rank, st.degeneracies) == (2, (2,))
+
     def test_state_trace_enforced(self):
         with pytest.raises(ValueError, match="trace"):
-            StateSpec.from_density(np.diag([0.5, 0.4]))
+            StateSpec(np.diag([0.5, 0.4]))
 
     def test_state_psd_enforced(self):
         with pytest.raises(ValueError, match="semidefinite"):
-            StateSpec.from_density(np.diag([1.5, -0.5]))
-
-    def test_declared_metadata_checked(self):
-        with pytest.raises(ValueError, match="rank"):
-            StateSpec(rho0=np.diag([0.5, 0.5]), rank=1, distinct_count=1, degeneracies=(1,))
+            StateSpec(np.diag([1.5, -0.5]))
 
 
 class TestPropagate:
@@ -241,16 +258,16 @@ class TestBuilders:
         assert np.array_equal(f1.samples, f2.samples)
 
     def test_thermal_state(self, small_system):
-        st = build_thermal_state(small_system, 1.0)
+        st = build_rank_truncated_state(small_system, 11, 1.0)
         lam = np.diag(st.rho0).real
         assert np.isclose(np.trace(st.rho0).real, 1.0, atol=1e-12)
         assert np.isclose(lam[0] / lam[1], np.exp(0.1))
         assert st.rank == 11 and st.degeneracies == (1,) * 11
 
     def test_thermal_infinite_temperature_limit(self, small_system):
-        st = build_thermal_state(small_system, 1e9)
+        st = build_rank_truncated_state(small_system, 11, 1e9)
         assert np.abs(st.rho0 - np.eye(11) / 11).max() < 1e-9
 
     def test_thermal_rejects_nonpositive_temperature(self, small_system):
         with pytest.raises(ValueError, match="positive"):
-            build_thermal_state(small_system, 0.0)
+            build_rank_truncated_state(small_system, 11, 0.0)

@@ -10,16 +10,27 @@ def make_problem(rhs, q=32, s_span=(0.0, 1.0), **kw):
     return FlowProblem(rhs=rhs, s_span=s_span, initial=ControlField(np.zeros(q)), **kw)
 
 
+class Trajectory:
+    """Observer recording every accepted (s, field); never stops a run."""
+
+    def __init__(self):
+        self.s, self.fields = [], []
+
+    def __call__(self, s, control):
+        self.s.append(s)
+        self.fields.append(control.samples.copy())
+
+
 class TestEuler:
     def test_zero_rhs(self):
         rep = euler_integrate(make_problem(lambda s, f: np.zeros(32)), ds=0.1)
-        assert np.all(rep.fields[-1] == 0.0)
+        assert np.all(rep.final_field.samples == 0.0)
         assert rep.accepted_steps == 10
 
     def test_constant_rhs_exact(self):
         c = np.linspace(-1, 1, 32)
         rep = euler_integrate(make_problem(lambda s, f: c, s_span=(0.0, 2.0)), ds=0.25)
-        assert np.allclose(rep.fields[-1], 2.0 * c, atol=1e-14)
+        assert np.allclose(rep.final_field.samples, 2.0 * c, atol=1e-14)
 
     def test_first_order_convergence(self):
         # eps' = -eps + s has a smooth closed form; halving ds halves error.
@@ -34,7 +45,7 @@ class TestEuler:
         errs = []
         for ds in (0.02, 0.01, 0.005):
             rep = euler_integrate(make_problem(rhs, q=q), ds=ds)
-            errs.append(abs(rep.fields[-1][0] - exact(1.0)))
+            errs.append(abs(rep.final_field.samples[0] - exact(1.0)))
         assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.2)
         assert errs[1] / errs[2] == pytest.approx(2.0, abs=0.2)
 
@@ -49,7 +60,22 @@ class TestEuler:
             make_problem(lambda s, f: np.ones(32)), ds=0.1, observer=observer
         )
         assert rep.termination == "observer"
-        assert rep.s_values[-1] == pytest.approx(0.5)
+        assert calls[-1] == pytest.approx(0.5)
+        assert np.allclose(rep.final_field.samples, 0.5)
+
+    def test_max_steps_termination(self):
+        # The step budget ends the run short of s1 and says so; no error.
+        seen = Trajectory()
+        problem = make_problem(lambda s, f: np.ones(32), max_steps=3)
+        rep = euler_integrate(problem, ds=0.1, observer=seen)
+        assert rep.termination == "max_steps"
+        assert rep.counts == (3, 0, 3)
+        assert seen.s == pytest.approx([0.1, 0.2, 0.3])
+        assert np.array_equal(rep.final_field.samples, seen.fields[-1])
+
+    def test_max_steps_reached_at_the_end_completes(self):
+        rep = euler_integrate(make_problem(lambda s, f: np.ones(32), max_steps=4), ds=0.25)
+        assert rep.termination == "completed" and rep.accepted_steps == 4
 
     def test_error_carries_counts(self):
         calls = []
@@ -71,7 +97,7 @@ class TestRkckAdaptive:
         rep = rkck_adaptive(make_problem(lambda s, f: c, q=16))
         assert rep.termination == "completed"
         assert rep.rejected_steps == 0
-        assert np.allclose(rep.fields[-1], 0.3, atol=1e-12)
+        assert np.allclose(rep.final_field.samples, 0.3, atol=1e-12)
 
     def test_exponential_decay_oracle(self):
         # eps(s) = eps0 e^{-s}: global error within 10x the tolerance.
@@ -87,7 +113,7 @@ class TestRkckAdaptive:
             atol=tol, rtol=tol, ds_min=1e-10, ds_max=0.5,
         )
         rep = rkck_adaptive(problem)
-        err = np.abs(rep.fields[-1] - eps0 * np.exp(-3.0)).max()
+        err = np.abs(rep.final_field.samples - eps0 * np.exp(-3.0)).max()
         assert err <= 10 * tol
 
     def test_step_count_scaling_with_tolerance(self):
@@ -115,18 +141,23 @@ class TestRkckAdaptive:
             seen.append(s)
             return np.cos(5 * s) * np.ones(4)
 
-        rep = rkck_adaptive(make_problem(rhs, q=4, s_span=(0.0, 1.5)))
+        accepted = Trajectory()
+        rep = rkck_adaptive(make_problem(rhs, q=4, s_span=(0.0, 1.5)), observer=accepted)
         assert all(0.0 <= s <= 1.5 + 1e-12 for s in seen)
-        assert rep.s_values[0] == 0.0 and rep.s_values[-1] == pytest.approx(1.5)
-        assert np.all(np.diff(rep.s_values) > 0)
+        assert seen[0] == 0.0 and accepted.s[-1] == pytest.approx(1.5)
+        assert len(accepted.s) == rep.accepted_steps
+        assert np.all(np.diff([0.0, *accepted.s]) > 0)
+        assert np.array_equal(rep.final_field.samples, accepted.fields[-1])
 
     def test_determinism(self):
         def rhs(s, field):
             return np.sin(s) - 0.3 * field.samples
 
-        reps = [rkck_adaptive(make_problem(rhs, q=8)) for _ in range(2)]
-        assert np.array_equal(reps[0].s_values, reps[1].s_values)
-        assert np.array_equal(reps[0].fields, reps[1].fields)
+        runs = [Trajectory() for _ in range(2)]
+        reps = [rkck_adaptive(make_problem(rhs, q=8), observer=run) for run in runs]
+        assert np.array_equal(runs[0].s, runs[1].s)
+        assert np.array_equal(runs[0].fields, runs[1].fields)
+        assert np.array_equal(reps[0].final_field.samples, reps[1].final_field.samples)
 
     def test_stall_error(self):
         # A discontinuous rhs the controller cannot resolve at ds_min.
@@ -165,10 +196,12 @@ class TestRkckAdaptive:
 
     def test_max_steps_termination(self):
         # The step budget ends the run short of s1 and says so; no error.
-        rep = rkck_adaptive(make_problem(lambda s, f: np.cos(5 * s) * np.ones(4), q=4), max_steps=3)
+        accepted = Trajectory()
+        problem = make_problem(lambda s, f: np.cos(5 * s) * np.ones(4), q=4, max_steps=3)
+        rep = rkck_adaptive(problem, observer=accepted)
         assert rep.termination == "max_steps"
         assert rep.accepted_steps + rep.rejected_steps == 3
-        assert rep.s_values[-1] < 1.0
+        assert accepted.s[-1] < 1.0
 
     def test_euler_rkck_agreement(self):
         def rhs(s, field):
@@ -181,5 +214,5 @@ class TestRkckAdaptive:
         )
         r = rkck_adaptive(FlowProblem(rhs=rhs, s_span=(0.0, 2.0), initial=init))
         # Euler global error ~ 1e-4 here; rkck must sit well inside it.
-        assert np.abs(e.fields[-1] - r.fields[-1]).max() <= 1e-3
+        assert np.abs(e.final_field.samples - r.final_field.samples).max() <= 1e-3
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from motc.bench import (
-    build_model_system, build_observable_set, build_pure_ground_state, sample_random_field,
+    build_model_system, build_observable_set, build_rank_truncated_state, sample_random_field,
 )
 from motc.dynamics import ControlField, StateSpec, expectations, propagate, pure_state
 from motc.landscape import (
@@ -89,7 +89,7 @@ class TestObjectives:
 class TestGradientField:
     def test_maximally_mixed_state_zero(self, small_system, small_field, observable_set):
         prop = propagate(small_system, small_field)
-        st = StateSpec.from_density(np.eye(11) / 11)
+        st = StateSpec(np.eye(11) / 11)
         g = gradient_field(prop, st, observable_set)
         assert np.abs(g).max() < 1e-12
 
@@ -177,7 +177,7 @@ class TestUnitaryGradient:
         assert np.abs(g).max() < 1e-14
 
     def test_maximally_mixed_zero(self, observable_set, rng):
-        st = StateSpec.from_density(np.eye(11) / 11)
+        st = StateSpec(np.eye(11) / 11)
         g = unitary_gradient(random_unitary(11, rng), st, observable_set)
         assert np.abs(g).max() < 1e-14
 
@@ -220,7 +220,7 @@ class TestKinematicFlow:
         oset = ObservableSet(theta)
         psi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         psi /= np.linalg.norm(psi)
-        st = StateSpec.from_density(np.outer(psi, psi.conj()))
+        st = StateSpec(np.outer(psi, psi.conj()))
         res = kinematic_flow(np.eye(6, dtype=complex), st, oset, s_max=200.0, ds=0.05, ds_cap=0.5)
         assert res.phi[-1] == pytest.approx(lam[-1], abs=1e-5)
 
@@ -235,7 +235,7 @@ class TestKinematicFlow:
         x0 = rng.uniform(0.05, 1, n)
         x0 /= x0.sum()
         psi0 = np.sqrt(x0)
-        st = StateSpec.from_density(np.outer(psi0, psi0))
+        st = StateSpec(np.outer(psi0, psi0))
         oset = ObservableSet(np.diag(lam))
         res = kinematic_flow(np.eye(n, dtype=complex), st, oset, s_max=5.0, ds=0.01, grad_tol=0.0)
         worst = 0.0
@@ -253,7 +253,7 @@ class TestKinematicMaximizer:
     def state(self, request, small_system, thermal_state, rank7_state):
         # pure: a 10-fold zero cluster; rank7: a 4-fold one; thermal: none.
         return {
-            "pure": build_pure_ground_state(small_system),
+            "pure": build_rank_truncated_state(small_system, 1),
             "thermal": thermal_state,
             "rank7": rank7_state,
         }[request.param]
@@ -275,6 +275,14 @@ class TestKinematicMaximizer:
             if near is not None:
                 d = v_theta.conj().T @ near @ v_rho @ d
             yield v_theta @ d @ v_rho.conj().T
+
+    @pytest.mark.parametrize(
+        "rank,edges", [(1, (0, 10, 11)), (7, (0, 4, 5, 6, 7, 8, 9, 10, 11))]
+    )
+    def test_model_state_clusters(self, small_system, rank, edges):
+        # The blocks the maximizer takes polar factors over: rho's kernel,
+        # then one block per (nondegenerate) nonzero population.
+        assert build_rank_truncated_state(small_system, rank).cluster_edges == edges
 
     def test_attains_trace_bound(self, state, observable_set, rng):
         theta = observable_set.operators[0]
@@ -383,15 +391,15 @@ class TestNaturalBasis:
     def test_dimension_formula_examples(self):
         pure = pure_state(11, 0)
         assert natural_basis_dimension(pure, 11) == 20
-        full = StateSpec.from_density(np.diag(np.arange(1, 12) / 66.0))
+        full = StateSpec(np.diag(np.arange(1, 12) / 66.0))
         assert natural_basis_dimension(full, 11) == 110
         lam = np.concatenate([np.arange(1, 8) / 28.0, np.zeros(4)])
-        rank7 = StateSpec.from_density(np.diag(lam))
+        rank7 = StateSpec(np.diag(lam))
         assert natural_basis_dimension(rank7, 11) == 98
 
     def test_degenerate_spectrum_counts(self):
         rho = np.diag([0.25, 0.25, 0.5, 0.0])
-        st = StateSpec.from_density(rho)
+        st = StateSpec(rho)
         # n=3, degeneracies (2, 1): D = 3(2*4-3) - (4+1) = 10
         assert natural_basis_dimension(st, 4) == 10
 
@@ -415,8 +423,6 @@ class TestNaturalBasis:
         if rank == 1:
             state = pure_state(11, 0)
         else:
-            from motc.bench import build_rank_truncated_state
-
             state = build_rank_truncated_state(sys_, rank)
         fam = natural_basis_functions(prop, state)
         assert fam.shape[0] == natural_basis_dimension(state, 11)

@@ -1,17 +1,18 @@
-"""Every exported name resolves, every demo's imports do too, and so does
-every program name the benchmark wraps.
+"""Every exported name resolves, every demo runs, and so does every
+program name the benchmark wraps.
 
-The demos take seconds to run; executing only their import statements
-catches a demo that still imports a deleted name.  Demo 03, the kinematic
-flow against its closed forms, takes under a second and runs in full.  The
-benchmark (``perfbench/layertrace.py``) looks its layer functions, runners,
-emitter and config class up by module and name; a deletion that breaks that
-lookup fails here, not only in a benchmark run.
+Each demo runs in full (a few seconds in all) and its printed claims are
+checked: executing only its import statements would miss a demo that calls
+a deleted or changed API.  The benchmark (``perfbench/layertrace.py``)
+looks its layer functions, runners, emitter and config class up by module
+and name; a deletion that breaks that lookup fails here, not only in a
+benchmark run.
 """
 
 import ast
 import dataclasses
 import importlib.util
+import re
 import runpy
 from pathlib import Path
 
@@ -57,6 +58,40 @@ def test_demo_imports_resolve(demo):
 def test_kinematic_demo_runs(capsys):
     runpy.run_path(str(ROOT / "demos" / "03_kinematic_flow_closed_form.py"), run_name="__main__")
     assert "closed-form maximizer" in capsys.readouterr().out
+
+
+def _check_propagation(out):
+    assert "free evolution matches e^{-i E_k T}: True" in out
+    assert "spectrum preserved: True" in out
+
+
+def _check_gradient(out):
+    analytic, fd = re.search(r"analytic (\S+)  finite-difference (\S+)", out).groups()
+    assert analytic == fd
+    before, after = map(float, re.search(r"Phi_M: (\S+) -> (\S+)", out).groups())
+    assert after > before
+
+
+def _check_gramians(out):
+    median = {
+        name: float(re.search(rf"{re.escape(name)}\s+(\S+)", out).group(1))
+        for name in ("G (unitary tracking)", "Gamma (m=10, thermal)", "Gamma (m=10, pure)")
+    }
+    assert median["G (unitary tracking)"] > median["Gamma (m=10, pure)"]
+    assert median["Gamma (m=10, pure)"] > median["Gamma (m=10, thermal)"]
+
+
+DEMO_CHECKS = {
+    "01_propagation_basics.py": _check_propagation,
+    "02_gradient_and_flow.py": _check_gradient,
+    "04_gramian_conditioning.py": _check_gramians,
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_CHECKS))
+def test_demo_runs(capsys, demo):
+    runpy.run_path(str(ROOT / "demos" / demo), run_name="__main__")
+    DEMO_CHECKS[demo](capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("module,name", WRAPPED, ids=lambda x: x)

@@ -7,7 +7,6 @@ from motc.errors import BranchBoundaryError, SingularTrackError
 from motc.landscape import dipole_component_matrix, gradient_field, single_observable_gradients
 from motc.linalg import herm_to_vec, vec_to_herm
 from motc.tracking import (
-    CorrectionSpec,
     GramianReport,
     free_function_min_fluence,
     geodesic_target_observables,
@@ -101,7 +100,7 @@ class TestAVector:
         from motc.dynamics import StateSpec
 
         _, _, prop, _ = track_setup
-        st = StateSpec.from_density(np.eye(11) / 11)
+        st = StateSpec(np.eye(11) / 11)
         a = single_observable_gradients(prop, st, observable_set)
         assert np.abs(a).max() < 1e-12
 
@@ -167,34 +166,32 @@ class TestGramians:
 
     def test_thermal_gamma_condition_range(self, model_system, observable_set):
         # Single shipped-seed sample of the survey statistic.
-        from motc.bench import build_thermal_state
+        from motc.bench import build_rank_truncated_state
 
         field = sample_random_field(model_system, np.random.default_rng(2008))
         prop = propagate(model_system, field)
-        st = build_thermal_state(model_system, 1.0)
+        st = build_rank_truncated_state(model_system, 11, 1.0)
         rep = gramian_motc(single_observable_gradients(prop, st, observable_set), prop.weights)
         assert 1e3 <= rep.condition <= 1e8
 
 
 class TestFreeFunction:
     def test_zero_field(self):
-        assert np.all(free_function_min_fluence(np.zeros(8), 1.0, np.ones(8)) == 0.0)
+        assert np.all(free_function_min_fluence(np.zeros(8), 1.0) == 0.0)
 
     def test_unit_parameters(self, rng):
         eps = rng.standard_normal(16)
-        assert np.allclose(free_function_min_fluence(eps, 1.0, np.ones(16)), -eps)
+        assert np.allclose(free_function_min_fluence(eps, 1.0), -eps)
 
     def test_eta_scaling(self, rng):
         eps = rng.standard_normal(16)
-        f1 = free_function_min_fluence(eps, 1.0, np.ones(16))
-        f2 = free_function_min_fluence(eps, 2.0, np.ones(16))
+        f1 = free_function_min_fluence(eps, 1.0)
+        f2 = free_function_min_fluence(eps, 2.0)
         assert np.allclose(f2, f1 / 2)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="eta"):
-            free_function_min_fluence(np.ones(4), 0.0, np.ones(4))
-        with pytest.raises(ValueError, match="positive"):
-            free_function_min_fluence(np.ones(4), 1.0, np.zeros(4))
+            free_function_min_fluence(np.ones(4), 0.0)
 
 
 class TestSolvePolicy:
@@ -246,8 +243,7 @@ class TestMotcRhs:
         oset = observable_set.subset(3)
         phi = expectations(prop, rank7_state, oset)
         target = linear_target_observables(phi, phi)  # dw/ds = 0, on-track
-        out = motc_rhs(prop, rank7_state, oset, target, 0.0,
-                       correction=CorrectionSpec(enabled=True, beta=10.0))
+        out = motc_rhs(prop, rank7_state, oset, target, 0.0, beta=10.0)
         assert np.abs(out).max() < 1e-10
 
     def test_m1_scalar_reduction(self, track_setup, rank7_state, observable_set):
@@ -258,12 +254,12 @@ class TestMotcRhs:
         target = linear_target_observables(np.array([0.1]), np.array([0.9]))
         rng = np.random.default_rng(8)
         f = 0.1 * rng.standard_normal(system.q)
-        corr = CorrectionSpec(enabled=True, beta=10.0)
-        out = motc_rhs(prop, rank7_state, oset, target, 0.3, free=f, correction=corr)
+        beta = 10.0
+        out = motc_rhs(prop, rank7_state, oset, target, 0.3, free=f, beta=beta)
         a = single_observable_gradients(prop, rank7_state, oset)[0]
         gamma = float((a * a * prop.weights).sum())
         phi = expectations(prop, rank7_state, oset)
-        c = corr.beta * (target.w_of_s(0.3) - phi)[0]
+        c = beta * (target.w_of_s(0.3) - phi)[0]
         dp = target.dw_ds(0.3)[0]
         scalar = f + (a / gamma) * (dp + c - float((a * f * prop.weights).sum()))
         assert np.abs(out - scalar).max() <= 1e-12 * max(1.0, np.abs(scalar).max())
@@ -301,7 +297,7 @@ class TestUnitaryRhs:
         _, _, prop, _ = track_setup
         u0 = prop.final
         target = geodesic_target_unitary(u0, u0)  # A = 0: dQ/ds = 0, on track
-        out = unitary_rhs(prop, target, 0.0, correction=CorrectionSpec(enabled=True))
+        out = unitary_rhs(prop, target, 0.0, beta=10.0)
         assert np.abs(out).max() < 1e-8
 
     @pytest.mark.parametrize("c", [0.5, 1e-10])
