@@ -47,7 +47,8 @@ from .linalg import (
 )
 from .tracking import (
     GramianReport,
-    TrackTarget,
+    ObservableTrack,
+    UnitaryTrack,
     free_function_min_fluence,
     geodesic_target_observables,
     geodesic_target_unitary,
@@ -55,7 +56,6 @@ from .tracking import (
     gramian_unitary,
     linear_target_observables,
     motc_rhs,
-    unitary_rhs,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +94,8 @@ __all__ = [
     "log_unitary_principal",
     "vec_to_herm",
     "GramianReport",
-    "TrackTarget",
+    "ObservableTrack",
+    "UnitaryTrack",
     "free_function_min_fluence",
     "geodesic_target_observables",
     "geodesic_target_unitary",
@@ -102,5 +103,4 @@ __all__ = [
     "gramian_unitary",
     "linear_target_observables",
     "motc_rhs",
-    "unitary_rhs",
 ]

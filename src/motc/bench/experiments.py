@@ -29,7 +29,7 @@ from ..landscape import (
     ObservableSet, gradient_field, kinematic_maximizer, single_observable_gradients,
 )
 from ..tracking import (
-    TrackTarget,
+    Track,
     free_function_min_fluence,
     geodesic_target_observables,
     geodesic_target_unitary,
@@ -37,7 +37,6 @@ from ..tracking import (
     gramian_unitary,
     linear_target_observables,
     motc_rhs,
-    unitary_rhs,
 )
 from .models import (
     build_model_system,
@@ -147,7 +146,7 @@ class ExperimentConfig:
         object.__setattr__(self, "_eta", eta)
         object.__setattr__(self, "_integrator", integrator)
         if self.track not in ("geodesic", "linear"):
-            raise ConfigError(f"unknown track kind {self.track!r}")
+            raise ConfigError(f"unknown track spec {self.track!r}")
         if not 0 < self.threshold_fraction <= 1:
             raise ConfigError("threshold_fraction must be in (0, 1]")
         if self.workers < 1:
@@ -200,103 +199,67 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
+# The columns of a trajectory log after step, s and phi_1..phi_m, in CSV order.
+LOG_COLUMNS = (
+    "tracking_error", "tracking_error_inf", "u_pathlength", "field_pathlength",
+    "track_distance", "gramian_condition",
+)
+
+
 @dataclass
 class TrajectoryLog:
-    """Per-step record of one tracking or gradient-flow trajectory."""
+    """Per-step record of one tracking or gradient-flow trajectory: one
+    column (name -> list) per CSV column, step, s, phi_1..phi_m and then
+    LOG_COLUMNS, plus the integrator's counters and termination."""
 
     label: str
     m: int
-    step: list[int] = field(default_factory=list)
-    s: list[float] = field(default_factory=list)
-    phi: list[tuple[float, ...]] = field(default_factory=list)
-    tracking_error: list[float] = field(default_factory=list)
-    tracking_error_inf: list[float] = field(default_factory=list)
-    u_pathlength: list[float] = field(default_factory=list)
-    field_pathlength: list[float] = field(default_factory=list)
-    track_distance: list[float] = field(default_factory=list)
-    gramian_condition: list[float] = field(default_factory=list)
+    columns: dict[str, list] = field(init=False, repr=False)
     accepted_steps: int = 0
     rejected_steps: int = 0
     rhs_evaluations: int = 0
     termination: str | None = None  # completed | observer | max_steps | stall | error
     error: str | None = None
 
-    def add(
-        self,
-        s: float,
-        phi: np.ndarray,
-        tracking_error: float,
-        tracking_error_inf: float,
-        u_increment: float,
-        field_increment: float,
-        track_distance: float,
-        gramian_condition: float,
-    ) -> None:
-        prev_u = self.u_pathlength[-1] if self.u_pathlength else 0.0
-        prev_f = self.field_pathlength[-1] if self.field_pathlength else 0.0
-        if u_increment < 0 or field_increment < 0:
-            raise ValueError("pathlength increments must be nonnegative")
-        self.step.append(len(self.step))
-        self.s.append(float(s))
-        self.phi.append(tuple(float(x) for x in np.atleast_1d(phi)))
-        self.tracking_error.append(float(tracking_error))
-        self.tracking_error_inf.append(float(tracking_error_inf))
-        self.u_pathlength.append(prev_u + float(u_increment))
-        self.field_pathlength.append(prev_f + float(field_increment))
-        self.track_distance.append(float(track_distance))
-        self.gramian_condition.append(float(gramian_condition))
+    def __post_init__(self):
+        names = ["step", "s", *(f"phi_{k + 1}" for k in range(self.m)), *LOG_COLUMNS]
+        self.columns = {name: [] for name in names}
 
-    @property
-    def columns(self) -> list[str]:
-        return (
-            ["step", "s"]
-            + [f"phi_{k + 1}" for k in range(self.m)]
-            + [
-                "tracking_error",
-                "tracking_error_inf",
-                "u_pathlength",
-                "field_pathlength",
-                "track_distance",
-                "gramian_condition",
-            ]
-        )
+    def add(self, s: float, phi: np.ndarray, **cells: float) -> None:
+        """Append a record: s, the m expectation values and one value for
+        each LOG_COLUMNS name."""
+        phi = np.atleast_1d(phi)
+        if phi.shape != (self.m,) or set(cells) != set(LOG_COLUMNS):
+            raise ValueError(f"a record needs {self.m} expectation values and {LOG_COLUMNS}")
+        row = [len(self.columns["step"]), *map(float, [s, *phi, *map(cells.get, LOG_COLUMNS)])]
+        for column, value in zip(self.columns.values(), row):
+            column.append(value)
 
     def rows(self):
-        for i in range(len(self.step)):
-            yield (
-                [self.step[i], self.s[i]]
-                + list(self.phi[i])
-                + [
-                    self.tracking_error[i],
-                    self.tracking_error_inf[i],
-                    self.u_pathlength[i],
-                    self.field_pathlength[i],
-                    self.track_distance[i],
-                    self.gramian_condition[i],
-                ]
-            )
+        return zip(*self.columns.values())
 
     def summary(self) -> dict:
+        col = self.columns
         out = {
             "label": self.label,
             "m": self.m,
-            "records": len(self.step),
+            "records": len(col["step"]),
             "accepted_steps": self.accepted_steps,
             "rejected_steps": self.rejected_steps,
             "rhs_evaluations": self.rhs_evaluations,
             "termination": self.termination,
         }
-        if self.step:
+        if col["step"]:
             out.update(
-                final_s=self.s[-1],
-                final_phi=list(self.phi[-1]),
-                u_pathlength=self.u_pathlength[-1],
-                field_pathlength=self.field_pathlength[-1],
+                final_s=col["s"][-1],
+                final_phi=[col[f"phi_{k + 1}"][-1] for k in range(self.m)],
+                u_pathlength=col["u_pathlength"][-1],
+                field_pathlength=col["field_pathlength"][-1],
             )
-            err = np.asarray(self.tracking_error)
+            err = np.asarray(col["tracking_error"])
             if np.isfinite(err).any():
                 out["mean_tracking_error"] = float(np.nanmean(err))
-                out["max_tracking_error_inf"] = float(np.nanmax(self.tracking_error_inf))
+                out["max_tracking_error_inf"] = float(np.nanmax(col["tracking_error_inf"]))
         if self.error:
             out["error"] = self.error
         return out
@@ -326,9 +289,10 @@ class _RunPropagator:
     a run the same field is asked for in turn: eps_0 by the flow target, the
     first record and the first stage; each accepted field by the recorder
     and then by the next step's first stage.  The memo is keyed on an exact
-    copy of the field samples, so a hit returns what ``propagate`` would.
-    ``propagate`` is looked up in this module at call time, so a wrapper
-    bound there sees every propagation.
+    copy of the field samples, so a hit returns what ``propagate`` would:
+    the same object, on which the track keys its memo of rows and Gramian
+    (`Track.gramian`).  ``propagate`` is looked up in this module at call
+    time, so a wrapper bound there sees every propagation.
     """
 
     def __init__(self, system: QuantumSystem):
@@ -347,48 +311,35 @@ class _Recorder:
     """Observer logging accepted integrator steps into a TrajectoryLog.
 
     It takes each accepted field's propagation from the run's
-    `_RunPropagator`, which keeps it for the next step's first stage.
+    `_RunPropagator`, and the tracking error and Gramian condition from the
+    track, whose memo keeps that propagation's rows and Gramian for the next
+    step's first stage: a record adds no gradient, Gramian or SVD of its
+    own.  ``phi`` gives the expectations logged (default: the track's).
     """
 
     def __init__(
-        self,
-        propagator: _RunPropagator,
-        state: StateSpec,
-        oset: ObservableSet,
-        target: TrackTarget | None,
-        log: TrajectoryLog,
-        stop_phi1_at: float | None = None,
+        self, propagator: _RunPropagator, track: Track, log: TrajectoryLog,
+        phi=None, stop_phi1_at: float | None = None,
     ):
-        self.propagator, self.state, self.oset = propagator, state, oset
-        self.target, self.log = target, log
+        self.propagator, self.track, self.log = propagator, track, log
+        self.phi = track.phi if phi is None else phi
         self.stop_phi1_at = stop_phi1_at
-        self._prev_u = None
-        self._prev_field = None
+        self._prev_u = self._prev_field = None
+        self._u_length = self._field_length = 0.0
 
     def __call__(self, s: float, control: ControlField) -> bool:
         prop = self.propagator(control)
-        phi = expectations(prop, self.state, self.oset)
-        err = err_inf = dist = float("nan")
-        kind = None if self.target is None else self.target.kind
-        if kind == "unitary":
-            dist = float(np.linalg.norm(prop.final - self.target.q_of_s(s)))
-            err = err_inf = dist
-            cond = gramian_unitary(prop).condition
-        else:
-            if kind == "observable":
-                dev = phi - self.target.w_of_s(s)
-                err, err_inf = float(np.linalg.norm(dev)), float(np.abs(dev).max())
-            a = single_observable_gradients(prop, self.state, self.oset)
-            cond = gramian_motc(a, prop.weights).condition
-        du = 0.0 if self._prev_u is None else float(np.linalg.norm(prop.final - self._prev_u))
-        dfield = (
-            0.0
-            if self._prev_field is None
-            else float(np.linalg.norm(control.samples - self._prev_field))
+        phi = self.phi(prop)
+        err, err_inf, dist = self.track.error(prop, s)
+        if self._prev_u is not None:
+            self._u_length += float(np.linalg.norm(prop.final - self._prev_u))
+            self._field_length += float(np.linalg.norm(control.samples - self._prev_field))
+        self._prev_u, self._prev_field = prop.final.copy(), control.samples.copy()
+        self.log.add(
+            s, phi, tracking_error=err, tracking_error_inf=err_inf,
+            u_pathlength=self._u_length, field_pathlength=self._field_length,
+            track_distance=dist, gramian_condition=self.track.gramian(prop)[1].condition,
         )
-        self._prev_u = prop.final.copy()
-        self._prev_field = control.samples.copy()
-        self.log.add(s, phi, err, err_inf, du, dfield, dist, cond)
         return bool(self.stop_phi1_at is not None and phi[0] >= self.stop_phi1_at)
 
 
@@ -429,16 +380,15 @@ def _compute_flow_target(
     raise BranchBoundaryError("could not move the geodesic generator off the branch cut")
 
 
-def _tracking_rhs(config: ExperimentConfig, propagator: _RunPropagator, track_rhs, *args):
-    """d eps/d s of a tracking run: ``track_rhs(prop, *args, s, ...)`` on the
+def _tracking_rhs(config: ExperimentConfig, propagator: _RunPropagator, track: Track):
+    """d eps/d s of a tracking run along ``track``: `motc_rhs` on the
     propagation of the field, with the configured free function and error
     correction."""
     beta = config.correction_beta()
 
     def rhs(s: float, control: ControlField) -> np.ndarray:
-        prop = propagator(control)
         free = config.free_function(control.samples)
-        return track_rhs(prop, *args, s, free=free, beta=beta)
+        return motc_rhs(track, propagator(control), s, free=free, beta=beta)
 
     return rhs
 
@@ -560,14 +510,13 @@ def run_motc_experiment(config: ExperimentConfig) -> dict:
     for m in config.observables:
         oset = oset_full.subset(m)
         if config.track == "geodesic":
-            target = geodesic_target_observables(prop0.final, w, state, oset)
+            track = geodesic_target_observables(prop0.final, w, state, oset)
         else:
             phi0 = expectations(prop0, state, oset)
-            target = linear_target_observables(phi0, expectations(w, state, oset))
+            track = linear_target_observables(phi0, expectations(w, state, oset), state, oset)
         logs[m] = TrajectoryLog(label=f"motc_m{m}", m=m)
-        recorder = _Recorder(propagator, state, oset, target, logs[m])
-        rhs = _tracking_rhs(config, propagator, motc_rhs, state, oset, target)
-        final = _integrate_logged(config, recorder, rhs, eps0)
+        recorder = _Recorder(propagator, track, logs[m])
+        final = _integrate_logged(config, recorder, _tracking_rhs(config, propagator, track), eps0)
         if final is not None:
             spectra[m] = field_power_spectrum(propagator.system, final)
     summary = {
@@ -585,13 +534,14 @@ def run_unitary_experiment(config: ExperimentConfig) -> dict:
     """Track the geodesic Q_s in U(N) itself with the N^2-dimensional solve."""
     propagator, state, oset_full, eps0 = _setup(config)
     prop0, w, flow_info = _compute_flow_target(config, propagator, state, oset_full, eps0)
-    target = geodesic_target_unitary(prop0.final, w)
+    track = geodesic_target_unitary(prop0.final, w)
     log = TrajectoryLog(label="unitary_track", m=max(config.observables))
-    recorder = _Recorder(propagator, state, oset_full.subset(log.m), target, log)
-    _integrate_logged(config, recorder, _tracking_rhs(config, propagator, unitary_rhs, target), eps0)
+    oset = oset_full.subset(log.m)
+    recorder = _Recorder(propagator, track, log, phi=lambda prop: expectations(prop, state, oset))
+    _integrate_logged(config, recorder, _tracking_rhs(config, propagator, track), eps0)
     summary = {
         **flow_info,
-        "final_track_distance": log.track_distance[-1] if log.track_distance else float("nan"),
+        "final_track_distance": (log.columns["track_distance"] or [float("nan")])[-1],
         "log": log.summary(),
     }
     return {"name": "unitary-track", "logs": {"unitary": log}, "summary": summary}
@@ -610,7 +560,11 @@ def _gradient_leg(
     def rhs(s: float, control: ControlField) -> np.ndarray:
         return gradient_field(propagator(control), state, oset1)
 
-    recorder = _Recorder(propagator, state, oset1, None, log, stop_phi1_at=threshold)
+    # The flow follows no path: along a NaN one the logged tracking errors
+    # are NaN, while the track still gives Phi_1 and Gamma's condition.
+    nan = np.full(1, np.nan)
+    track = linear_target_observables(nan, nan, state, oset1)
+    recorder = _Recorder(propagator, track, log, stop_phi1_at=threshold)
     _integrate_logged(config, recorder, rhs, eps0, s_end=config.grad_s_max)
     return log
 
@@ -632,20 +586,17 @@ def run_efficiency_comparison(config: ExperimentConfig) -> dict:
     # MOTC leg
     m_big = max(config.observables)
     oset = oset_full.subset(m_big)
-    target = geodesic_target_observables(prop0.final, w, state, oset)
+    track = geodesic_target_observables(prop0.final, w, state, oset)
     motc_log = TrajectoryLog(label=f"efficiency_motc_m{m_big}", m=m_big)
-    recorder = _Recorder(propagator, state, oset, target, motc_log, stop_phi1_at=threshold)
-    rhs = _tracking_rhs(config, propagator, motc_rhs, state, oset, target)
-    _integrate_logged(config, recorder, rhs, eps0)
+    recorder = _Recorder(propagator, track, motc_log, stop_phi1_at=threshold)
+    _integrate_logged(config, recorder, _tracking_rhs(config, propagator, track), eps0)
 
     # gradient-flow leg
     grad_log = _gradient_leg(config, propagator, state, oset_full, eps0, threshold)
 
     def steps_to_threshold(log: TrajectoryLog) -> int | None:
-        for i, phi in enumerate(log.phi):
-            if phi[0] >= threshold:
-                return log.step[i]
-        return None
+        col = log.columns
+        return next((k for k, phi1 in zip(col["step"], col["phi_1"]) if phi1 >= threshold), None)
 
     motc_steps = steps_to_threshold(motc_log)
     grad_steps = steps_to_threshold(grad_log)

@@ -90,28 +90,31 @@ def euler_integrate(
 ) -> IntegrationReport:
     """Fixed-step forward Euler: eps <- eps + ds * rhs(s, eps).
 
-    The observer (if any) is called after every accepted step; returning
-    True stops the integration early.  After the problem's ``max_steps``
-    steps the integration returns with termination "max_steps" short of the
+    The interval takes n = round((s1 - s0) / ds) steps (at least one): n - 1
+    of length ds, and a last one that ends exactly at s1.  The observer (if
+    any) is called after every accepted step; returning True stops the
+    integration early.  After the problem's ``max_steps`` steps the
+    integration returns with termination "max_steps" short of the
     interval's end.  A MotcError from the right-hand side or the observer
     propagates with ``counts`` set.
     """
     if ds <= 0:
         raise ValueError("ds must be positive")
     s0, s1 = problem.s_span
+    n = max(1, round((s1 - s0) / ds))
     y = problem.initial.samples.copy()
     s, steps, termination = s0, 0, "completed"
     try:
-        while s < s1 - 1e-14:
-            h = min(ds, s1 - s)
+        while steps < n:
+            h = ds if steps < n - 1 else s1 - s
             dy = problem.rhs(s, ControlField(y))
             steps += 1
             y = y + h * dy
-            s = s + h
+            s = s + h if steps < n else s1
             if observer is not None and observer(s, ControlField(y)):
                 termination = "observer"
                 break
-            if steps >= problem.max_steps and s < s1 - 1e-14:
+            if steps >= problem.max_steps and steps < n:
                 termination = "max_steps"
                 break
     except MotcError as exc:

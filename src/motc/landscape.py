@@ -318,13 +318,11 @@ def distance_derivative(x0: np.ndarray, lambdas: np.ndarray, jstar: int, s: floa
     return float(4.0 * ((x**2) @ (lam - lam_mean) - x[jstar] * (lam[jstar] - lam_mean)))
 
 
-def natural_basis_dimension(state: StateSpec, n_levels: int) -> int:
-    """D = n(2N - n) - sum_i n_i^2 for the rank n and degeneracies n_i the
-    state derives from its spectrum."""
+def natural_basis_dimension(state: StateSpec) -> int:
+    """D = n(2N - n) - sum_i n_i^2 for the dimension N, rank n and
+    degeneracies n_i the state derives from its density matrix."""
     n = state.rank
-    if n > n_levels:
-        raise ValueError("state rank exceeds dimension")
-    return n * (2 * n_levels - n) - sum(k * k for k in state.degeneracies)
+    return n * (2 * state.dim - n) - sum(k * k for k in state.degeneracies)
 
 
 def natural_basis_functions(prop: PropagationResult, state: StateSpec) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Homotopy tracking: geodesic targets, Gramians, and tracking field updates.
+"""Homotopy tracking: tracks, Gramians, and the tracking field update.
 
 Tracking turns "follow a prescribed path" into an initial value problem in
 algorithmic time s.  For m observables with expectation path w_s, expanding
@@ -12,6 +12,16 @@ among the solution family, and an optional error-correction term c_s pulling
 the actual expectations back onto the track.  Unitary-propagator tracking is
 the same construction over the N^2 dipole basis functions with Gramian G.
 
+So the two differ only in their track, and `motc_rhs` is the one engine for
+both.  A track (`ObservableTrack`, `UnitaryTrack`) supplies ``rows(prop)``,
+the rows a of shape (m, q); ``rate(prop, s, beta)``, dw/ds in the rows'
+coordinates plus beta times the deviation from the track; ``error(prop, s)``,
+the 2-norm error, inf-norm error and track distance a run logs; and its
+``hard_cap`` on the Gramian condition (None: no cap).  ``gramian(prop)`` gives
+the rows and their `GramianReport` once per propagation, memoised on the
+propagation object (held by weak reference), so a run's recorder and the
+integrator's next first stage share one gradient, Gramian and SVD.
+
 All time integrals are trapezoidal sums on the propagation grid; because the
 gradient samples are exact derivatives of the discrete dynamics divided by
 the quadrature weights, the discrete chain rule d Phi/d s = sum_j w_j a_j
@@ -21,6 +31,8 @@ only by O(ds^2) terms.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -36,15 +48,17 @@ from .linalg import (
     require_unitary,
 )
 
-# Observable-tracking Gramians beyond this cap abort with SingularTrackError.
+# Observable-track Gramians beyond this cap abort with SingularTrackError.
 MOTC_HARD_CAP = 1e14
-# Residual fraction above which a Gramian solve, of either kind of track, is
+# Residual fraction above which a Gramian solve, along any track, is
 # considered to have no usable solution at all.  The residual is measured
 # against max(||rhs||, RESIDUAL_FLOOR): on a track that does not move the
 # right-hand side is pure roundoff (~1e-15), most of it outside range(G), and
 # its exact solution (zero) must not be declared unreachable.
 RESIDUAL_CAP = 0.9
 RESIDUAL_FLOOR = 1e-12
+
+Path = Callable[[float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -58,22 +72,94 @@ class GramianReport:
     _vt: np.ndarray = field(repr=False, default=None)
 
 
-@dataclass(frozen=True, eq=False)
-class TrackTarget:
-    """A prescribed path over s in [0, 1], either in U(N) or in R^m.
+def _per_propagation(method):
+    """Memoise ``method(self, prop)`` for the last ``prop``, keyed on the
+    object (``is``) and held by weak reference: it keeps no propagation alive."""
+    name = "_last_" + method.__name__
 
-    Unitary kind: Q_s = U0 exp(iAs) with generator A = -i log(U0^dag W), so
-    Q_0 = U0 and Q_1 = W; dQ/ds = Q_s (iA).  Observable kind: the path w_s
-    and its derivative as callables on s.
+    @functools.wraps(method)
+    def memoised(self, prop):
+        ref, value = getattr(self, name, (None, None))
+        if ref is None or ref() is not prop:
+            value = method(self, prop)
+            setattr(self, name, (weakref.ref(prop), value))
+        return value
+
+    return memoised
+
+
+class Track:
+    """A path to follow (see the module docstring), with its Gramian memo."""
+
+    hard_cap: float | None = None
+
+    @_per_propagation
+    def gramian(self, prop: PropagationResult) -> tuple[np.ndarray, GramianReport]:
+        """The rows a of ``prop`` and their Gramian report."""
+        a = self.rows(prop)
+        return a, gramian_motc(a, prop.weights)
+
+
+class ObservableTrack(Track):
+    """A path w_s in R^m for the expectations Phi of ``oset`` in ``state``.
+
+    Rows: the single-observable gradients.  Rate: dw/ds, plus
+    beta (w_s - Phi_s).  Error: the 2-norm and inf-norm of Phi_s - w_s, and
+    no track distance (NaN).  Gramians beyond MOTC_HARD_CAP abort.
     """
 
-    kind: str
-    m: int
-    generator: np.ndarray | None = None
-    q_of_s: Callable[[float], np.ndarray] | None = None
-    dq_ds: Callable[[float], np.ndarray] | None = None
-    w_of_s: Callable[[float], np.ndarray] | None = None
-    dw_ds: Callable[[float], np.ndarray] | None = None
+    hard_cap = MOTC_HARD_CAP
+
+    def __init__(self, state: StateSpec, oset: ObservableSet, w_of_s: Path, dw_ds: Path):
+        self.state, self.oset, self.w_of_s, self.dw_ds = state, oset, w_of_s, dw_ds
+
+    def rows(self, prop: PropagationResult) -> np.ndarray:
+        return single_observable_gradients(prop, self.state, self.oset)
+
+    @_per_propagation
+    def phi(self, prop: PropagationResult) -> np.ndarray:
+        """The expectations Phi of ``prop`` that the track follows."""
+        return expectations(prop, self.state, self.oset)
+
+    def rate(self, prop: PropagationResult, s: float, beta: float | None = None) -> np.ndarray:
+        dw = self.dw_ds(s)
+        if beta is not None:
+            dw = dw + beta * (self.w_of_s(s) - self.phi(prop))
+        return dw
+
+    def error(self, prop: PropagationResult, s: float) -> tuple[float, float, float]:
+        dev = self.phi(prop) - self.w_of_s(s)
+        return float(np.linalg.norm(dev)), float(np.abs(dev).max()), float("nan")
+
+
+class UnitaryTrack(Track):
+    """A path Q_s in U(N) for the propagator U_s(T), generated by A.
+
+    Rows: the N^2 dipole basis functions (a = B^T).  Rate: the coordinates
+    of Delta_s = Herm(-i U_s^dag(T) dQ_s/ds), dQ/ds in the tangent frame at
+    U_s(T), plus beta (-i log(U_s^dag(T) Q_s)).  Error: ||U_s(T) - Q_s||_F
+    in all three places.  G is routinely ill-conditioned, so there is no
+    hard cap (a cap would reject essentially every propagation); the
+    residual check of `solve_gramian` applies as for every track.
+    """
+
+    def __init__(self, generator: np.ndarray, q_of_s: Path, dq_ds: Path):
+        self.generator, self.q_of_s, self.dq_ds = generator, q_of_s, dq_ds
+
+    def rows(self, prop: PropagationResult) -> np.ndarray:
+        return dipole_component_matrix(prop).T
+
+    def rate(self, prop: PropagationResult, s: float, beta: float | None = None) -> np.ndarray:
+        uh = prop.final.conj().T
+        delta = -1j * (uh @ self.dq_ds(s))
+        delta = 0.5 * (delta + delta.conj().T)
+        if beta is not None:
+            delta = delta + beta * log_unitary_principal(uh @ self.q_of_s(s))
+        return herm_to_vec(delta)
+
+    def error(self, prop: PropagationResult, s: float) -> tuple[float, float, float]:
+        dist = float(np.linalg.norm(prop.final - self.q_of_s(s)))
+        return dist, dist, dist
 
 
 def _geodesic(u0: np.ndarray, w: np.ndarray):
@@ -86,7 +172,7 @@ def _geodesic(u0: np.ndarray, w: np.ndarray):
     return u0, a, wa, va, va.conj().T
 
 
-def geodesic_target_unitary(u0: np.ndarray, w: np.ndarray) -> TrackTarget:
+def geodesic_target_unitary(u0: np.ndarray, w: np.ndarray) -> UnitaryTrack:
     """Geodesic track Q_s from U0 to W in U(N).
 
     The generator is oriented so the endpoints close: A = -i log(U0^dag W)
@@ -100,12 +186,12 @@ def geodesic_target_unitary(u0: np.ndarray, w: np.ndarray) -> TrackTarget:
     def dq_ds(s: float) -> np.ndarray:
         return u0 @ ((va * (1j * wa * np.exp(1j * s * wa))) @ vah)
 
-    return TrackTarget(kind="unitary", m=u0.shape[0] ** 2, generator=a, q_of_s=q_of_s, dq_ds=dq_ds)
+    return UnitaryTrack(a, q_of_s, dq_ds)
 
 
 def geodesic_target_observables(
     u0: np.ndarray, w: np.ndarray, state: StateSpec, oset: ObservableSet
-) -> TrackTarget:
+) -> ObservableTrack:
     """Expectation-value path induced by the geodesic from U0 to W.
 
     w_s^k = Tr(rho(0) M_k(s)) with M_k(s) = e^{-iAs} U0^dag Theta_k U0 e^{iAs},
@@ -127,21 +213,18 @@ def geodesic_target_observables(
         comm = m @ a - a @ m
         return (1j * np.einsum("kab,ba->k", comm, rho)).real
 
-    return TrackTarget(kind="observable", m=oset.m, generator=a, w_of_s=w_of_s, dw_ds=dw_ds)
+    return ObservableTrack(state, oset, w_of_s, dw_ds)
 
 
-def linear_target_observables(phi_start: np.ndarray, phi_target: np.ndarray) -> TrackTarget:
-    """Straight-line path w_s = (1 - s) Phi_0 + s Phi_target in R^m."""
-    p0 = np.asarray(phi_start, float)
-    p1 = np.asarray(phi_target, float)
+def linear_target_observables(
+    phi_start: np.ndarray, phi_target: np.ndarray, state: StateSpec, oset: ObservableSet
+) -> ObservableTrack:
+    """Straight-line path w_s = (1 - s) Phi_0 + s Phi_target for the
+    expectations of ``oset`` in ``state``."""
+    p0, p1 = np.asarray(phi_start, float), np.asarray(phi_target, float)
     if p0.shape != p1.shape or p0.ndim != 1:
         raise ValueError("phi_start and phi_target must be matching vectors")
-
-    return TrackTarget(
-        kind="observable", m=p0.size,
-        w_of_s=lambda s: (1.0 - s) * p0 + s * p1,
-        dw_ds=lambda s: p1 - p0,
-    )
+    return ObservableTrack(state, oset, lambda s: (1.0 - s) * p0 + s * p1, lambda s: p1 - p0)
 
 
 def gramian_motc(a: np.ndarray, weights: np.ndarray) -> GramianReport:
@@ -204,72 +287,16 @@ def solve_gramian(report: GramianReport, b: np.ndarray, hard_cap: float | None =
     return x
 
 
-def _track_rhs(
-    a: np.ndarray,
-    weights: np.ndarray,
-    dw: np.ndarray,
-    free: np.ndarray | None,
-    hard_cap: float | None,
+def motc_rhs(
+    track: Track, prop: PropagationResult, s: float,
+    free: np.ndarray | None = None, beta: float | None = None,
 ) -> np.ndarray:
-    """d eps/d s = f + x^T a with Gamma x = dw - int a f dt: the tracking
-    solve shared by observable and unitary tracks."""
+    """d eps/d s = f + x^T a along ``track`` at algorithmic time s, with
+    Gamma x = rate - int a f dt solved under the track's hard cap; ``beta``
+    adds the track's error correction (None tracks without it)."""
+    a, report = track.gramian(prop)
     f = np.zeros(a.shape[1]) if free is None else np.asarray(free, float)
     if f.shape != (a.shape[1],):
         raise ValueError("free function must have one sample per grid node")
-    x = solve_gramian(gramian_motc(a, weights), dw - a @ (weights * f), hard_cap=hard_cap)
-    return x @ a + f
-
-
-def motc_rhs(
-    prop: PropagationResult,
-    state: StateSpec,
-    oset: ObservableSet,
-    target: TrackTarget,
-    s: float,
-    free: np.ndarray | None = None,
-    beta: float | None = None,
-) -> np.ndarray:
-    """d eps/d s for multiobservable tracking at algorithmic time s.
-
-    With ``beta`` the track derivative gains the error correction
-    c_s = beta (w_s - Phi_s); None tracks without it."""
-    if target.kind != "observable":
-        raise ValueError("motc_rhs requires an observable-kind target")
-    if target.m != oset.m:
-        raise ValueError(f"target tracks {target.m} observables, set has {oset.m}")
-    a = single_observable_gradients(prop, state, oset)
-    dw = target.dw_ds(s)
-    if beta is not None:
-        dw = dw + beta * (target.w_of_s(s) - expectations(prop, state, oset))
-    return _track_rhs(a, prop.weights, dw, free, MOTC_HARD_CAP)
-
-
-def unitary_rhs(
-    prop: PropagationResult,
-    target: TrackTarget,
-    s: float,
-    free: np.ndarray | None = None,
-    beta: float | None = None,
-) -> np.ndarray:
-    """d eps/d s for unitary-propagator tracking at algorithmic time s.
-
-    This is observable tracking with a = B^T, the N^2 dipole basis rows.
-    The track derivative is mapped into the tangent frame at U_s(T):
-    Delta_s = Herm(-i U_s^dag(T) dQ_s/ds), whose real coordinates the dipole
-    basis must reproduce; with ``beta`` it gains the error correction
-    beta (-i log(U_s^dag(T) Q_s)).  G is routinely ill-conditioned, so its solve
-    drops the directions below 1e-12 sigma_max; there is no hard condition
-    cap (a cap would reject essentially every propagation).  As for every
-    track, the residual check of `solve_gramian` applies; its
-    absolute floor matters on a track that does not move, whose right-hand
-    side is pure roundoff and whose answer is d eps/d s = 0.
-    """
-    if target.kind != "unitary":
-        raise ValueError("unitary_rhs requires a unitary-kind target")
-    u = prop.final
-    uh = u.conj().T
-    delta = -1j * (uh @ target.dq_ds(s))
-    delta = 0.5 * (delta + delta.conj().T)
-    if beta is not None:
-        delta = delta + beta * log_unitary_principal(uh @ target.q_of_s(s))
-    return _track_rhs(dipole_component_matrix(prop).T, prop.weights, herm_to_vec(delta), free, None)
+    b = track.rate(prop, s, beta) - a @ (prop.weights * f)
+    return solve_gramian(report, b, hard_cap=track.hard_cap) @ a + f

@@ -21,10 +21,17 @@ from motc.bench import (
     run_gramian_distribution,
     substream,
 )
-from motc import landscape
+from motc import landscape, tracking
 from motc.bench import experiments
 from motc.bench.cli import main as cli_main
+from motc.dynamics import ControlField, propagate
 from motc.errors import ConfigError
+from motc.tracking import linear_target_observables
+
+
+def _cells(*values):
+    """The LOG_COLUMNS cells of one record, in column order."""
+    return dict(zip(experiments.LOG_COLUMNS, values))
 
 
 class TestConfig:
@@ -154,20 +161,30 @@ class TestSpectrum:
 
 class TestTrajectoryLog:
     def test_pathlength_monotone(self):
+        # The recorder sums the distances between consecutive U(T) and
+        # between consecutive fields, starting from 0.
+        system = build_model_system(3, t_final=10.0, q=16)
+        state = build_rank_truncated_state(system, 1)
+        oset = build_observable_set(3, 2, np.random.default_rng(0))
+        track = linear_target_observables(np.zeros(2), np.ones(2), state, oset)
         log = TrajectoryLog(label="x", m=2)
-        log.add(0.0, np.array([0.1, 0.2]), 0.0, 0.0, 0.0, 0.0, float("nan"), 1.0)
-        log.add(0.1, np.array([0.2, 0.3]), 0.01, 0.01, 0.5, 0.2, float("nan"), 2.0)
-        log.add(0.2, np.array([0.3, 0.4]), 0.01, 0.01, 0.3, 0.1, float("nan"), 2.0)
-        assert log.u_pathlength == [0.0, 0.5, 0.8]
-        assert log.field_pathlength == [0.0, 0.2, pytest.approx(0.3)]
-        with pytest.raises(ValueError, match="nonnegative"):
-            log.add(0.3, np.array([0.1, 0.2]), 0, 0, -1.0, 0.0, 0.0, 1.0)
+        recorder = experiments._Recorder(experiments._RunPropagator(system), track, log)
+        fields = [ControlField(np.full(16, c)) for c in (0.0, 0.5, 0.8)]
+        for s, control in zip((0.0, 0.1, 0.2), fields):
+            recorder(s, control)
+        u = [propagate(system, control).final for control in fields]
+        du = [np.linalg.norm(u[1] - u[0]), np.linalg.norm(u[2] - u[1])]
+        assert log.columns["u_pathlength"] == [0.0, du[0], pytest.approx(du[0] + du[1])]
+        assert log.columns["field_pathlength"] == [0.0, 2.0, pytest.approx(3.2)]
+        with pytest.raises(ValueError, match="expectation values"):
+            log.add(0.3, np.array([0.1, 0.2]), tracking_error=0.0)
 
     def test_rows_match_columns(self):
         log = TrajectoryLog(label="x", m=3)
-        log.add(0.0, np.array([1.0, 2.0, 3.0]), 0.1, 0.2, 0.0, 0.0, 4.0, 5.0)
+        log.add(0.0, np.array([1.0, 2.0, 3.0]), **_cells(0.1, 0.2, 0.0, 0.0, 4.0, 5.0))
         rows = list(log.rows())
         assert len(rows[0]) == len(log.columns)
+        assert list(rows[0]) == [0, 0.0, 1.0, 2.0, 3.0, 0.1, 0.2, 0.0, 0.0, 4.0, 5.0]
 
 
 class TestGramianDistributionSmall:
@@ -230,8 +247,8 @@ class TestGramianDistributionSmall:
 class TestEmitResults(object):
     def _bundle(self):
         log = TrajectoryLog(label="demo", m=1)
-        log.add(0.0, np.array([0.5]), 0.0, 0.0, 0.0, 0.0, float("nan"), 1.0)
-        log.add(0.5, np.array([0.6]), 0.01, 0.01, 0.2, 0.1, float("nan"), 10.0)
+        log.add(0.0, np.array([0.5]), **_cells(0.0, 0.0, 0.0, 0.0, float("nan"), 1.0))
+        log.add(0.5, np.array([0.6]), **_cells(0.01, 0.01, 0.2, 0.1, float("nan"), 10.0))
         return {
             "name": "unit",
             "logs": {"demo": log},
@@ -287,7 +304,7 @@ class TestGradientFlowRunner:
         )
         out = run_gradient_flow(cfg)
         log = out["logs"]["gradient"]
-        phi1 = [p[0] for p in log.phi]
+        phi1 = log.columns["phi_1"]
         assert len(phi1) == 5  # s0 + 4 accepted euler steps
         assert all(b >= a - 1e-12 for a, b in zip(phi1, phi1[1:]))
 
@@ -459,6 +476,43 @@ class TestOnePropagationPerField:
         for key in summary_path:
             summary = summary[key]
         assert summary["termination"] == "completed"
+        assert len(calls) == summary["rhs_evaluations"] + 1
+
+
+class TestOneGramianPerField:
+    """The recorder and the integrator's next first stage share the rows
+    and Gramian of an accepted field (the track's memo), so a run that ends
+    on an accepted step builds one Gramian per rhs evaluation plus one for
+    the last record.  Every motc binding of ``gramian_motc`` is counted."""
+
+    @pytest.mark.parametrize(
+        "command,config,summary_path",
+        [
+            ("motc-track", {}, ("per_m", "2")),
+            # Ten attempts, the last of them accepted.
+            ("unitary-track", {"max_steps": 10}, ("log",)),
+        ],
+        ids=["motc-completed", "unitary-max-steps"],
+    )
+    def test_calls(self, tmp_path, monkeypatch, command, config, summary_path):
+        calls = []
+        gramian = tracking.gramian_motc
+        for name, module in list(sys.modules.items()):
+            if name == "motc" or name.startswith("motc."):
+                for attr, value in list(vars(module).items()):
+                    if value is gramian:
+                        monkeypatch.setattr(
+                            module, attr, lambda *args: calls.append(1) or gramian(*args)
+                        )
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        rc = cli_main([command, "--config", str(cfg_file), *_TINY, *_LOOSE, "--out", str(out)])
+        assert rc == 0
+        summary = json.loads((out / f"{command}_summary.json").read_text())["summary"]
+        for key in summary_path:
+            summary = summary[key]
+        assert summary["records"] > 2
         assert len(calls) == summary["rhs_evaluations"] + 1
 
 

@@ -55,7 +55,7 @@ class TestTypes:
         assert np.allclose(st.populations, [0.0, 0.25, 0.25, 0.5], atol=1e-15)
         assert st.cluster_edges == (0, 1, 3, 4)
         assert (st.rank, st.degeneracies) == (3, (2, 1))
-        assert natural_basis_dimension(st, 4) == 10
+        assert natural_basis_dimension(st) == 10
         # The eigenbasis diagonalizes rho in ascending order.
         v = st.eigenbasis
         assert np.abs(v.conj().T @ st.rho0 @ v - np.diag(st.populations)).max() < 1e-15

@@ -77,6 +77,17 @@ class TestEuler:
         rep = euler_integrate(make_problem(lambda s, f: np.ones(32), max_steps=4), ds=0.25)
         assert rep.termination == "completed" and rep.accepted_steps == 4
 
+    def test_step_count_from_span(self):
+        # 10 000 steps of 1e-4 end exactly at s = 1: the accumulated s falls
+        # short of 1 by roundoff, which must not cost a step of its own.
+        seen = []
+        rep = euler_integrate(
+            make_problem(lambda s, f: np.zeros(4), q=4), ds=1e-4,
+            observer=lambda s, control: seen.append(s),
+        )
+        assert rep.counts == (10_000, 0, 10_000)
+        assert len(seen) == 10_000 and seen[-1] == 1.0
+
     def test_error_carries_counts(self):
         calls = []
 

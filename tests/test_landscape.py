@@ -390,18 +390,18 @@ class TestDistanceDerivative:
 class TestNaturalBasis:
     def test_dimension_formula_examples(self):
         pure = pure_state(11, 0)
-        assert natural_basis_dimension(pure, 11) == 20
+        assert natural_basis_dimension(pure) == 20
         full = StateSpec(np.diag(np.arange(1, 12) / 66.0))
-        assert natural_basis_dimension(full, 11) == 110
+        assert natural_basis_dimension(full) == 110
         lam = np.concatenate([np.arange(1, 8) / 28.0, np.zeros(4)])
         rank7 = StateSpec(np.diag(lam))
-        assert natural_basis_dimension(rank7, 11) == 98
+        assert natural_basis_dimension(rank7) == 98
 
     def test_degenerate_spectrum_counts(self):
         rho = np.diag([0.25, 0.25, 0.5, 0.0])
         st = StateSpec(rho)
         # n=3, degeneracies (2, 1): D = 3(2*4-3) - (4+1) = 10
-        assert natural_basis_dimension(st, 4) == 10
+        assert natural_basis_dimension(st) == 10
 
     def test_spans_exact_gradients(self, small_system, small_field, rank7_state, observable_set):
         # The basis functions come from the same step-averaged dipole as the
@@ -425,7 +425,7 @@ class TestNaturalBasis:
         else:
             state = build_rank_truncated_state(sys_, rank)
         fam = natural_basis_functions(prop, state)
-        assert fam.shape[0] == natural_basis_dimension(state, 11)
+        assert fam.shape[0] == natural_basis_dimension(state)
         assert natural_basis_rank(prop, state) == expected
 
 

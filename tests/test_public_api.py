@@ -6,14 +6,19 @@ checked: executing only its import statements would miss a demo that calls
 a deleted or changed API.  The benchmark (``perfbench/layertrace.py``)
 looks its layer functions, runners, emitter and config class up by module
 and name; a deletion that breaks that lookup fails here, not only in a
-benchmark run.
+benchmark run.  A traced run in a fresh interpreter checks that the wrapped
+tracking engine sees every rhs evaluation.
 """
 
 import ast
 import dataclasses
 import importlib.util
+import json
+import os
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,3 +110,50 @@ def test_benchmark_wraps_integrate_and_rhs():
     config_class = LAYERTRACE._lookup(*LAYERTRACE.CONFIG_CLASS)
     assert callable(config_class.integrate)
     assert "rhs" in {f.name for f in dataclasses.fields(motc.FlowProblem)}
+
+
+# Runs in a fresh interpreter: installing the tracer rebinds motc globals
+# and numpy's linalg functions for the whole process.
+_TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import layertrace
+
+tracer = layertrace.Tracer()
+tracer.install()
+from motc.bench.cli import main
+
+command, config, out = sys.argv[2:5]
+tiny = ["--levels", "3", "--state", "pure", "--t-final", "20", "--grid", "32",
+        "--observables", "2", "--integrator", "rkck:atol=1e-4,rtol=1e-4"]
+code = main([command, "--config", config, *tiny, "--out", out])
+spans = sum(1 for span in tracer.spans if span[0] == "tracking.rhs")
+print(json.dumps({"code": code, "spans": spans}))
+"""
+
+
+@pytest.mark.parametrize(
+    "command,config,summary_path",
+    [("motc-track", {}, ("per_m", "2")), ("unitary-track", {"max_steps": 10}, ("log",))],
+    ids=["motc-track", "unitary-track"],
+)
+def test_traced_rhs_spans_match_rhs_evaluations(tmp_path, command, config, summary_path):
+    # The benchmark's per-layer figures come from spans around the names it
+    # wraps; an engine bound before the tracer installs would read 0.
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(ROOT / "perfbench"), command,
+         str(config_file), str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(proc.stdout.splitlines()[-1])
+    summary = json.loads((out / f"{command}_summary.json").read_text())["summary"]
+    for key in summary_path:
+        summary = summary[key]
+    assert traced["code"] == 0
+    assert traced["spans"] == summary["rhs_evaluations"] > 0

@@ -16,7 +16,6 @@ from motc.tracking import (
     linear_target_observables,
     motc_rhs,
     solve_gramian,
-    unitary_rhs,
 )
 
 from conftest import expi, random_unitary
@@ -89,8 +88,10 @@ class TestGeodesicObservables:
             fd = (t.w_of_s(s + h) - t.w_of_s(s - h)) / (2 * h)
             assert np.abs(fd - t.dw_ds(s)).max() <= 1e-6
 
-    def test_linear_track(self):
-        t = linear_target_observables(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+    def test_linear_track(self, rank7_state, observable_set):
+        t = linear_target_observables(
+            np.array([0.0, 1.0]), np.array([1.0, 0.0]), rank7_state, observable_set.subset(2)
+        )
         assert np.allclose(t.w_of_s(0.25), [0.25, 0.75])
         assert np.allclose(t.dw_ds(0.5), [1.0, -1.0])
 
@@ -242,8 +243,8 @@ class TestMotcRhs:
         _, _, prop, _ = track_setup
         oset = observable_set.subset(3)
         phi = expectations(prop, rank7_state, oset)
-        target = linear_target_observables(phi, phi)  # dw/ds = 0, on-track
-        out = motc_rhs(prop, rank7_state, oset, target, 0.0, beta=10.0)
+        target = linear_target_observables(phi, phi, rank7_state, oset)  # dw/ds = 0, on-track
+        out = motc_rhs(target, prop, 0.0, beta=10.0)
         assert np.abs(out).max() < 1e-10
 
     def test_m1_scalar_reduction(self, track_setup, rank7_state, observable_set):
@@ -251,11 +252,11 @@ class TestMotcRhs:
         # f + (a/gamma) (dP/ds + c - int a f dt) exactly.
         system, field, prop, _ = track_setup
         oset = observable_set.subset(1)
-        target = linear_target_observables(np.array([0.1]), np.array([0.9]))
+        target = linear_target_observables(np.array([0.1]), np.array([0.9]), rank7_state, oset)
         rng = np.random.default_rng(8)
         f = 0.1 * rng.standard_normal(system.q)
         beta = 10.0
-        out = motc_rhs(prop, rank7_state, oset, target, 0.3, free=f, beta=beta)
+        out = motc_rhs(target, prop, 0.3, free=f, beta=beta)
         a = single_observable_gradients(prop, rank7_state, oset)[0]
         gamma = float((a * a * prop.weights).sum())
         phi = expectations(prop, rank7_state, oset)
@@ -267,8 +268,8 @@ class TestMotcRhs:
     def test_least_norm_in_row_space(self, track_setup, rank7_state, observable_set):
         _, _, prop, _ = track_setup
         oset = observable_set.subset(4)
-        target = linear_target_observables(np.zeros(4), np.ones(4) / 10)
-        out = motc_rhs(prop, rank7_state, oset, target, 0.5)
+        target = linear_target_observables(np.zeros(4), np.ones(4) / 10, rank7_state, oset)
+        out = motc_rhs(target, prop, 0.5)
         a = single_observable_gradients(prop, rank7_state, oset)
         # Residual of projecting out the row space must vanish.
         coeff, *_ = np.linalg.lstsq(a.T, out, rcond=None)
@@ -278,18 +279,12 @@ class TestMotcRhs:
         system, field, prop, w = track_setup
         oset = observable_set.subset(2)
         target = geodesic_target_observables(prop.final, w, rank7_state, oset)
-        out = motc_rhs(prop, rank7_state, oset, target, 0.0)
+        out = motc_rhs(target, prop, 0.0)
         ds = 1e-3
         prop2 = propagate(system, ControlField(field.samples + ds * out))
         dphi = expectations(prop2, rank7_state, oset) - expectations(prop, rank7_state, oset)
         pred = ds * target.dw_ds(0.0)
         assert np.abs(dphi - pred).max() <= 5e-2 * np.abs(pred).max()
-
-    def test_wrong_kind_rejected(self, track_setup, rank7_state, observable_set):
-        _, _, prop, w = track_setup
-        target = geodesic_target_unitary(prop.final, w)
-        with pytest.raises(ValueError, match="observable"):
-            motc_rhs(prop, rank7_state, observable_set, target, 0.0)
 
 
 class TestUnitaryRhs:
@@ -297,7 +292,7 @@ class TestUnitaryRhs:
         _, _, prop, _ = track_setup
         u0 = prop.final
         target = geodesic_target_unitary(u0, u0)  # A = 0: dQ/ds = 0, on track
-        out = unitary_rhs(prop, target, 0.0, beta=10.0)
+        out = motc_rhs(target, prop, 0.0, beta=10.0)
         assert np.abs(out).max() < 1e-8
 
     @pytest.mark.parametrize("c", [0.5, 1e-10])
@@ -314,7 +309,7 @@ class TestUnitaryRhs:
         w = u0 @ expi(h, theta=-1.0)  # U0 exp(iH)
         target = geodesic_target_unitary(u0, w)
         with pytest.raises(SingularTrackError, match="unreachable"):
-            unitary_rhs(prop, target, 0.0)
+            motc_rhs(target, prop, 0.0)
 
     def test_correction_vanishes_on_track(self, track_setup):
         from motc.linalg import log_unitary_principal
@@ -333,7 +328,7 @@ class TestUnitaryRhs:
         prop = propagate(system, field)
         w = random_unitary(3, np.random.default_rng(40))
         target = geodesic_target_unitary(prop.final, w)
-        out = unitary_rhs(prop, target, 0.0)
+        out = motc_rhs(target, prop, 0.0)
         errs = []
         for ds in (2e-3, 1e-3, 5e-4):
             prop2 = propagate(system, ControlField(field.samples + ds * out))
@@ -352,7 +347,7 @@ class TestUnitaryRhs:
         prop = propagate(system, field)
         w = random_unitary(3, np.random.default_rng(40))
         target = geodesic_target_unitary(prop.final, w)
-        direct = unitary_rhs(prop, target, 0.2)
+        direct = motc_rhs(target, prop, 0.2)
 
         b = dipole_component_matrix(prop)  # (q, N^2) basis samples
         a = b.T  # each row: one propagator-coordinate "observable" gradient
