@@ -84,18 +84,9 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(base, dict):
             raise ConfigError("config file must hold a JSON object")
     base["experiment"] = args.command
-    overrides = {
-        "seed": args.seed,
-        "samples": args.samples,
-        "correction": args.correction,
-        "free_fn": args.free_fn,
-        "integrator": args.integrator,
-        "state": args.state,
-        "t_final": args.t_final,
-        "q": args.q,
-        "n_levels": args.n_levels,
-        "workers": args.workers,
-    }
+    # A flag that sets a config field has the field's name as its dest.
+    fields = ExperimentConfig.__dataclass_fields__
+    overrides = {k: v for k, v in vars(args).items() if k in fields}
     if args.observables is not None:
         try:
             overrides["observables"] = tuple(int(x) for x in args.observables.split(","))

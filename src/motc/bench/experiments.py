@@ -10,6 +10,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
+import os
 import re
 from dataclasses import dataclass, field, asdict, replace
 
@@ -80,6 +82,10 @@ def _spec_numbers(what: str, spec: str, pattern: str) -> tuple[float, ...]:
     return values
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one benchmark run."""
@@ -105,6 +111,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("n_levels", "q", "samples", "seed", "max_steps", "workers"):
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer")
         if self.n_levels < 3:
             raise ConfigError("n_levels must be at least 3")
         if self.q < 2 or self.t_final <= 0:
@@ -116,12 +125,10 @@ class ExperimentConfig:
         for name in ("temperature", "grad_s_max", "max_steps"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.seed is None:
-            raise ConfigError("a seed is mandatory for reproducibility")
-        obs = tuple(int(m) for m in self.observables)
-        if not obs or any(not 1 <= m <= self.n_levels for m in obs):
-            raise ConfigError(f"observable counts must lie in 1..{self.n_levels}")
-        object.__setattr__(self, "observables", obs)
+        obs = tuple(self.observables) if np.iterable(self.observables) else ()
+        if not obs or not all(_is_integer(m) and 1 <= m <= self.n_levels for m in obs):
+            raise ConfigError(f"observable counts must be integers in 1..{self.n_levels}")
+        object.__setattr__(self, "observables", tuple(map(int, obs)))
         # Typed values of the string specs, parsed once; kept outside the
         # dataclass fields so to_dict() and config_hash see only the specs.
         # The pure state is the thermal one truncated to rank 1, the
@@ -187,15 +194,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(d) - known
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "observables" in d:
-            d = dict(d, observables=tuple(d["observables"]))
         try:
             return cls(**d)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
 
@@ -355,14 +359,15 @@ def _setup(config: ExperimentConfig):
     return _RunPropagator(system), state, config.build_observables(), eps0
 
 
-def _compute_flow_target(
+def _flow_target(
     config: ExperimentConfig, propagator: _RunPropagator, state: StateSpec,
     oset_full: ObservableSet, eps0: ControlField,
 ):
-    """Propagation of eps_0 and the maximizer W of <Theta_1> nearest U_0
+    """Propagation of eps_0, the maximizer W of <Theta_1> nearest U_0
     (`kinematic_maximizer`, in closed form), nudged off the log branch cut
-    if the geodesic generator lands on it; plus the summary entry
-    ``kinematic_max_phi1``, Phi_1 at W before any nudge."""
+    if the geodesic generator lands on it, and the run's one geodesic track
+    from U_0 to W; plus the summary entry ``kinematic_max_phi1``, Phi_1 at
+    W before any nudge."""
     prop0 = propagator(eps0)
     u0 = prop0.final
     w = kinematic_maximizer(u0, state, oset_full.operators[0])
@@ -370,8 +375,7 @@ def _compute_flow_target(
     rng = substream(config.seed, _STREAM_PERTURB)
     for _ in range(5):
         try:
-            geodesic_target_unitary(u0, w)
-            return prop0, w, info
+            return prop0, w, geodesic_target_unitary(u0, w), info
         except BranchBoundaryError:
             herm = rng.standard_normal((state.dim, state.dim))
             herm = 1e-4 * (herm + herm.T) / 2.0
@@ -380,27 +384,25 @@ def _compute_flow_target(
     raise BranchBoundaryError("could not move the geodesic generator off the branch cut")
 
 
-def _tracking_rhs(config: ExperimentConfig, propagator: _RunPropagator, track: Track):
-    """d eps/d s of a tracking run along ``track``: `motc_rhs` on the
-    propagation of the field, with the configured free function and error
-    correction."""
-    beta = config.correction_beta()
-
-    def rhs(s: float, control: ControlField) -> np.ndarray:
-        free = config.free_function(control.samples)
-        return motc_rhs(track, propagator(control), s, free=free, beta=beta)
-
-    return rhs
-
-
-def _integrate_logged(
-    config: ExperimentConfig, recorder: _Recorder, rhs, eps0: ControlField, s_end: float = 1.0
+def _run_leg(
+    config: ExperimentConfig, propagator: _RunPropagator, track: Track, log: TrajectoryLog,
+    eps0: ControlField, rhs=None, phi=None, stop_phi1_at: float | None = None,
+    s_end: float = 1.0,
 ) -> np.ndarray | None:
-    """Log eps_0, integrate d eps/d s = rhs over [0, s_end] with the
-    configured integrator and copy its counters and termination reason into
-    the recorder's log, where a MotcError is recorded instead of raised.
-    Returns the final field samples, or None after an error."""
-    log = recorder.log
+    """One leg of a run: integrate d eps/d s = rhs from eps_0 over [0, s_end]
+    with the configured integrator, logging eps_0 and every accepted step
+    into ``log`` (`_Recorder`), then its counters and termination, a
+    MotcError included.  The default rhs is `motc_rhs` along ``track`` with
+    the configured free function and correction.  Returns the final field
+    samples, or None after an error."""
+    recorder = _Recorder(propagator, track, log, phi=phi, stop_phi1_at=stop_phi1_at)
+    if rhs is None:
+        beta = config.correction_beta()
+
+        def rhs(s: float, control: ControlField) -> np.ndarray:
+            free = config.free_function(control.samples)
+            return motc_rhs(track, propagator(control), s, free=free, beta=beta)
+
     recorder(0.0, eps0)
     problem = FlowProblem(
         rhs=rhs, s_span=(0.0, s_end), initial=eps0, ds_min=config.ds_min, ds_max=config.ds_max,
@@ -423,14 +425,16 @@ def run_gramian_distribution(config: ExperimentConfig) -> dict:
     ensemble of random fields; histogram plus log10 summary statistics, and
     per Gramian the count of numerically singular samples."""
     rows, failures = [], 0
-    if config.workers > 1:
+    # The pool forks all its workers at once: no more than samples or cores.
+    workers = min(config.workers, config.samples, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(
                     _gramian_sample, itertools.repeat(config), range(config.samples),
-                    chunksize=max(1, config.samples // (8 * config.workers)),
+                    chunksize=max(1, config.samples // (8 * workers)),
                 )
             )
     else:
@@ -504,19 +508,18 @@ def run_motc_experiment(config: ExperimentConfig) -> dict:
     the tracking equation, logging every accepted step.
     """
     propagator, state, oset_full, eps0 = _setup(config)
-    prop0, w, flow_info = _compute_flow_target(config, propagator, state, oset_full, eps0)
+    prop0, w, geodesic, flow_info = _flow_target(config, propagator, state, oset_full, eps0)
     logs: dict[int, TrajectoryLog] = {}
     spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for m in config.observables:
         oset = oset_full.subset(m)
         if config.track == "geodesic":
-            track = geodesic_target_observables(prop0.final, w, state, oset)
+            track = geodesic_target_observables(geodesic, state, oset)
         else:
             phi0 = expectations(prop0, state, oset)
             track = linear_target_observables(phi0, expectations(w, state, oset), state, oset)
         logs[m] = TrajectoryLog(label=f"motc_m{m}", m=m)
-        recorder = _Recorder(propagator, track, logs[m])
-        final = _integrate_logged(config, recorder, _tracking_rhs(config, propagator, track), eps0)
+        final = _run_leg(config, propagator, track, logs[m], eps0)
         if final is not None:
             spectra[m] = field_power_spectrum(propagator.system, final)
     summary = {
@@ -533,12 +536,10 @@ def run_motc_experiment(config: ExperimentConfig) -> dict:
 def run_unitary_experiment(config: ExperimentConfig) -> dict:
     """Track the geodesic Q_s in U(N) itself with the N^2-dimensional solve."""
     propagator, state, oset_full, eps0 = _setup(config)
-    prop0, w, flow_info = _compute_flow_target(config, propagator, state, oset_full, eps0)
-    track = geodesic_target_unitary(prop0.final, w)
+    _, _, track, flow_info = _flow_target(config, propagator, state, oset_full, eps0)
     log = TrajectoryLog(label="unitary_track", m=max(config.observables))
     oset = oset_full.subset(log.m)
-    recorder = _Recorder(propagator, track, log, phi=lambda prop: expectations(prop, state, oset))
-    _integrate_logged(config, recorder, _tracking_rhs(config, propagator, track), eps0)
+    _run_leg(config, propagator, track, log, eps0, phi=lambda prop: expectations(prop, state, oset))
     summary = {
         **flow_info,
         "final_track_distance": (log.columns["track_distance"] or [float("nan")])[-1],
@@ -556,16 +557,14 @@ def _gradient_leg(
     given); returns the flow's log."""
     oset1 = oset_full.subset(1)
     log = TrajectoryLog(label="grad_flow", m=1)
-
-    def rhs(s: float, control: ControlField) -> np.ndarray:
-        return gradient_field(propagator(control), state, oset1)
-
     # The flow follows no path: along a NaN one the logged tracking errors
     # are NaN, while the track still gives Phi_1 and Gamma's condition.
     nan = np.full(1, np.nan)
-    track = linear_target_observables(nan, nan, state, oset1)
-    recorder = _Recorder(propagator, track, log, stop_phi1_at=threshold)
-    _integrate_logged(config, recorder, rhs, eps0, s_end=config.grad_s_max)
+    _run_leg(
+        config, propagator, linear_target_observables(nan, nan, state, oset1), log, eps0,
+        rhs=lambda s, control: gradient_field(propagator(control), state, oset1),
+        stop_phi1_at=threshold, s_end=config.grad_s_max,
+    )
     return log
 
 
@@ -580,16 +579,14 @@ def run_efficiency_comparison(config: ExperimentConfig) -> dict:
     """Accepted ASRK5 steps to reach Phi_1 >= threshold: MOTC (largest m)
     versus the gradient flow, identical tolerances."""
     propagator, state, oset_full, eps0 = _setup(config)
-    prop0, w, flow_info = _compute_flow_target(config, propagator, state, oset_full, eps0)
+    _, _, geodesic, flow_info = _flow_target(config, propagator, state, oset_full, eps0)
     threshold = config.threshold_fraction * flow_info["kinematic_max_phi1"]
 
     # MOTC leg
     m_big = max(config.observables)
-    oset = oset_full.subset(m_big)
-    track = geodesic_target_observables(prop0.final, w, state, oset)
+    track = geodesic_target_observables(geodesic, state, oset_full.subset(m_big))
     motc_log = TrajectoryLog(label=f"efficiency_motc_m{m_big}", m=m_big)
-    recorder = _Recorder(propagator, track, motc_log, stop_phi1_at=threshold)
-    _integrate_logged(config, recorder, _tracking_rhs(config, propagator, track), eps0)
+    _run_leg(config, propagator, track, motc_log, eps0, stop_phi1_at=threshold)
 
     # gradient-flow leg
     grad_log = _gradient_leg(config, propagator, state, oset_full, eps0, threshold)

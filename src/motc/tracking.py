@@ -15,12 +15,12 @@ the same construction over the N^2 dipole basis functions with Gramian G.
 So the two differ only in their track, and `motc_rhs` is the one engine for
 both.  A track (`ObservableTrack`, `UnitaryTrack`) supplies ``rows(prop)``,
 the rows a of shape (m, q); ``rate(prop, s, beta)``, dw/ds in the rows'
-coordinates plus beta times the deviation from the track; ``error(prop, s)``,
-the 2-norm error, inf-norm error and track distance a run logs; and its
-``hard_cap`` on the Gramian condition (None: no cap).  ``gramian(prop)`` gives
-the rows and their `GramianReport` once per propagation, memoised on the
-propagation object (held by weak reference), so a run's recorder and the
-integrator's next first stage share one gradient, Gramian and SVD.
+coordinates plus beta times the deviation from the track; and
+``error(prop, s)``, the 2-norm error, inf-norm error and track distance a run
+logs.  ``gramian(prop)`` gives the rows and their `GramianReport` once per
+propagation, memoised on the propagation object (held by weak reference), so
+a run's recorder and the integrator's next first stage share one gradient,
+Gramian and SVD.  Every track's Gramian is solved by `solve_gramian`.
 
 All time integrals are trapezoidal sums on the propagation grid; because the
 gradient samples are exact derivatives of the discrete dynamics divided by
@@ -48,8 +48,6 @@ from .linalg import (
     require_unitary,
 )
 
-# Observable-track Gramians beyond this cap abort with SingularTrackError.
-MOTC_HARD_CAP = 1e14
 # Residual fraction above which a Gramian solve, along any track, is
 # considered to have no usable solution at all.  The residual is measured
 # against max(||rhs||, RESIDUAL_FLOOR): on a track that does not move the
@@ -91,8 +89,6 @@ def _per_propagation(method):
 class Track:
     """A path to follow (see the module docstring), with its Gramian memo."""
 
-    hard_cap: float | None = None
-
     @_per_propagation
     def gramian(self, prop: PropagationResult) -> tuple[np.ndarray, GramianReport]:
         """The rows a of ``prop`` and their Gramian report."""
@@ -105,10 +101,8 @@ class ObservableTrack(Track):
 
     Rows: the single-observable gradients.  Rate: dw/ds, plus
     beta (w_s - Phi_s).  Error: the 2-norm and inf-norm of Phi_s - w_s, and
-    no track distance (NaN).  Gramians beyond MOTC_HARD_CAP abort.
+    no track distance (NaN).
     """
-
-    hard_cap = MOTC_HARD_CAP
 
     def __init__(self, state: StateSpec, oset: ObservableSet, w_of_s: Path, dw_ds: Path):
         self.state, self.oset, self.w_of_s, self.dw_ds = state, oset, w_of_s, dw_ds
@@ -133,18 +127,30 @@ class ObservableTrack(Track):
 
 
 class UnitaryTrack(Track):
-    """A path Q_s in U(N) for the propagator U_s(T), generated by A.
+    """The geodesic Q_s = U0 e^{iAs} in U(N) for the propagator U_s(T).
 
-    Rows: the N^2 dipole basis functions (a = B^T).  Rate: the coordinates
-    of Delta_s = Herm(-i U_s^dag(T) dQ_s/ds), dQ/ds in the tangent frame at
+    One ``eigh`` of the generator A = va diag(wa) va^dag at construction
+    serves every ``rotation(s)`` = e^{iAs}, Q_s and dQ_s/ds.  Rows: the N^2
+    dipole basis functions (a = B^T).  Rate: the coordinates of
+    Delta_s = Herm(-i U_s^dag(T) dQ_s/ds), dQ/ds in the tangent frame at
     U_s(T), plus beta (-i log(U_s^dag(T) Q_s)).  Error: ||U_s(T) - Q_s||_F
-    in all three places.  G is routinely ill-conditioned, so there is no
-    hard cap (a cap would reject essentially every propagation); the
-    residual check of `solve_gramian` applies as for every track.
+    in all three places.  G is routinely ill-conditioned; its solves
+    truncate and check the residual as for every track.
     """
 
-    def __init__(self, generator: np.ndarray, q_of_s: Path, dq_ds: Path):
-        self.generator, self.q_of_s, self.dq_ds = generator, q_of_s, dq_ds
+    def __init__(self, u0: np.ndarray, generator: np.ndarray):
+        self.u0, self.generator = u0, generator
+        self._wa, self._va = np.linalg.eigh(generator)
+        self._vah = self._va.conj().T
+
+    def rotation(self, s: float) -> np.ndarray:
+        return (self._va * np.exp(1j * s * self._wa)) @ self._vah
+
+    def q_of_s(self, s: float) -> np.ndarray:
+        return self.u0 @ self.rotation(s)
+
+    def dq_ds(self, s: float) -> np.ndarray:
+        return self.u0 @ ((self._va * (1j * self._wa * np.exp(1j * s * self._wa))) @ self._vah)
 
     def rows(self, prop: PropagationResult) -> np.ndarray:
         return dipole_component_matrix(prop).T
@@ -162,47 +168,31 @@ class UnitaryTrack(Track):
         return dist, dist, dist
 
 
-def _geodesic(u0: np.ndarray, w: np.ndarray):
-    """Validated U0, the geodesic generator A = -i log(U0^dag W) and its
-    eigendecomposition A = va diag(wa) vah."""
-    u0 = require_unitary(np.asarray(u0, complex), name="U0")
-    w = require_unitary(np.asarray(w, complex), name="W")
-    a = log_unitary_principal(u0.conj().T @ w)
-    wa, va = np.linalg.eigh(a)
-    return u0, a, wa, va, va.conj().T
-
-
 def geodesic_target_unitary(u0: np.ndarray, w: np.ndarray) -> UnitaryTrack:
     """Geodesic track Q_s from U0 to W in U(N).
 
     The generator is oriented so the endpoints close: A = -i log(U0^dag W)
     and Q_s = U0 exp(iAs) gives Q_1 = W exactly.
     """
-    u0, a, wa, va, vah = _geodesic(u0, w)
-
-    def q_of_s(s: float) -> np.ndarray:
-        return u0 @ ((va * np.exp(1j * s * wa)) @ vah)
-
-    def dq_ds(s: float) -> np.ndarray:
-        return u0 @ ((va * (1j * wa * np.exp(1j * s * wa))) @ vah)
-
-    return UnitaryTrack(a, q_of_s, dq_ds)
+    u0 = require_unitary(np.asarray(u0, complex), name="U0")
+    w = require_unitary(np.asarray(w, complex), name="W")
+    return UnitaryTrack(u0, log_unitary_principal(u0.conj().T @ w))
 
 
 def geodesic_target_observables(
-    u0: np.ndarray, w: np.ndarray, state: StateSpec, oset: ObservableSet
+    geodesic: UnitaryTrack, state: StateSpec, oset: ObservableSet
 ) -> ObservableTrack:
-    """Expectation-value path induced by the geodesic from U0 to W.
+    """Expectation-value path induced by the unitary ``geodesic`` Q_s.
 
     w_s^k = Tr(rho(0) M_k(s)) with M_k(s) = e^{-iAs} U0^dag Theta_k U0 e^{iAs},
     and dw_s^k/ds = i Tr(rho(0) [M_k(s), A]) by commutator differentiation.
     """
-    u0, a, wa, va, vah = _geodesic(u0, w)
+    u0, a = geodesic.u0, geodesic.generator
     kern = np.einsum("ba,kbc,cd->kad", u0.conj(), oset.operators, u0)
     rho = state.rho0
 
     def frame(s: float) -> np.ndarray:
-        e = (va * np.exp(1j * s * wa)) @ vah
+        e = geodesic.rotation(s)
         return np.einsum("ba,kbc,cd->kad", e.conj(), kern, e)
 
     def w_of_s(s: float) -> np.ndarray:
@@ -254,21 +244,15 @@ def free_function_min_fluence(samples: np.ndarray, eta: float) -> np.ndarray:
     return -np.asarray(samples, float) / eta
 
 
-def solve_gramian(report: GramianReport, b: np.ndarray, hard_cap: float | None = None) -> np.ndarray:
+def solve_gramian(report: GramianReport, b: np.ndarray) -> np.ndarray:
     """Solve Gramian x = b under the conditioning policy of every track.
 
-    SingularTrackError beyond ``hard_cap`` (when given); otherwise x comes
-    from the report's SVD, dropping singular values below 1e-12 sigma_max
-    (none below condition 1e12).  The solve residual, measured against
-    max(||b||, RESIDUAL_FLOOR), must then stay below RESIDUAL_CAP, else
-    SingularTrackError: b has no usable component in the range of the
-    Gramian.
+    x comes from the report's SVD, dropping singular values below
+    1e-12 sigma_max (none below condition 1e12).  The solve residual,
+    measured against max(||b||, RESIDUAL_FLOOR), must then stay below
+    RESIDUAL_CAP, else SingularTrackError: b has no usable component in the
+    range of the Gramian.
     """
-    if hard_cap is not None and not (report.condition <= hard_cap):
-        raise SingularTrackError(
-            f"Gramian condition {report.condition:.3e} beyond cap {hard_cap:.1e}",
-            condition=report.condition,
-        )
     s = report.singular_values
     keep = s > 1e-12 * s[0]
     coeff = np.zeros_like(s)
@@ -292,11 +276,11 @@ def motc_rhs(
     free: np.ndarray | None = None, beta: float | None = None,
 ) -> np.ndarray:
     """d eps/d s = f + x^T a along ``track`` at algorithmic time s, with
-    Gamma x = rate - int a f dt solved under the track's hard cap; ``beta``
-    adds the track's error correction (None tracks without it)."""
+    Gamma x = rate - int a f dt solved by `solve_gramian`; ``beta`` adds the
+    track's error correction (None tracks without it)."""
     a, report = track.gramian(prop)
     f = np.zeros(a.shape[1]) if free is None else np.asarray(free, float)
     if f.shape != (a.shape[1],):
         raise ValueError("free function must have one sample per grid node")
     b = track.rate(prop, s, beta) - a @ (prop.weights * f)
-    return solve_gramian(report, b, hard_cap=track.hard_cap) @ a + f
+    return solve_gramian(report, b) @ a + f

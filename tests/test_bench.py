@@ -23,7 +23,7 @@ from motc.bench import (
 )
 from motc import landscape, tracking
 from motc.bench import experiments
-from motc.bench.cli import main as cli_main
+from motc.bench.cli import build_parser, config_from_args, main as cli_main
 from motc.dynamics import ControlField, propagate
 from motc.errors import ConfigError
 from motc.tracking import linear_target_observables
@@ -32,6 +32,23 @@ from motc.tracking import linear_target_observables
 def _cells(*values):
     """The LOG_COLUMNS cells of one record, in column order."""
     return dict(zip(experiments.LOG_COLUMNS, values))
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Rebind every motc module attribute that is ``fn`` to a wrapper that
+    appends to the returned list on each call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "motc" or name.startswith("motc."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 class TestConfig:
@@ -70,6 +87,11 @@ class TestConfig:
             {"temperature": 0},
             {"grad_s_max": -1},
             {"max_steps": 0},
+            {"observables": 2},
+            {"observables": ("x",)},
+            {"observables": None},
+            {"seed": "x"},
+            {"samples": 2.5},
         ],
     )
     def test_validation_rejects(self, kw):
@@ -243,6 +265,38 @@ class TestGramianDistributionSmall:
         t3 = run_gramian_distribution(cfg2)["table"][1]
         assert np.array_equal(t1, t3)
 
+    @pytest.mark.parametrize(
+        "workers,samples,cpus,pool", [(4, 1, 8, None), (4, 2, 8, 2), (8, 3, 2, 2)]
+    )
+    def test_pool_bounded(self, monkeypatch, workers, samples, cpus, pool):
+        # The pool forks all its workers at the first submit, so it gets no
+        # more than there are samples or cores; one worker runs in process.
+        import concurrent.futures
+
+        made = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        cfg = ExperimentConfig(
+            experiment="gramian-dist", n_levels=3, state="pure", t_final=20.0, q=32,
+            observables=(2,), samples=samples, workers=workers,
+        )
+        assert run_gramian_distribution(cfg)["summary"]["failures"] == 0
+        assert made == ([] if pool is None else [pool])
+
 
 class TestEmitResults(object):
     def _bundle(self):
@@ -356,6 +410,18 @@ class TestCli:
         assert rc == 2
         assert "ds_min" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value,key,expected",
+        [
+            ("--correction", "off", "correction", "off"),
+            ("--free-fn", "fluence:eta=2", "free_fn", "fluence:eta=2"),
+            ("--workers", "3", "workers", 3),
+        ],
+    )
+    def test_flag_reaches_config(self, flag, value, key, expected):
+        args = build_parser().parse_args(["motc-track", flag, value])
+        assert getattr(config_from_args(args), key) == expected
+
     def test_bad_flag_value_exit_2(self, tmp_path):
         rc = cli_main(["gramian-dist", "--observables", "2,x", "--out", str(tmp_path)])
         assert rc == 2
@@ -414,6 +480,12 @@ class TestTrackingEndToEnd:
         "command,flags,config,summary_path,csv_name,termination",
         [
             ("motc-track", _LOOSE, {}, ("per_m", "2"), "motc-track_2.csv", "completed"),
+            # m = N: Gamma is singular (Theta_1 lies in span{I, P_0, P_1}),
+            # but the rates stay in its range and the solve truncates.
+            (
+                "motc-track", [*_LOOSE, "--observables", "3"], {}, ("per_m", "3"),
+                "motc-track_3.csv", "completed",
+            ),
             ("efficiency", _LOOSE, {}, ("motc",), "efficiency_motc_m2.csv", "observer"),
             ("unitary-track", [], {}, ("log",), "unitary-track_unitary.csv", "stall"),
             (
@@ -421,7 +493,10 @@ class TestTrackingEndToEnd:
                 "unitary-track_unitary.csv", "max_steps",
             ),
         ],
-        ids=["motc-completed", "efficiency-observer", "unitary-stall", "unitary-max-steps"],
+        ids=[
+            "motc-completed", "motc-m-equals-n", "efficiency-observer", "unitary-stall",
+            "unitary-max-steps",
+        ],
     )
     def test_runner(self, tmp_path, command, flags, config, summary_path, csv_name, termination):
         cfg_file = tmp_path / "cfg.json"
@@ -495,15 +570,7 @@ class TestOneGramianPerField:
         ids=["motc-completed", "unitary-max-steps"],
     )
     def test_calls(self, tmp_path, monkeypatch, command, config, summary_path):
-        calls = []
-        gramian = tracking.gramian_motc
-        for name, module in list(sys.modules.items()):
-            if name == "motc" or name.startswith("motc."):
-                for attr, value in list(vars(module).items()):
-                    if value is gramian:
-                        monkeypatch.setattr(
-                            module, attr, lambda *args: calls.append(1) or gramian(*args)
-                        )
+        calls = _count_calls(monkeypatch, tracking.gramian_motc)
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(config))
         out = tmp_path / "out"
@@ -523,24 +590,31 @@ class TestNoKinematicFlowInRunners:
         "runner", ["run_motc_experiment", "run_unitary_experiment", "run_efficiency_comparison"]
     )
     def test_zero_calls(self, monkeypatch, runner):
-        calls = []
-        flow = landscape.kinematic_flow
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return flow(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name == "motc" or name.startswith("motc."):
-                for attr, value in list(vars(module).items()):
-                    if value is flow:
-                        monkeypatch.setattr(module, attr, counted)
+        calls = _count_calls(monkeypatch, landscape.kinematic_flow)
         cfg = ExperimentConfig(
             n_levels=3, state="pure", t_final=20.0, q=32, observables=(2,), max_steps=3
         )
         summary = getattr(experiments, runner)(cfg)["summary"]
         assert calls == []
         assert 0 < summary["kinematic_max_phi1"] <= 1
+
+
+class TestOneGeodesicPerRun:
+    """A run builds its geodesic from U_0 to W once: the flow target's
+    branch-cut probe is the track every leg uses, so one principal log is
+    taken per run whatever the number of observable sets."""
+
+    @pytest.mark.parametrize(
+        "runner,observables",
+        [("run_motc_experiment", (1, 2)), ("run_efficiency_comparison", (2,))],
+    )
+    def test_one_log(self, monkeypatch, runner, observables):
+        calls = _count_calls(monkeypatch, tracking.log_unitary_principal)
+        cfg = ExperimentConfig(
+            n_levels=3, state="pure", t_final=20.0, q=32, observables=observables, max_steps=3
+        )
+        getattr(experiments, runner)(cfg)
+        assert len(calls) == 1
 
 
 class TestTrackStallCounters:

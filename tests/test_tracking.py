@@ -73,7 +73,7 @@ class TestGeodesicObservables:
     def test_endpoint_values(self, track_setup, rank7_state, observable_set):
         _, _, prop, w = track_setup
         oset = observable_set.subset(4)
-        t = geodesic_target_observables(prop.final, w, rank7_state, oset)
+        t = geodesic_target_observables(geodesic_target_unitary(prop.final, w), rank7_state, oset)
         assert np.abs(t.w_of_s(0.0) - expectations(prop, rank7_state, oset)).max() <= 1e-10
         rho_w = w @ rank7_state.rho0 @ w.conj().T
         phi_w = np.einsum("ab,kba->k", rho_w, oset.operators).real
@@ -82,7 +82,7 @@ class TestGeodesicObservables:
     def test_derivative_finite_difference(self, track_setup, rank7_state, observable_set):
         _, _, prop, w = track_setup
         oset = observable_set.subset(4)
-        t = geodesic_target_observables(prop.final, w, rank7_state, oset)
+        t = geodesic_target_observables(geodesic_target_unitary(prop.final, w), rank7_state, oset)
         h = 1e-6
         for s in (0.0, 0.33, 0.9):
             fd = (t.w_of_s(s + h) - t.w_of_s(s - h)) / (2 * h)
@@ -196,10 +196,11 @@ class TestFreeFunction:
 
 
 class TestSolvePolicy:
-    def test_hard_cap_raises(self):
+    def test_zero_gramian_raises(self):
+        # Gamma = 0 has an empty range: no rate can be followed.
         rep = gramian_motc(np.zeros((2, 8)), np.full(8, 0.1))
-        with pytest.raises(SingularTrackError):
-            solve_gramian(rep, np.ones(2), hard_cap=1e14)
+        with pytest.raises(SingularTrackError, match="unreachable"):
+            solve_gramian(rep, np.ones(2))
 
     def test_well_conditioned_matches_lu(self, rng):
         # Nothing is truncated: the SVD solve is the exact one.
@@ -208,7 +209,7 @@ class TestSolvePolicy:
         assert rep.condition < 1e4
         b = rng.standard_normal(6)
         expected = np.linalg.solve(rep.matrix, b)
-        x = solve_gramian(rep, b, hard_cap=1e14)
+        x = solve_gramian(rep, b)
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_regularized_above_strict_cap(self):
@@ -225,8 +226,8 @@ class TestSolvePolicy:
         assert np.allclose(x, [1.0, 0.0])
 
     def test_residual_check_covers_every_solve(self):
-        # Within the observable-tracking hard cap, a right-hand side that
-        # lies in the truncated direction has no usable solution.
+        # A right-hand side that lies in the truncated direction has no
+        # usable solution.
         rep = GramianReport(
             matrix=np.diag([1.0, 1e-13]),
             singular_values=np.array([1.0, 1e-13]),
@@ -235,7 +236,7 @@ class TestSolvePolicy:
             _vt=np.eye(2),
         )
         with pytest.raises(SingularTrackError, match="unreachable"):
-            solve_gramian(rep, np.array([0.0, 1.0]), hard_cap=1e14)
+            solve_gramian(rep, np.array([0.0, 1.0]))
 
 
 class TestMotcRhs:
@@ -278,7 +279,8 @@ class TestMotcRhs:
     def test_first_order_consistency(self, track_setup, rank7_state, observable_set):
         system, field, prop, w = track_setup
         oset = observable_set.subset(2)
-        target = geodesic_target_observables(prop.final, w, rank7_state, oset)
+        geodesic = geodesic_target_unitary(prop.final, w)
+        target = geodesic_target_observables(geodesic, rank7_state, oset)
         out = motc_rhs(target, prop, 0.0)
         ds = 1e-3
         prop2 = propagate(system, ControlField(field.samples + ds * out))
@@ -354,6 +356,6 @@ class TestUnitaryRhs:
         rep = gramian_motc(a, prop.weights)
         delta = -1j * (prop.final.conj().T @ target.dq_ds(0.2))
         dw = herm_to_vec(0.5 * (delta + delta.conj().T))
-        x = solve_gramian(rep, dw, hard_cap=None)
+        x = solve_gramian(rep, dw)
         via_motc = x @ a
         assert np.abs(direct - via_motc).max() <= 1e-8 * max(1.0, np.abs(direct).max())
