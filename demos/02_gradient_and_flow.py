@@ -17,7 +17,6 @@ from motc import (
     rkck_adaptive,
 )
 from motc.bench import build_model_system, build_observable_set, build_rank_truncated_state, sample_random_field
-from motc.landscape import objective_weighted
 
 system = build_model_system(11, t_final=20.0, q=256)
 state = build_rank_truncated_state(system, 7)
@@ -38,11 +37,11 @@ up[j] += h
 dn[j] -= h
 phi_up = expectations(propagate(system, ControlField(up)), state, oset)
 phi_dn = expectations(propagate(system, ControlField(dn)), state, oset)
-fd = float(oset.weights @ (phi_up - phi_dn)) / (2 * h * w[j])
+fd = float((phi_up - phi_dn).sum()) / (2 * h * w[j])
 print(f"sample {j}: analytic {g[j]:+.8f}  finite-difference {fd:+.8f}")
 
-# Gradient flow: d eps / d s = g. Phi_M rises monotonically.
-phi0 = objective_weighted(expectations(prop, state, oset), oset)
+# Gradient flow: d eps / d s = g. Phi_M = sum_k Phi_k rises monotonically.
+phi0 = expectations(prop, state, oset).sum()
 
 
 def rhs(s, control):
@@ -51,8 +50,6 @@ def rhs(s, control):
 
 problem = FlowProblem(rhs=rhs, s_span=(0.0, 5.0), initial=field, atol=1e-4, rtol=1e-4)
 report = rkck_adaptive(problem)
-phi1 = objective_weighted(
-    expectations(propagate(system, report.final_field), state, oset), oset
-)
+phi1 = expectations(propagate(system, report.final_field), state, oset).sum()
 print(f"Phi_M: {phi0:.6f} -> {phi1:.6f} in {report.accepted_steps} accepted steps "
       f"({report.rhs_evaluations} gradient evaluations)")

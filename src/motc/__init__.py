@@ -28,14 +28,11 @@ from .landscape import (
     analytic_purestate_flow,
     distance_derivative,
     gradient_field,
-    gradient_field_targeted,
     kinematic_flow,
     kinematic_maximizer,
     natural_basis_dimension,
     natural_basis_functions,
     natural_basis_rank,
-    objective_targeted,
-    objective_weighted,
     single_observable_gradients,
     unitary_gradient,
 )
@@ -79,14 +76,11 @@ __all__ = [
     "analytic_purestate_flow",
     "distance_derivative",
     "gradient_field",
-    "gradient_field_targeted",
     "kinematic_flow",
     "kinematic_maximizer",
     "natural_basis_dimension",
     "natural_basis_functions",
     "natural_basis_rank",
-    "objective_targeted",
-    "objective_weighted",
     "single_observable_gradients",
     "unitary_gradient",
     "condition_number",

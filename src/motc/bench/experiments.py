@@ -13,7 +13,7 @@ import math
 import numbers
 import os
 import re
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
@@ -86,6 +86,18 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# The check a scalar config field's annotation asks of its value.
+_FIELD_CHECKS = {
+    "int": (_is_integer, "an integer"),
+    "float": (_is_finite, "a finite number"),
+    "str": (lambda value: isinstance(value, str), "a string"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one benchmark run."""
@@ -111,9 +123,10 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("n_levels", "q", "samples", "seed", "max_steps", "workers"):
-            if not _is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer")
+        for f in fields(self):
+            check, kind = _FIELD_CHECKS.get(f.type, (None, None))
+            if check and not check(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be {kind}")
         if self.n_levels < 3:
             raise ConfigError("n_levels must be at least 3")
         if self.q < 2 or self.t_final <= 0:
@@ -127,7 +140,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive")
         obs = tuple(self.observables) if np.iterable(self.observables) else ()
         if not obs or not all(_is_integer(m) and 1 <= m <= self.n_levels for m in obs):
-            raise ConfigError(f"observable counts must be integers in 1..{self.n_levels}")
+            raise ConfigError(f"observables must be integers in 1..{self.n_levels}")
         object.__setattr__(self, "observables", tuple(map(int, obs)))
         # Typed values of the string specs, parsed once; kept outside the
         # dataclass fields so to_dict() and config_hash see only the specs.
@@ -143,7 +156,7 @@ class ExperimentConfig:
             (beta,) = _spec_numbers("correction", self.correction, "beta=" + _NUMBER)
         eta = None
         if self.free_fn != "zero":
-            (eta,) = _spec_numbers("free-function", self.free_fn, "fluence:eta=" + _NUMBER)
+            (eta,) = _spec_numbers("free_fn", self.free_fn, "fluence:eta=" + _NUMBER)
         # (ds,) for Euler, (atol, rtol) for Cash-Karp.
         integrator = _spec_numbers(
             "integrator", self.integrator, f"euler:ds={_NUMBER}|rkck:atol={_NUMBER},rtol={_NUMBER}"

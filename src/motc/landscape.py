@@ -1,4 +1,7 @@
-"""Control-landscape objectives, gradients, and the kinematic flow on U(N).
+"""The multiobservable objective, its gradients, and the kinematic flow on U(N).
+
+Objective.  Phi_M = sum_k Phi_k = Tr(U rho U^dag Theta_M), Theta_M = sum_k Theta_k,
+whose gradient on U(N) is the double bracket [Theta_M, V rho V^dag] V.
 
 Sign convention.  With H(t) = H0 - mu eps(t) and hbar = 1, first-order
 perturbation of the Schroedinger equation gives
@@ -46,11 +49,10 @@ NATURAL_BASIS_RANK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ObservableSet:
-    """Hermitian observables Theta_1..Theta_m with weights and optional targets."""
+    """Hermitian, linearly independent Theta_1..Theta_m of Phi_M = sum_k Phi_k.
+    A weighted sum_k alpha_k Phi_k is the unweighted one of alpha_k Theta_k."""
 
     operators: np.ndarray
-    weights: np.ndarray | None = None
-    targets: np.ndarray | None = None
 
     def __post_init__(self):
         ops = np.asarray(self.operators, dtype=complex)
@@ -60,18 +62,10 @@ class ObservableSet:
             raise ValueError("operators must be a stack of square matrices")
         for k in range(ops.shape[0]):
             require_hermitian(ops[k], name=f"Theta_{k + 1}")
-        w = np.ones(ops.shape[0]) if self.weights is None else np.asarray(self.weights, float)
-        if w.shape != (ops.shape[0],) or np.any(w <= 0):
-            raise ValueError("weights must be positive, one per observable")
-        t = None if self.targets is None else np.asarray(self.targets, float)
-        if t is not None and t.shape != (ops.shape[0],):
-            raise ValueError("targets must have one entry per observable")
         gram = np.einsum("kab,lba->kl", ops.conj().transpose(0, 2, 1), ops).real
         if condition_number(gram) >= 1e12:
             raise ValueError("observables are (numerically) linearly dependent")
         object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "targets", t)
 
     @property
     def m(self) -> int:
@@ -81,34 +75,11 @@ class ObservableSet:
     def dim(self) -> int:
         return self.operators.shape[1]
 
-    def weighted_operator(self) -> np.ndarray:
-        """Theta_M = sum_k alpha_k Theta_k."""
-        return np.einsum("k,kab->ab", self.weights, self.operators)
-
     def subset(self, m: int) -> "ObservableSet":
-        """The first m observables with their weights (and targets, if any)."""
+        """The first m observables."""
         if not 1 <= m <= self.m:
             raise ValueError(f"subset size {m} out of range 1..{self.m}")
-        t = None if self.targets is None else self.targets[:m]
-        return ObservableSet(self.operators[:m], self.weights[:m], t)
-
-
-def objective_weighted(phi: np.ndarray, oset: ObservableSet) -> float:
-    """Phi_M = sum_k alpha_k Phi_k."""
-    phi = np.asarray(phi, float)
-    if phi.shape != (oset.m,):
-        raise ValueError(f"expected {oset.m} expectation values, got {phi.shape}")
-    return float(oset.weights @ phi)
-
-
-def objective_targeted(phi: np.ndarray, oset: ObservableSet) -> float:
-    """Phi'_M = sum_k alpha_k (Phi_k - chi_k)^2."""
-    phi = np.asarray(phi, float)
-    if oset.targets is None:
-        raise ValueError("observable set has no targets")
-    if phi.shape != (oset.m,):
-        raise ValueError(f"expected {oset.m} expectation values, got {phi.shape}")
-    return float(oset.weights @ (phi - oset.targets) ** 2)
+        return ObservableSet(self.operators[:m])
 
 
 def _sample_scale(prop: PropagationResult) -> np.ndarray:
@@ -119,7 +90,7 @@ def _sample_scale(prop: PropagationResult) -> np.ndarray:
 def single_observable_gradients(
     prop: PropagationResult, state: StateSpec, oset: ObservableSet
 ) -> np.ndarray:
-    """(m, q) matrix of d Phi_k / d eps(t_j), unit observable weights.
+    """(m, q) matrix of d Phi_k / d eps(t_j), one row per observable.
 
     Row k is  (dt/w_j) * i Tr([Theta_k(T), mu_step(t_j)] rho(0))
     = (dt/w_j) * i Tr(C_k mu_step(t_j)),  C_k = [rho(0), Theta_k(T)].
@@ -133,38 +104,25 @@ def single_observable_gradients(
     c_flat = c.transpose(0, 2, 1).reshape(oset.m, n * n)
     raw = 1j * (c_flat @ prop.evolved_dipole_step.reshape(prop.q, n * n).T)
     resid = np.abs(raw.imag).max()
-    scale = max(np.abs(raw.real).max(), 1e-30)
-    if resid > 1e-10 * max(scale, 1.0):
+    if resid > 1e-10 * max(np.abs(raw.real).max(), 1.0):
         raise ConsistencyError(f"gradient imaginary residue {resid:.3e} above tolerance")
     return raw.real * _sample_scale(prop)[None, :]
 
 
 def gradient_field(prop: PropagationResult, state: StateSpec, oset: ObservableSet) -> np.ndarray:
-    """d Phi_M / d eps(t_j): alpha-weighted sum of single-observable gradients."""
-    return oset.weights @ single_observable_gradients(prop, state, oset)
+    """d Phi_M / d eps(t_j): the sum of the single-observable gradients."""
+    return single_observable_gradients(prop, state, oset).sum(axis=0)
 
 
-def gradient_field_targeted(
-    prop: PropagationResult, state: StateSpec, oset: ObservableSet, phi: np.ndarray | None = None
-) -> np.ndarray:
-    """Gradient of sum_k alpha_k (Phi_k - chi_k)^2 via the chain rule."""
-    from .dynamics import expectations  # local import to avoid cycle at module load
-
-    if oset.targets is None:
-        raise ValueError("observable set has no targets")
-    if phi is None:
-        phi = expectations(prop, state, oset)
-    singles = single_observable_gradients(prop, state, oset)
-    coeff = 2.0 * oset.weights * (np.asarray(phi, float) - oset.targets)
-    return coeff @ singles
+def _double_bracket(v: np.ndarray, rho: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """[Theta, V rho V^dag] V, for any square V (no unitarity check)."""
+    om = v @ rho @ v.conj().T
+    return (theta @ om - om @ theta) @ v
 
 
 def unitary_gradient(v: np.ndarray, state: StateSpec, oset: ObservableSet) -> np.ndarray:
     """Gradient of Phi_M on U(N): [Theta_M, V rho(0) V^dag] V."""
-    v = require_unitary(v, name="V")
-    theta_m = oset.weighted_operator()
-    om = v @ state.rho0 @ v.conj().T
-    return (theta_m @ om - om @ theta_m) @ v
+    return _double_bracket(require_unitary(v, name="V"), state.rho0, oset.operators.sum(axis=0))
 
 
 def _polar_unitary(v: np.ndarray) -> np.ndarray:
@@ -180,11 +138,6 @@ class KinematicFlowResult:
     v: np.ndarray
     phi: np.ndarray
     converged: bool
-    gradient_norm: float
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.v[-1]
 
 
 def kinematic_flow(
@@ -211,11 +164,11 @@ def kinematic_flow(
     v = require_unitary(np.asarray(v0, dtype=complex), name="V0").copy()
     if ds <= 0:
         raise ValueError("ds must be positive")
-    rho, theta_m = state.rho0, oset.weighted_operator()
+    rho, theta_m = state.rho0, oset.operators.sum(axis=0)
 
     def rhs(vc: np.ndarray) -> np.ndarray:
-        om = vc @ rho @ vc.conj().T
-        return (theta_m @ om - om @ theta_m) @ vc
+        # The RK4 stage points are not unitary: no check here.
+        return _double_bracket(vc, rho, theta_m)
 
     def phi_of(vc: np.ndarray) -> float:
         return float(np.trace(vc @ rho @ vc.conj().T @ theta_m).real)
@@ -225,8 +178,7 @@ def kinematic_flow(
     s = 0.0
     ds_cap = ds if ds_cap is None else max(ds, ds_cap)
     k1 = rhs(v)
-    grad_norm = float(np.linalg.norm(k1))
-    converged = grad_norm < grad_tol
+    converged = float(np.linalg.norm(k1)) < grad_tol
     while not converged and s < s_max - 1e-12:
         h = min(ds, s_max - s)
         k2 = rhs(v + 0.5 * h * k1)
@@ -250,14 +202,12 @@ def kinematic_flow(
         v_list.append(v.copy())
         phi_list.append(phi_cur)
         k1 = rhs(v)
-        grad_norm = float(np.linalg.norm(k1))
-        converged = grad_norm < grad_tol
+        converged = float(np.linalg.norm(k1)) < grad_tol
     return KinematicFlowResult(
         s=np.array(s_list),
         v=np.array(v_list),
         phi=np.array(phi_list),
         converged=converged,
-        gradient_norm=grad_norm,
     )
 
 

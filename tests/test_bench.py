@@ -1,7 +1,9 @@
+import ast
 import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from motc import landscape, tracking
 from motc.bench import experiments
 from motc.bench.cli import build_parser, config_from_args, main as cli_main
 from motc.dynamics import ControlField, propagate
-from motc.errors import ConfigError
+from motc.errors import BranchBoundaryError, ConfigError
 from motc.tracking import linear_target_observables
 
 
@@ -92,11 +94,33 @@ class TestConfig:
             {"observables": None},
             {"seed": "x"},
             {"samples": 2.5},
+            {"t_final": "x"},
+            {"t_final": float("nan")},
+            {"temperature": True},
+            {"grad_s_max": float("inf"), "integrator": "euler:ds=0.5"},
+            {"state": 3},
+            {"integrator": 7},
+            {"correction": None},
         ],
     )
     def test_validation_rejects(self, kw):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
             ExperimentConfig(**kw)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"t_final": float("nan")}, {"grad_s_max": float("inf"), "integrator": "euler:ds=0.5"}],
+        ids=["t_final-nan", "grad_s_max-inf"],
+    )
+    def test_non_finite_value_exit_2(self, tmp_path, capsys, changes):
+        # json.dumps writes NaN and Infinity, which json.load reads back.
+        tiny = {"n_levels": 3, "state": "pure", "t_final": 20.0, "q": 32, "observables": [2]}
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({**tiny, **changes}))
+        rc = cli_main(["grad-flow", "--config", str(cfg_file), "--out", str(tmp_path)])
+        assert rc == 2
+        key = next(iter(changes))
+        assert f"config error: {key} must be a finite number" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -116,6 +140,33 @@ class TestConfig:
         f = cfg.free_function(np.ones(8))
         assert np.allclose(f, -0.01)
         assert ExperimentConfig().free_function(np.ones(8)) is None
+
+
+def _golden_tool_tables() -> dict:
+    """BASE and GOLDENS of tools/goldens.py, read without importing it
+    (importing it sets the BLAS thread variables for this process)."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "tools" / "goldens.py").read_text())
+    return {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if getattr(target, "id", None) in ("BASE", "GOLDENS")
+    }
+
+
+class TestGoldenTool:
+    """Every byte-identity check runs tools/goldens.py: its configs must not
+    rest on a default that a change could move."""
+
+    def test_base_pins_every_field(self):
+        fields = set(ExperimentConfig.__dataclass_fields__)
+        assert set(_golden_tool_tables()["BASE"]) == fields - {"experiment"}
+
+    def test_goldens_change_only_fields(self):
+        tables = _golden_tool_tables()
+        fields = set(ExperimentConfig.__dataclass_fields__) - {"experiment"}
+        for name, (command, changes) in tables["GOLDENS"].items():
+            assert set(changes) <= fields, name
+            ExperimentConfig.from_dict({**tables["BASE"], **changes, "experiment": command})
 
 
 class TestSubstreams:
@@ -615,6 +666,50 @@ class TestOneGeodesicPerRun:
         )
         getattr(experiments, runner)(cfg)
         assert len(calls) == 1
+
+
+class TestBranchCutRetry:
+    """`_flow_target` nudges W off the log branch cut and tries the geodesic
+    again, up to five times; then the run ends in BranchBoundaryError."""
+
+    CONFIG = ExperimentConfig(
+        n_levels=3, state="pure", t_final=20.0, q=32, observables=(2,), max_steps=3
+    )
+
+    @staticmethod
+    def _fail_first(monkeypatch, failures: int) -> list:
+        """Make the geodesic raise on its first ``failures`` calls; returns
+        the W of every call."""
+        seen = []
+
+        def flaky(u0, w):
+            seen.append(w.copy())
+            if len(seen) <= failures:
+                raise BranchBoundaryError("W on the branch cut")
+            return tracking.geodesic_target_unitary(u0, w)
+
+        monkeypatch.setattr(experiments, "geodesic_target_unitary", flaky)
+        return seen
+
+    def test_nudged_once(self, monkeypatch):
+        plain = experiments.run_motc_experiment(self.CONFIG)["summary"]
+        seen = self._fail_first(monkeypatch, 1)
+        summary = experiments.run_motc_experiment(self.CONFIG)["summary"]
+        first, nudged = seen
+        assert np.abs(nudged.conj().T @ nudged - np.eye(3)).max() < 1e-12
+        assert 0 < np.linalg.norm(nudged - first) <= 1e-3
+        assert summary["kinematic_max_phi1"] == plain["kinematic_max_phi1"]
+        assert summary["per_m"]["2"]["accepted_steps"] > 0
+
+    def test_five_failures_end_the_run(self, monkeypatch, tmp_path):
+        seen = self._fail_first(monkeypatch, 5)
+        with pytest.raises(BranchBoundaryError):
+            experiments.run_motc_experiment(self.CONFIG)
+        assert len(seen) == 5
+        seen.clear()
+        rc = cli_main(["motc-track", *_TINY, "--out", str(tmp_path)])
+        assert rc == 3
+        assert len(seen) == 5
 
 
 class TestTrackStallCounters:

@@ -11,14 +11,11 @@ from motc.landscape import (
     dipole_component_matrix,
     distance_derivative,
     gradient_field,
-    gradient_field_targeted,
     kinematic_flow,
     kinematic_maximizer,
     natural_basis_dimension,
     natural_basis_functions,
     natural_basis_rank,
-    objective_targeted,
-    objective_weighted,
     single_observable_gradients,
     unitary_gradient,
 )
@@ -31,7 +28,6 @@ def fd_gradient_at(system, state, oset, field, indices, step=1e-5):
     """Central finite differences of Phi_M under per-sample bumps, divided by
     the trapezoidal weights (the stated oracle convention)."""
     w = system.quadrature_weights
-    alpha = oset.weights
     out = {}
     for j in indices:
         up, dn = field.samples.copy(), field.samples.copy()
@@ -39,51 +35,32 @@ def fd_gradient_at(system, state, oset, field, indices, step=1e-5):
         dn[j] -= step
         phi_up = expectations(propagate(system, ControlField(up)), state, oset)
         phi_dn = expectations(propagate(system, ControlField(dn)), state, oset)
-        out[j] = float(alpha @ (phi_up - phi_dn)) / (2 * step * w[j])
+        out[j] = float((phi_up - phi_dn).sum()) / (2 * step * w[j])
     return out
 
 
 class TestObjectives:
-    def test_weighted_direct_sum(self):
-        oset = ObservableSet(np.array([np.eye(2), np.diag([1.0, 0.0])]))
-        assert objective_weighted(np.array([0.2, 0.3]), oset) == pytest.approx(0.5)
-
-    def test_weighted_single_identity(self):
-        oset = ObservableSet(np.diag([1.0, 0.0]))
-        assert objective_weighted(np.array([0.7]), oset) == pytest.approx(0.7)
-
-    def test_weighted_alpha(self):
-        oset = ObservableSet(
-            np.array([np.eye(2), np.diag([1.0, 0.0])]), weights=np.array([2.0, 3.0])
-        )
-        assert objective_weighted(np.array([0.1, 0.1]), oset) == pytest.approx(0.5)
-
-    def test_targeted_zero_on_target(self):
-        oset = ObservableSet(
-            np.array([np.eye(2), np.diag([1.0, 0.0])]), targets=np.array([0.4, 0.2])
-        )
-        assert objective_targeted(np.array([0.4, 0.2]), oset) == 0.0
-
-    def test_targeted_quadratic(self):
-        oset = ObservableSet(np.diag([1.0, 0.0]), targets=np.array([0.0]))
-        assert objective_targeted(np.array([0.5]), oset) == pytest.approx(0.25)
-
-    def test_targeted_nonnegative(self, rng):
-        oset = ObservableSet(
-            np.array([np.eye(3), np.diag([1.0, 0.0, 0.0])]), targets=rng.standard_normal(2)
-        )
-        for _ in range(10):
-            assert objective_targeted(rng.standard_normal(2), oset) >= 0.0
-
-    def test_targeted_requires_targets(self):
-        oset = ObservableSet(np.eye(2))
-        with pytest.raises(ValueError, match="target"):
-            objective_targeted(np.array([0.1]), oset)
+    """Phi_M = sum_k Phi_k over an independent set of observables."""
 
     def test_dependent_observables_rejected(self):
         ops = np.array([np.eye(3), 2.0 * np.eye(3)])
         with pytest.raises(ValueError, match="dependent"):
             ObservableSet(ops)
+
+    def test_weights_fold_into_operators(
+        self, small_system, small_field, rank7_state, observable_set
+    ):
+        # sum_k alpha_k Phi_k is the objective of the operators alpha_k Theta_k.
+        prop = propagate(small_system, small_field)
+        alpha = np.array([0.7, 1.3, 2.0, 0.1])
+        plain = observable_set.subset(4)
+        scaled = ObservableSet(alpha[:, None, None] * plain.operators)
+        singles = single_observable_gradients(prop, rank7_state, plain)
+        g = gradient_field(prop, rank7_state, scaled)
+        assert np.abs(g - alpha @ singles).max() <= 1e-12 * max(1.0, np.abs(g).max())
+        phi = expectations(prop, rank7_state, plain)
+        phi_scaled = expectations(prop, rank7_state, scaled).sum()
+        assert phi_scaled == pytest.approx(alpha @ phi, abs=1e-13)
 
 
 class TestGradientField:
@@ -116,57 +93,17 @@ class TestGradientField:
             assert abs(g[j] - val) <= 1e-4 * max(abs(val), 1e-3 * scale)
 
     def test_linearity_in_weights(self, small_system, small_field, rank7_state, observable_set):
+        # Phi_M = sum_k Phi_k: its gradient is the sum of the single ones.
         prop = propagate(small_system, small_field)
-        oset = ObservableSet(
-            observable_set.operators[:4], weights=np.array([0.7, 1.3, 2.0, 0.1])
-        )
+        oset = observable_set.subset(4)
         g = gradient_field(prop, rank7_state, oset)
         singles = single_observable_gradients(prop, rank7_state, oset)
-        assert np.abs(g - oset.weights @ singles).max() <= 1e-12
+        assert np.abs(g - singles.sum(axis=0)).max() <= 1e-12
 
     def test_structural_zero_at_last_sample(self, small_system, small_field, rank7_state, observable_set):
         prop = propagate(small_system, small_field)
         g = gradient_field(prop, rank7_state, observable_set)
         assert g[-1] == 0.0
-
-
-class TestGradientTargeted:
-    def test_zero_at_target(self, small_system, small_field, rank7_state, observable_set):
-        prop = propagate(small_system, small_field)
-        phi = expectations(prop, rank7_state, observable_set.subset(2))
-        oset = ObservableSet(observable_set.operators[:2], targets=phi)
-        g = gradient_field_targeted(prop, rank7_state, oset)
-        assert np.abs(g).max() < 1e-12
-
-    def test_chain_rule_reduction(self, small_system, small_field, rank7_state, observable_set):
-        prop = propagate(small_system, small_field)
-        oset = ObservableSet(observable_set.operators[:1], targets=np.array([0.0]))
-        phi = expectations(prop, rank7_state, oset)
-        g = gradient_field_targeted(prop, rank7_state, oset)
-        g1 = gradient_field(prop, rank7_state, oset)
-        assert np.allclose(g, 2.0 * phi[0] * g1, atol=1e-14)
-
-    def test_finite_difference_oracle(self, small_system, small_field, rank7_state, observable_set):
-        prop = propagate(small_system, small_field)
-        oset = ObservableSet(
-            observable_set.operators[:2], targets=np.array([0.9, 0.05])
-        )
-        g = gradient_field_targeted(prop, rank7_state, oset)
-        w = small_system.quadrature_weights
-        rng = np.random.default_rng(3)
-        scale = np.abs(g).max()
-        for j in rng.choice(small_system.q - 1, size=6, replace=False):
-            up, dn = small_field.samples.copy(), small_field.samples.copy()
-            up[j] += 1e-5
-            dn[j] -= 1e-5
-            f_up = objective_targeted(
-                expectations(propagate(small_system, ControlField(up)), rank7_state, oset), oset
-            )
-            f_dn = objective_targeted(
-                expectations(propagate(small_system, ControlField(dn)), rank7_state, oset), oset
-            )
-            fd = (f_up - f_dn) / (2e-5 * w[j])
-            assert abs(g[j] - fd) <= 1e-4 * max(abs(fd), 1e-3 * scale)
 
 
 class TestUnitaryGradient:
@@ -192,7 +129,7 @@ class TestUnitaryGradient:
         v = random_unitary(11, rng)
         oset = observable_set.subset(2)
         g = unitary_gradient(v, rank7_state, oset)
-        theta_m = oset.weighted_operator()
+        theta_m = oset.operators.sum(axis=0)
 
         def phi_of(u):
             return np.trace(u @ rank7_state.rho0 @ u.conj().T @ theta_m).real
@@ -445,7 +382,7 @@ class TestFMatrix:
         prop = propagate(small_system, small_field)
         oset = observable_set.subset(3)
         u = prop.final
-        theta_m = oset.weighted_operator()
+        theta_m = oset.operators.sum(axis=0)
         theta_t = u.conj().T @ theta_m @ u
         p = -1j * (theta_t @ rank7_state.rho0 - rank7_state.rho0 @ theta_t)
         from motc.linalg import herm_to_vec
