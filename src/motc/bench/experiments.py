@@ -71,14 +71,16 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 def _spec_numbers(what: str, spec: str, pattern: str) -> tuple[float, ...]:
     """The numbers ``pattern`` captures from a config spec (groups of an
     alternative that did not match are skipped); ConfigError unless there
-    are some and all are positive."""
+    are some and all are finite and positive."""
     m = re.fullmatch(pattern, spec)
     try:
         values = tuple(float(g) for g in m.groups() if g is not None) if m else ()
     except ValueError:
         values = ()
-    if not values or not all(v > 0 for v in values):
+    if not values:
         raise ConfigError(f"unknown {what} spec {spec!r}")
+    if not all(0 < v < math.inf for v in values):
+        raise ConfigError(f"{what} spec {spec!r} needs finite positive numbers")
     return values
 
 
@@ -138,10 +140,6 @@ class ExperimentConfig:
         for name in ("temperature", "grad_s_max", "max_steps"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
-        obs = tuple(self.observables) if np.iterable(self.observables) else ()
-        if not obs or not all(_is_integer(m) and 1 <= m <= self.n_levels for m in obs):
-            raise ConfigError(f"observables must be integers in 1..{self.n_levels}")
-        object.__setattr__(self, "observables", tuple(map(int, obs)))
         # Typed values of the string specs, parsed once; kept outside the
         # dataclass fields so to_dict() and config_hash see only the specs.
         # The pure state is the thermal one truncated to rank 1, the
@@ -150,7 +148,9 @@ class ExperimentConfig:
         if rank is None:
             rank = int(_spec_numbers("state", self.state, r"rank(\d+)")[0])
             if rank > self.n_levels:
-                raise ConfigError(f"unknown state spec {self.state!r}")
+                raise ConfigError(
+                    f"state {self.state!r} needs n_levels >= {rank}, got {self.n_levels}"
+                )
         beta = None
         if self.correction != "off":
             (beta,) = _spec_numbers("correction", self.correction, "beta=" + _NUMBER)
@@ -165,6 +165,12 @@ class ExperimentConfig:
         object.__setattr__(self, "_beta", beta)
         object.__setattr__(self, "_eta", eta)
         object.__setattr__(self, "_integrator", integrator)
+        obs = tuple(self.observables) if np.iterable(self.observables) else ()
+        if not obs or not all(_is_integer(m) and 1 <= m <= self.n_levels for m in obs):
+            raise ConfigError(f"observables must be integers in 1..{self.n_levels}")
+        if len(set(obs)) < len(obs):
+            raise ConfigError(f"observables must not repeat a count: {list(obs)}")
+        object.__setattr__(self, "observables", tuple(map(int, obs)))
         if self.track not in ("geodesic", "linear"):
             raise ConfigError(f"unknown track spec {self.track!r}")
         if not 0 < self.threshold_fraction <= 1:
@@ -589,8 +595,9 @@ def run_gradient_flow(config: ExperimentConfig) -> dict:
 
 
 def run_efficiency_comparison(config: ExperimentConfig) -> dict:
-    """Accepted ASRK5 steps to reach Phi_1 >= threshold: MOTC (largest m)
-    versus the gradient flow, identical tolerances."""
+    """Accepted steps of the configured integrator to reach
+    Phi_1 >= threshold: MOTC (largest m) versus the gradient flow, under
+    identical tolerances."""
     propagator, state, oset_full, eps0 = _setup(config)
     _, _, geodesic, flow_info = _flow_target(config, propagator, state, oset_full, eps0)
     threshold = config.threshold_fraction * flow_info["kinematic_max_phi1"]

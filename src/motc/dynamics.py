@@ -6,23 +6,30 @@ sampled on q uniform nodes over [0, T] and held constant on each step
 exp(-i H(t_j) dt) with dt = T/(q-1).  Local propagators are built by
 diagonalization, exponentiation of the eigenvalues, and sandwiching back.
 
-Besides the cumulative propagators, the propagation returns the within-step
-average of the evolved dipole mu(t) = U^dag(t,0) mu U(t,0) over each step,
-obtained in closed form from the step eigenbasis.  That average is what makes
-functional derivatives of the discrete dynamics exact: the sensitivity of
-U(T) to the j-th field sample is i dt U(T) mu_avg(t_j).
+Besides U(T), the propagation returns the within-step average mu_avg(t_j)
+of the evolved dipole mu(t) = U^dag(t,0) mu U(t,0) over each step, in
+closed form from the step eigenbasis.  It makes derivatives of the discrete
+dynamics exact, and it is returned in sample units, the one unit convention
+of the package: with w_j the trapezoid weight of sample j,
 
-One pass computes both.  The step Hamiltonians H_j = V_j diag(w_j) V_j^dag
-are diagonalized in one batched ``eigh``: the real-symmetric one when H0 and
-mu have no imaginary part (as in the banded model of ``motc.bench``), the
-complex-Hermitian one otherwise.  With W_j = V_j^dag U(t_j, 0), the step average is
-W_j^dag (mu'_j o Phi_j) W_j, where mu'_j = V_j^dag mu V_j is the dipole in
-the step eigenbasis and (Phi_j)_ab = phi(i g_ab) with g_ab = (w_a - w_b) dt,
+    dipoles[j] = (dt/w_j) mu_avg(t_j),    dU(T)/d eps_j = i w_j U(T) dipoles[j].
+
+So gradient samples and Gramian rows (``motc.landscape``, ``motc.tracking``)
+are linear images of ``dipoles``, and sum_j w_j g_j d eps_j is an exact
+chain rule.  dt/w_j is 1 in the interior and 2 at the ends: exact scaling.
+
+One pass computes both.  The step Hamiltonians
+H_j = V_j diag(lambda_j) V_j^dag are diagonalized in one batched ``eigh``:
+the real-symmetric one when H0 and mu have no imaginary part (as in the
+banded model of ``motc.bench``), the complex-Hermitian one otherwise.  With
+W_j = V_j^dag U(t_j, 0), the step average is W_j^dag (mu'_j o Phi_j) W_j,
+where mu'_j = V_j^dag mu V_j is the dipole in the step eigenbasis and
+(Phi_j)_ab = phi(i g_ab) with g_ab = (lambda_a - lambda_b) dt,
 phi(ig) = (e^{ig} - 1)/(ig) = sin(g)/g + i 2 sin^2(g/2)/g and phi(0) = 1.
 The sine form is taken from real sines, so no gap loses digits to the
 cancellation in e^{ig} - 1.  For a real system V_j, mu'_j and Phi_j's
 gaps are real, and the products with a real left factor, the step
-exponentials S_j = V_j (e^{-i w_j dt} o V_j^T) and W_j = V_j^T U(t_j, 0),
+exponentials S_j = V_j (e^{-i lambda_j dt} o V_j^T) and W_j = V_j^T U(t_j, 0),
 run as real GEMMs on the complex right factor's float64 view.
 """
 
@@ -163,34 +170,14 @@ def pure_state(n: int, index: int = 0) -> StateSpec:
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Cumulative propagators and step-averaged evolved dipoles on the grid.
+    """U(T) as ``final``; ``dipoles[j]``, the average of mu(t) over the step
+    [t_j, t_{j+1}] in sample units (see the module docstring) with the
+    trapezoid ``weights``.  ``dipoles[q-1]`` is zero: no step starts there,
+    and the last field sample never enters the left-endpoint dynamics."""
 
-    ``cumulative[j]`` is U(t_j, 0); ``evolved_dipole_step[j]`` is the exact
-    average of mu(t) over the step [t_j, t_{j+1}] (zero matrix at j = q-1,
-    where no step starts: the last field sample never enters the
-    left-endpoint dynamics).  Both come from one eigendecomposition per
-    step, real-symmetric when the system is real: the average is
-    W_j^dag (mu'_j o Phi_j) W_j with W_j = V_j^dag U(t_j, 0) and Phi_j
-    taken in the sine form phi(ig) = sin(g)/g + i 2 sin^2(g/2)/g; with a
-    real V_j, S_j and W_j are real GEMMs (see the module docstring).
-    """
-
-    cumulative: np.ndarray
-    evolved_dipole_step: np.ndarray
-    dt: float
+    final: np.ndarray
+    dipoles: np.ndarray
     weights: np.ndarray = field(repr=False)
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.cumulative[-1]
-
-    @property
-    def q(self) -> int:
-        return self.cumulative.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.cumulative.shape[1]
 
 
 def _matmul_real_left(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -225,10 +212,12 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
     rows = np.multiply(np.exp(-1j * dt * w)[:, :, None], vh, order="C")
     steps = _matmul_real_left(v, rows, out=np.empty_like(rows))
 
-    cumulative = np.empty((q, n, n), dtype=complex)
-    cumulative[0] = np.eye(n)
+    # U(t_j, 0) at every node, of which only U(T) is returned.
+    u_nodes = np.empty((q, n, n), dtype=complex)
+    u_nodes[0] = np.eye(n)
     for j in range(q - 1):
-        np.matmul(steps[j], cumulative[j], out=cumulative[j + 1])
+        np.matmul(steps[j], u_nodes[j], out=u_nodes[j + 1])
+    final = u_nodes[-1].copy()
 
     # Within-step average of the interaction-picture dipole, in closed form:
     # (1/dt) int_0^dt e^{iHs} mu e^{-iHs} ds has eigenbasis elements
@@ -236,7 +225,7 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
     # phi(ig) = (e^{ig} - 1)/(ig) = sin(g)/g + i 2 sin^2(g/2)/g, phi(0) = 1.
     # Real sines lose no digits at any gap, where e^{ig} - 1 cancels them.
     # The buffers of the step exponentials and of their rows, spent once
-    # the cumulative product is built, take mu' o Phi and W_j.
+    # the node propagators are built, take mu' o Phi and W_j.
     g = (w[:, :, None] - w[:, None, :]) * dt
     gap = g != 0
     phi = steps
@@ -247,20 +236,19 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
     phi.imag = 0.0
     np.divide(2.0 * half, g, out=phi.imag, where=gap)
     mu_phi = np.multiply(vh @ mu @ v, phi, out=phi)
-    wj = _matmul_real_left(vh, cumulative[:-1], out=rows)
+    wj = _matmul_real_left(vh, u_nodes[:-1], out=rows)
     mixed = mu_phi @ wj
     # W_j^dag is the transposed view of W_j conjugated in place: BLAS takes
     # a transposed operand as it is, where a conjugated copy costs a pass.
     np.conjugate(wj, out=wj)
-    evolved_step = np.zeros((q, n, n), dtype=complex)
-    np.matmul(wj.transpose(0, 2, 1), mixed, out=evolved_step[:-1])
-
-    return PropagationResult(
-        cumulative=cumulative,
-        evolved_dipole_step=evolved_step,
-        dt=dt,
-        weights=system.quadrature_weights,
-    )
+    # The dipoles take the node propagators' buffer, spent once W_j is built.
+    dipoles = u_nodes
+    np.matmul(wj.transpose(0, 2, 1), mixed, out=dipoles[:-1])
+    dipoles[-1] = 0.0
+    # Sample units: dt/weights[j] is 1 but at the ends, and row q-1 is zero.
+    weights = system.quadrature_weights
+    dipoles[0] *= dt / weights[0]
+    return PropagationResult(final=final, dipoles=dipoles, weights=weights)
 
 
 def expectations(prop: PropagationResult | np.ndarray, state: StateSpec, oset) -> np.ndarray:

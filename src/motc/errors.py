@@ -13,7 +13,8 @@ class BranchBoundaryError(MotcError):
 
 
 class SingularTrackError(MotcError):
-    """A tracking Gramian is beyond the usable conditioning cap."""
+    """A tracking Gramian solve leaves a residual above its cap: the rate
+    has no usable component in the Gramian's range (see ``solve_gramian``)."""
 
     def __init__(self, msg: str, condition: float = float("inf")):
         super().__init__(msg)

@@ -16,13 +16,12 @@ with Theta(T) = U^dag(T) Theta U(T).  The sign is fixed by central finite
 differences of the discrete objective (see tests); flipping it would turn the
 ascent flow into descent.
 
-Discrete gradients.  The propagation holds the field constant per step, so
-the exact sensitivity of the discrete Phi to sample j involves the step
-average of mu(t) over [t_j, t_{j+1}] (``evolved_dipole_step``), not the node
-value.  Gradient samples are reported divided by the trapezoidal quadrature
-weights, which makes  d Phi  =  sum_j w_j g_j d eps_j  an exact chain rule
-and keeps per-sample finite differences commensurate with the functional
-derivative.  By cyclicity of the trace,
+Discrete gradients.  The field is constant per step, so the exact
+sensitivity of the discrete Phi to sample j goes through the step average of
+mu(t), not its node value.  The propagation's ``dipoles`` hold that average
+in sample units (see ``motc.dynamics``): g_j = i Tr([Theta(T), dipoles[j]]
+rho(0)) is d Phi/d eps_j over the trapezoid weight w_j, commensurate with
+per-sample finite differences.  By cyclicity of the trace,
 i Tr([Theta_k(T), mu_j] rho(0)) = i Tr(C_k mu_j) with the one commutator
 C_k = [rho(0), Theta_k(T)] per observable, so all (m, q) samples are a
 single product of C, flattened to (m, N^2), with the flattened step dipoles
@@ -37,7 +36,7 @@ import numpy as np
 
 from .dynamics import PropagationResult, StateSpec
 from .errors import ConsistencyError, StallError
-from .linalg import condition_number, herm_to_vec, require_hermitian, require_unitary
+from .linalg import condition_number, require_hermitian, require_unitary
 
 GRAD_NORM_TOL = 1e-8
 # Smallest step of the kinematic flow's halving retries before it stalls.
@@ -82,31 +81,28 @@ class ObservableSet:
         return ObservableSet(self.operators[:m])
 
 
-def _sample_scale(prop: PropagationResult) -> np.ndarray:
-    """dt / w_j per sample: converts step sensitivities to weight-divided samples."""
-    return prop.dt / prop.weights
-
-
 def single_observable_gradients(
     prop: PropagationResult, state: StateSpec, oset: ObservableSet
 ) -> np.ndarray:
     """(m, q) matrix of d Phi_k / d eps(t_j), one row per observable.
 
-    Row k is  (dt/w_j) * i Tr([Theta_k(T), mu_step(t_j)] rho(0))
-    = (dt/w_j) * i Tr(C_k mu_step(t_j)),  C_k = [rho(0), Theta_k(T)].
+    Row k is  i Tr([Theta_k(T), dipoles[j]] rho(0)) = i Tr(C_k dipoles[j]),
+    C_k = [rho(0), Theta_k(T)].
     """
-    if oset.dim != prop.dim or state.dim != prop.dim:
+    u, rho, n = prop.final, state.rho0, prop.final.shape[0]
+    if oset.dim != n or state.dim != n:
         raise ValueError("dimension mismatch")
-    u, rho, n = prop.final, state.rho0, prop.dim
     theta_t = u.conj().T @ oset.operators @ u
     c = rho @ theta_t - theta_t @ rho
     # Tr(C mu) = sum_ab (C^T)_ab mu_ab: one GEMM over the flattened matrices.
     c_flat = c.transpose(0, 2, 1).reshape(oset.m, n * n)
-    raw = 1j * (c_flat @ prop.evolved_dipole_step.reshape(prop.q, n * n).T)
+    raw = 1j * (c_flat @ prop.dipoles.reshape(-1, n * n).T)
     resid = np.abs(raw.imag).max()
     if resid > 1e-10 * max(np.abs(raw.real).max(), 1.0):
         raise ConsistencyError(f"gradient imaginary residue {resid:.3e} above tolerance")
-    return raw.real * _sample_scale(prop)[None, :]
+    # A strided view would send gramian_motc's a @ a.T down another BLAS
+    # path, with other roundoff.
+    return np.ascontiguousarray(raw.real)
 
 
 def gradient_field(prop: PropagationResult, state: StateSpec, oset: ObservableSet) -> np.ndarray:
@@ -284,22 +280,20 @@ def natural_basis_functions(prop: PropagationResult, state: StateSpec) -> np.nda
     i < j with p_i != p_j, i.e. in different clusters of the state's
     ``cluster_edges``.  Returns those real functions sampled on the grid,
     shape (n_functions, q), Re and Im of each pair in turn; n_functions
-    equals :func:`natural_basis_dimension`.  mu(t) is the step-averaged
-    evolved dipole scaled by dt/w_j, as in
-    :func:`single_observable_gradients`, so the functions span the exact
-    discrete gradients.
+    equals :func:`natural_basis_dimension`.  mu(t) is the propagation's
+    ``dipoles``, in sample units, so the functions span the exact discrete
+    gradients.
     """
-    if state.dim != prop.dim:
+    if state.dim != prop.final.shape[0]:
         raise ValueError("dimension mismatch")
     r = state.eigenbasis
-    mu_step = prop.evolved_dipole_step * _sample_scale(prop)[:, None, None]
-    mu_eig = r.conj().T @ mu_step @ r
+    mu_eig = r.conj().T @ prop.dipoles @ r
     sizes = np.diff(state.cluster_edges)
     cluster = np.repeat(np.arange(sizes.size), sizes)
     iu, ju = np.triu_indices(state.dim, 1)
     apart = cluster[iu] != cluster[ju]
     pairs = mu_eig[:, iu[apart], ju[apart]].T
-    return np.stack([pairs.real, pairs.imag], axis=1).reshape(-1, prop.q)
+    return np.stack([pairs.real, pairs.imag], axis=1).reshape(-1, prop.weights.size)
 
 
 def natural_basis_rank(prop: PropagationResult, state: StateSpec) -> int:
@@ -310,15 +304,4 @@ def natural_basis_rank(prop: PropagationResult, state: StateSpec) -> int:
     gram = (fam * prop.weights[None, :]) @ fam.T
     sv = np.linalg.svd(gram, compute_uv=False)
     return int((sv > NATURAL_BASIS_RANK_TOL * sv[0]).sum())
-
-
-def dipole_component_matrix(prop: PropagationResult) -> np.ndarray:
-    """(q, N^2) sample matrix of the dipole basis functions.
-
-    Row j holds the real Hermitian-basis coordinates of the step-averaged
-    evolved dipole, scaled by dt/w_j; these are exactly the per-sample
-    derivatives of the propagator coordinates, i.e. the expansion functions
-    of the tracking equations.  Row q-1 is zero (no step starts there).
-    """
-    return herm_to_vec(prop.evolved_dipole_step) * _sample_scale(prop)[:, None]
 

@@ -22,11 +22,11 @@ propagation, memoised on the propagation object (held by weak reference), so
 a run's recorder and the integrator's next first stage share one gradient,
 Gramian and SVD.  Every track's Gramian is solved by `solve_gramian`.
 
-All time integrals are trapezoidal sums on the propagation grid; because the
-gradient samples are exact derivatives of the discrete dynamics divided by
-the quadrature weights, the discrete chain rule d Phi/d s = sum_j w_j a_j
-(d eps_j/d s) holds exactly and first-order tracking consistency is limited
-only by O(ds^2) terms.
+All time integrals are trapezoidal sums on the propagation grid.  Every
+track's rows are linear images of the propagation's ``dipoles``, in sample
+units (see ``motc.dynamics``), so the discrete chain rule
+d Phi/d s = sum_j w_j a_j (d eps_j/d s) holds exactly and first-order
+tracking consistency is limited only by O(ds^2) terms.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .dynamics import PropagationResult, StateSpec, expectations
 from .errors import SingularTrackError
-from .landscape import ObservableSet, dipole_component_matrix, single_observable_gradients
+from .landscape import ObservableSet, single_observable_gradients
 from .linalg import (
     condition_from_singular_values,
     herm_to_vec,
@@ -131,10 +131,10 @@ class UnitaryTrack(Track):
 
     One ``eigh`` of the generator A = va diag(wa) va^dag at construction
     serves every ``rotation(s)`` = e^{iAs}, Q_s and dQ_s/ds.  Rows: the N^2
-    dipole basis functions (a = B^T).  Rate: the coordinates of
-    Delta_s = Herm(-i U_s^dag(T) dQ_s/ds), dQ/ds in the tangent frame at
-    U_s(T), plus beta (-i log(U_s^dag(T) Q_s)).  Error: ||U_s(T) - Q_s||_F
-    in all three places.  G is routinely ill-conditioned; its solves
+    dipole basis functions, the real coordinates of ``dipoles`` (a = B^T).
+    Rate: the coordinates of Delta_s = Herm(-i U_s^dag(T) dQ_s/ds), dQ/ds
+    in the tangent frame at U_s(T), plus beta (-i log(U_s^dag(T) Q_s)).
+    Error: ||U_s(T) - Q_s||_F in all three places.  G is routinely ill-conditioned; its solves
     truncate and check the residual as for every track.
     """
 
@@ -153,7 +153,7 @@ class UnitaryTrack(Track):
         return self.u0 @ ((self._va * (1j * self._wa * np.exp(1j * s * self._wa))) @ self._vah)
 
     def rows(self, prop: PropagationResult) -> np.ndarray:
-        return dipole_component_matrix(prop).T
+        return herm_to_vec(prop.dipoles).T
 
     def rate(self, prop: PropagationResult, s: float, beta: float | None = None) -> np.ndarray:
         uh = prop.final.conj().T
@@ -234,7 +234,7 @@ def gramian_unitary(prop: PropagationResult) -> GramianReport:
     """Unitary-tracking Gramian G: the MOTC Gramian of the N^2 dipole basis
     functions in the real Hermitian parameterization (a = B^T).  G is also
     the kernel F of the projected gradient flow on U(N)."""
-    return gramian_motc(dipole_component_matrix(prop).T, prop.weights)
+    return gramian_motc(herm_to_vec(prop.dipoles).T, prop.weights)
 
 
 def free_function_min_fluence(samples: np.ndarray, eta: float) -> np.ndarray:

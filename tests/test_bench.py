@@ -101,6 +101,11 @@ class TestConfig:
             {"state": 3},
             {"integrator": 7},
             {"correction": None},
+            {"correction": "beta=1e999"},
+            {"integrator": "rkck:atol=1e999,rtol=1e-6"},
+            {"free_fn": "fluence:eta=1e999"},
+            {"observables": (2, 2)},
+            {"n_levels": 3},
         ],
     )
     def test_validation_rejects(self, kw):

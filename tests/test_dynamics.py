@@ -86,17 +86,14 @@ class TestPropagate:
         assert np.linalg.norm(prop.final - free_evolution_final(sys_)) < 1e-10
 
     def test_unitarity_all_steps(self, small_system, small_field):
+        # Only U(T) is returned; it is the product of every step's propagator.
         prop = propagate(small_system, small_field)
         n = small_system.dim
-        for u in prop.cumulative[:: max(1, small_system.q // 16)]:
-            assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-9
-        assert np.allclose(prop.cumulative[0], np.eye(n))
+        assert np.linalg.norm(prop.final.conj().T @ prop.final - np.eye(n)) <= 1e-9
 
     def test_evolved_dipole_hermitian(self, small_system, small_field):
         prop = propagate(small_system, small_field)
-        dev = np.abs(
-            prop.evolved_dipole_step - prop.evolved_dipole_step.conj().transpose(0, 2, 1)
-        ).max()
+        dev = np.abs(prop.dipoles - prop.dipoles.conj().transpose(0, 2, 1)).max()
         assert dev <= 1e-10
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -112,8 +109,10 @@ class TestPropagate:
             assert system.h0.imag.any() and system.mu.imag.any()
         prop = propagate(system, field)
         cumulative, step_dipoles = propagate_direct(system, field)
-        assert np.abs(prop.cumulative - cumulative).max() <= 1e-12
-        assert np.abs(prop.evolved_dipole_step - step_dipoles).max() <= 1e-12
+        assert np.abs(prop.final - cumulative[-1]).max() <= 1e-12
+        # dt/w_j is exactly 1 or 2, so undoing it keeps every digit.
+        scale = system.dt / system.quadrature_weights
+        assert np.abs(prop.dipoles / scale[:, None, None] - step_dipoles).max() <= 1e-12
 
     @pytest.mark.parametrize("x", [1.01e-7, 1e-6, 1e-4, 1e-2])
     def test_step_average_phi_small_gaps(self, x):
@@ -121,7 +120,8 @@ class TestPropagate:
         # first step-averaged dipole is phi(ix) = (e^{ix} - 1)/(ix).  Taken
         # as written, e^{ix} - 1 loses |log10 x| digits at small gaps.
         system = QuantumSystem(np.diag([0.0, x]), np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0, 2)
-        phi = propagate(system, zero_field(system)).evolved_dipole_step[0, 1, 0]
+        # dipoles[0] is in sample units: dt/w_0 = 2 times the step average.
+        phi = propagate(system, zero_field(system)).dipoles[0, 1, 0] / 2.0
         series = sum((1j * x) ** k / math.factorial(k + 1) for k in range(8))
         assert abs(phi - series) <= 1e-14 * abs(series)
 
@@ -130,13 +130,14 @@ class TestPropagate:
         # The same (1, 0) entry against phi(ix) = sin(x)/x + i (1 - cos x)/x,
         # with phi(0) = 1 at an exactly degenerate pair.
         system = QuantumSystem(np.diag([0.0, x]), np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0, 2)
-        phi = propagate(system, zero_field(system)).evolved_dipole_step[0, 1, 0]
+        # dipoles[0] is in sample units: dt/w_0 = 2 times the step average.
+        phi = propagate(system, zero_field(system)).dipoles[0, 1, 0] / 2.0
         expected = 1.0 if x == 0.0 else math.sin(x) / x + 1j * (1.0 - math.cos(x)) / x
         assert abs(phi - expected) <= 1e-14 * abs(expected)
 
     def test_peak_allocation(self, model_system):
         # One propagation at N=11, q=1024 allocates at most 9.5 complex
-        # (q, N, N) arrays at its peak (18.0 MiB): the two it returns plus
+        # (q, N, N) arrays at its peak (18.0 MiB): the one it returns plus
         # the temporaries of its stages.
         field = sample_random_field(model_system, np.random.default_rng(3))
         propagate(model_system, field)

@@ -8,7 +8,6 @@ from motc.dynamics import ControlField, StateSpec, expectations, propagate, pure
 from motc.landscape import (
     ObservableSet,
     analytic_purestate_flow,
-    dipole_component_matrix,
     distance_derivative,
     gradient_field,
     kinematic_flow,
@@ -19,6 +18,7 @@ from motc.landscape import (
     single_observable_gradients,
     unitary_gradient,
 )
+from motc.linalg import herm_to_vec
 from motc.tracking import gramian_unitary
 
 from conftest import expi, random_hermitian, random_unitary
@@ -86,7 +86,8 @@ class TestGradientField:
         prop = propagate(small_system, small_field)
         g = gradient_field(prop, state, oset)
         rng = np.random.default_rng(17)
-        idx = rng.choice(small_system.q - 1, size=12, replace=False)
+        # Both ends too: dt/w_j is 2 at j = 0, and sample q-1 is inert.
+        idx = [0, *rng.choice(small_system.q - 1, size=12, replace=False), small_system.q - 1]
         fd = fd_gradient_at(small_system, state, oset, small_field, idx)
         scale = np.abs(g).max()
         for j, val in fd.items():
@@ -385,10 +386,8 @@ class TestFMatrix:
         theta_m = oset.operators.sum(axis=0)
         theta_t = u.conj().T @ theta_m @ u
         p = -1j * (theta_t @ rank7_state.rho0 - rank7_state.rho0 @ theta_t)
-        from motc.linalg import herm_to_vec
-
         vp = herm_to_vec(p)
-        b = dipole_component_matrix(prop)
+        b = herm_to_vec(prop.dipoles)
         a_m = gradient_field(prop, rank7_state, oset)
         direct = b.T @ (prop.weights * a_m)
         chained = gramian_unitary(prop).matrix @ vp

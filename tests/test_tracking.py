@@ -4,7 +4,7 @@ import pytest
 from motc.bench import build_model_system, build_observable_set, sample_random_field
 from motc.dynamics import ControlField, expectations, propagate
 from motc.errors import BranchBoundaryError, SingularTrackError
-from motc.landscape import dipole_component_matrix, gradient_field, single_observable_gradients
+from motc.landscape import gradient_field, single_observable_gradients
 from motc.linalg import herm_to_vec, vec_to_herm
 from motc.tracking import (
     GramianReport,
@@ -351,7 +351,7 @@ class TestUnitaryRhs:
         target = geodesic_target_unitary(prop.final, w)
         direct = motc_rhs(target, prop, 0.2)
 
-        b = dipole_component_matrix(prop)  # (q, N^2) basis samples
+        b = herm_to_vec(prop.dipoles)  # (q, N^2) basis samples
         a = b.T  # each row: one propagator-coordinate "observable" gradient
         rep = gramian_motc(a, prop.weights)
         delta = -1j * (prop.final.conj().T @ target.dq_ds(0.2))
