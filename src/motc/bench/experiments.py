@@ -11,7 +11,6 @@ import functools
 import itertools
 import math
 import numbers
-import os
 import re
 from dataclasses import dataclass, field, fields, asdict, replace
 
@@ -24,6 +23,7 @@ from ..dynamics import (
     StateSpec,
     expectations,
     propagate,
+    usable_cores,
 )
 from ..errors import BranchBoundaryError, ConfigError, MotcError, StallError
 from ..integrate import FlowProblem, IntegrationReport, euler_integrate, rkck_adaptive
@@ -445,7 +445,7 @@ def run_gramian_distribution(config: ExperimentConfig) -> dict:
     per Gramian the count of numerically singular samples."""
     rows, failures = [], 0
     # The pool forks all its workers at once: no more than samples or cores.
-    workers = min(config.workers, config.samples, os.cpu_count() or 1)
+    workers = min(config.workers, config.samples, usable_cores())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

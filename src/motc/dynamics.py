@@ -31,10 +31,26 @@ cancellation in e^{ig} - 1.  For a real system V_j, mu'_j and Phi_j's
 gaps are real, and the products with a real left factor, the step
 exponentials S_j = V_j (e^{-i lambda_j dt} o V_j^T) and W_j = V_j^T U(t_j, 0),
 run as real GEMMs on the complex right factor's float64 view.
+
+Every stage but the cumulative product is independent from one step to the
+next, and numpy's batched ``eigh`` and ``matmul`` release the GIL.  So the
+step axis is split into contiguous chunks, one per usable core (the
+process's CPU affinity, see ``usable_cores``) and at least MIN_CHUNK_STEPS
+steps each.  The chunks build H_j, its ``eigh`` and S_j in parallel; the
+product U(t_{j+1}, 0) = S_j U(t_j, 0) then runs in the calling thread in
+step order; then the chunks build W_j and the step averages in parallel,
+each into its own rows.  The calling thread runs the first chunk and a
+module-level thread pool, made at the first split propagation, the rest.
+Each step sees the same operands whatever the split, so the chunk count
+cannot change a single bit of the result.  A forked child drops the
+inherited pool, whose threads it does not have, and makes its own.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,6 +209,57 @@ def _matmul_real_left(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's core count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# Fewest steps a chunk of the step axis takes: below it, handing a chunk to
+# another thread costs more than its stages save.
+MIN_CHUNK_STEPS = 128
+
+# Helper threads for the chunks after the first, made at the first
+# propagation that splits its steps.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but not its threads, and the
+    # lock in whatever state another thread left it.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _chunk_count(steps: int) -> int:
+    return max(1, min(usable_cores(), steps // MIN_CHUNK_STEPS))
+
+
+def _run_chunks(stage, chunks: list[tuple]) -> list:
+    """[stage(*args) for args in chunks]: the first in this thread, the rest
+    on the helper pool.  An error is raised only once every chunk has
+    finished, so no helper writes into a buffer after the caller has left."""
+    global _pool
+    if len(chunks) > 1:
+        with _pool_lock:
+            if _pool is None:
+                _pool = ThreadPoolExecutor(max(1, usable_cores() - 1), thread_name_prefix="motc-propagate")
+    helpers = [_pool.submit(stage, *args) for args in chunks[1:]]
+    try:
+        first = stage(*chunks[0])
+    finally:
+        wait(helpers)
+    return [first, *(future.result() for future in helpers)]
+
+
 def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult:
     """Piecewise-constant propagation of the driven system over [0, T]."""
     eps = control.samples
@@ -205,45 +272,59 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
         # finds with less work than the complex one.
         h0, mu = h0.real, mu.real
 
-    w, v = np.linalg.eigh(h0[None, :, :] - eps[:-1, None, None] * mu[None, :, :])
-    vh = v.conj().transpose(0, 2, 1)
-    # S_j = V_j (e^{-i w_j dt} o V_j^dag), the phases scaling the rows of a
-    # C-ordered operand that a real V_j multiplies as one real GEMM.
-    rows = np.multiply(np.exp(-1j * dt * w)[:, :, None], vh, order="C")
-    steps = _matmul_real_left(v, rows, out=np.empty_like(rows))
-
-    # U(t_j, 0) at every node, of which only U(T) is returned.
+    chunks = _chunk_count(q - 1)
+    edges = [c * (q - 1) // chunks for c in range(chunks + 1)]
+    bounds = list(zip(edges[:-1], edges[1:]))
+    # The step exponentials and their rows; the node propagators, whose
+    # buffer takes the dipoles once W_j is built.
+    steps = np.empty((q - 1, n, n), dtype=complex)
+    rows = np.empty_like(steps)
     u_nodes = np.empty((q, n, n), dtype=complex)
+
+    def exponentials(lo: int, hi: int) -> tuple:
+        w, v = np.linalg.eigh(h0[None, :, :] - eps[lo:hi, None, None] * mu[None, :, :])
+        vh = v.conj().transpose(0, 2, 1)
+        # S_j = V_j (e^{-i w_j dt} o V_j^dag), the phases scaling the rows of
+        # a C-ordered operand that a real V_j multiplies as one real GEMM.
+        np.multiply(np.exp(-1j * dt * w)[:, :, None], vh, out=rows[lo:hi])
+        _matmul_real_left(v, rows[lo:hi], out=steps[lo:hi])
+        return lo, hi, w, v, vh
+
+    def averages(lo: int, hi: int, w: np.ndarray, v: np.ndarray, vh: np.ndarray) -> None:
+        # Within-step average of the interaction-picture dipole, in closed
+        # form: (1/dt) int_0^dt e^{iHs} mu e^{-iHs} ds has eigenbasis
+        # elements mu'_{ab} * phi(i g_ab) with g_ab = (w_a - w_b) dt and
+        # phi(ig) = (e^{ig} - 1)/(ig) = sin(g)/g + i 2 sin^2(g/2)/g, phi(0) = 1.
+        # Real sines lose no digits at any gap, where e^{ig} - 1 cancels
+        # them.  The chunk's step exponentials and rows, spent once the node
+        # propagators are built, take mu' o Phi and W_j.
+        g = (w[:, :, None] - w[:, None, :]) * dt
+        gap = g != 0
+        phi = steps[lo:hi]
+        phi.real = 1.0
+        np.divide(np.sin(g), g, out=phi.real, where=gap)
+        half = np.sin(0.5 * g)
+        np.multiply(half, half, out=half)
+        phi.imag = 0.0
+        np.divide(2.0 * half, g, out=phi.imag, where=gap)
+        mu_phi = np.multiply(vh @ mu @ v, phi, out=phi)
+        wj = _matmul_real_left(vh, u_nodes[lo:hi], out=rows[lo:hi])
+        mixed = mu_phi @ wj
+        # W_j^dag is the transposed view of W_j conjugated in place: BLAS
+        # takes a transposed operand as it is, where a conjugated copy costs
+        # a pass.  The dipoles overwrite the chunk's own node propagators,
+        # the only ones its W_j read.
+        np.conjugate(wj, out=wj)
+        np.matmul(wj.transpose(0, 2, 1), mixed, out=u_nodes[lo:hi])
+
+    eig = _run_chunks(exponentials, bounds)
+    # U(t_j, 0) at every node, in step order, of which only U(T) is returned.
     u_nodes[0] = np.eye(n)
     for j in range(q - 1):
         np.matmul(steps[j], u_nodes[j], out=u_nodes[j + 1])
     final = u_nodes[-1].copy()
-
-    # Within-step average of the interaction-picture dipole, in closed form:
-    # (1/dt) int_0^dt e^{iHs} mu e^{-iHs} ds has eigenbasis elements
-    # mu'_{ab} * phi(i g_ab) with g_ab = (w_a - w_b) dt and
-    # phi(ig) = (e^{ig} - 1)/(ig) = sin(g)/g + i 2 sin^2(g/2)/g, phi(0) = 1.
-    # Real sines lose no digits at any gap, where e^{ig} - 1 cancels them.
-    # The buffers of the step exponentials and of their rows, spent once
-    # the node propagators are built, take mu' o Phi and W_j.
-    g = (w[:, :, None] - w[:, None, :]) * dt
-    gap = g != 0
-    phi = steps
-    phi.real = 1.0
-    np.divide(np.sin(g), g, out=phi.real, where=gap)
-    half = np.sin(0.5 * g)
-    np.multiply(half, half, out=half)
-    phi.imag = 0.0
-    np.divide(2.0 * half, g, out=phi.imag, where=gap)
-    mu_phi = np.multiply(vh @ mu @ v, phi, out=phi)
-    wj = _matmul_real_left(vh, u_nodes[:-1], out=rows)
-    mixed = mu_phi @ wj
-    # W_j^dag is the transposed view of W_j conjugated in place: BLAS takes
-    # a transposed operand as it is, where a conjugated copy costs a pass.
-    np.conjugate(wj, out=wj)
-    # The dipoles take the node propagators' buffer, spent once W_j is built.
+    _run_chunks(averages, eig)
     dipoles = u_nodes
-    np.matmul(wj.transpose(0, 2, 1), mixed, out=dipoles[:-1])
     dipoles[-1] = 0.0
     # Sample units: dt/weights[j] is 1 but at the ends, and row q-1 is zero.
     weights = system.quadrature_weights

@@ -345,7 +345,7 @@ class TestGramianDistributionSmall:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(experiments, "usable_cores", lambda: cpus)
         cfg = ExperimentConfig(
             experiment="gramian-dist", n_levels=3, state="pure", t_final=20.0, q=32,
             observables=(2,), samples=samples, workers=workers,

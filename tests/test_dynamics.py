@@ -1,5 +1,12 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +21,7 @@ from motc.dynamics import (
     pure_state,
     zero_field,
 )
+from motc import dynamics
 from motc.dynamics import DEGENERACY_TOL
 from motc.landscape import ObservableSet, natural_basis_dimension
 
@@ -184,6 +192,123 @@ class TestPropagate:
         p1 = propagate(small_system, small_field)
         p2 = propagate(small_system, ControlField(bumped))
         assert np.allclose(p1.final, p2.final)
+
+
+def _chunked_system(kind: str) -> tuple[QuantumSystem, ControlField]:
+    # q = 101: 100 steps split 50/50 in two chunks and 33/33/34 in three.
+    if kind == "real":
+        system = build_model_system(5, t_final=20.0, q=101)
+        return system, sample_random_field(system, np.random.default_rng(4))
+    rng = np.random.default_rng(12)
+    system = QuantumSystem(random_hermitian(4, rng), random_hermitian(4, rng), 10.0, 101)
+    return system, ControlField(rng.standard_normal(101))
+
+
+# A child interpreter that makes the helper pool with one propagation, then
+# forks survey workers that propagate in chunks of their own.  Two chunks
+# and two workers are forced, so it forks on a one-core machine too.
+_FORK_CHILD = """
+import numpy as np
+from motc import dynamics
+from motc.bench import build_model_system, sample_random_field
+from motc.bench import experiments
+dynamics._chunk_count = lambda steps: 2
+experiments.usable_cores = lambda: 2
+system = build_model_system(11, t_final=100.0, q=1024)
+dynamics.propagate(system, sample_random_field(system, np.random.default_rng(0)))
+assert dynamics._pool is not None
+cfg = dict(experiment="gramian-dist", samples=4, q=128, t_final=30.0, observables=(4,))
+serial = experiments.run_gramian_distribution(experiments.ExperimentConfig(**cfg))
+forked = experiments.run_gramian_distribution(experiments.ExperimentConfig(**cfg, workers=2))
+assert np.array_equal(serial["table"][1], forked["table"][1])
+print("ok")
+"""
+
+
+class TestChunkedPropagate:
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_results_independent_of_chunk_count(self, monkeypatch, kind):
+        # Every step sees the same operands however the steps are split:
+        # the real-symmetric and the complex-Hermitian eigh paths alike.
+        # Seven chunks queue on fewer helpers, switching threads often.
+        system, field = _chunked_system(kind)
+        assert (system.h0.imag.any() and system.mu.imag.any()) == (kind == "complex")
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for chunks in (1, 2, 3, 7):
+                monkeypatch.setattr(dynamics, "_chunk_count", lambda steps, k=chunks: k)
+                prop = propagate(system, field)
+                results.append((prop.final.tobytes(), prop.dipoles.tobytes()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[1:] == [results[0]] * 3
+
+    def test_one_core_starts_no_thread(self, monkeypatch, model_system):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(dynamics, "usable_cores", lambda: 1)
+        monkeypatch.setattr(dynamics, "_pool", None)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        field = sample_random_field(model_system, np.random.default_rng(2))
+        propagate(model_system, field)
+        assert dynamics._pool is None
+
+    def test_usable_cores_follow_affinity(self, monkeypatch):
+        monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert dynamics.usable_cores() == 3
+        monkeypatch.delattr(dynamics.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 6)
+        assert dynamics.usable_cores() == 6
+
+    def test_chunk_error_raised_after_every_chunk(self, monkeypatch):
+        # The second chunk's eigh fails while the third is still running on
+        # a helper: propagate raises only once the third has finished, and
+        # the pool serves the next propagation.
+        system, field = _chunked_system("real")
+        monkeypatch.setattr(dynamics, "_chunk_count", lambda steps: 3)
+        expected = propagate(system, field)
+        h = system.h0.real[None, :, :] - field.samples[:-1, None, None] * system.mu.real[None, :, :]
+        eigh, finished, failing = np.linalg.eigh, [], [True]
+
+        def faulty(a):
+            if failing[0] and np.array_equal(a[0], h[33]):
+                raise np.linalg.LinAlgError("second chunk")
+            if np.array_equal(a[0], h[66]):
+                time.sleep(0.2)
+                finished.append(3)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", faulty)
+        with pytest.raises(np.linalg.LinAlgError, match="second chunk"):
+            propagate(system, field)
+        assert finished == [3]
+        failing[0] = False
+        again = propagate(system, field)
+        assert again.final.tobytes() == expected.final.tobytes()
+        assert again.dipoles.tobytes() == expected.dipoles.tobytes()
+
+    def test_forked_workers_get_a_pool_of_their_own(self):
+        # A forked child inherits the pool object but not its threads; one
+        # that kept it would wait on them forever, so a timeout fails it.
+        root = Path(__file__).resolve().parents[1]
+        path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _FORK_CHILD], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=env, start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            # Kill the hung survey workers with their parent.
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("survey workers forked after a chunked propagation hung")
+        assert proc.returncode == 0, err
+        assert out.split() == ["ok"]
 
 
 class TestExpectations:
