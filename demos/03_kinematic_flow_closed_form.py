@@ -1,50 +1,49 @@
-"""Gradient flow on U(N) versus its closed-form pure-state solution.
+"""The kinematic maximum of an observable on U(N), in closed form.
 
-For a pure initial state the double-bracket ascent flow integrates in closed
-form: populations follow a softmax reweighting x_k(s) proportional to
-exp(2 s lambda_k) x_k(0).  The numerically integrated flow on the unitary
-group reproduces it to high accuracy, and the ascent is monotone.  The
-flow's maximizers are known in closed form too: ``kinematic_maximizer``
-returns the one nearest the start, which attains the trace-inequality bound.
+By von Neumann's trace inequality, Phi(W) = Tr(W rho W^dag Theta) is at most
+sum_k p_k lambda_k, the populations of rho and the eigenvalues of Theta both
+taken in ascending order.  ``kinematic_maximizer`` returns the unitary that
+attains this bound nearest a given start U0, the closed form of the critical
+point the double-bracket gradient flow on U(N) ascends to.  Three checks: the
+maximizer attains the bound, the gradient of Phi on U(N) vanishes there, and
+random unitaries stay below the bound.
 """
 
 import numpy as np
 
-from motc import (
-    StateSpec, analytic_purestate_flow, distance_derivative, expectations, kinematic_flow,
-    kinematic_maximizer,
+from motc import expectations, kinematic_maximizer, propagate, unitary_gradient
+from motc.bench import (
+    build_model_system,
+    build_observable_set,
+    build_rank_truncated_state,
+    sample_random_field,
 )
-from motc.landscape import ObservableSet
 
 rng = np.random.default_rng(3)
-n = 11
-lam = rng.uniform(0, 1, n)
-x0 = rng.uniform(0.05, 1.0, n)
-x0 /= x0.sum()
+system = build_model_system(11, t_final=100.0, q=1024)
+state = build_rank_truncated_state(system, 7, 1.0)
+oset = build_observable_set(11, 1, rng)
+theta = oset.operators[0]
 
-psi0 = np.sqrt(x0)
-state = StateSpec(np.outer(psi0, psi0))
-oset = ObservableSet(np.diag(lam))
+u0 = propagate(system, sample_random_field(system, rng)).final
+bound = state.populations @ np.linalg.eigvalsh(theta)
+print(f"Phi at U(T) of a random field {expectations(u0, state, oset)[0]:.12f}")
 
-flow = kinematic_flow(np.eye(n, dtype=complex), state, oset, s_max=5.0, ds=0.01, grad_tol=0.0)
-print(f"integrated {len(flow.s)} accepted states, Phi: {flow.phi[0]:.4f} -> {flow.phi[-1]:.4f}")
-print("monotone ascent:", bool(np.all(np.diff(flow.phi) >= 0)))
-
-worst = 0.0
-for s, v in zip(flow.s, flow.v):
-    populations = np.abs(v @ psi0) ** 2
-    worst = max(worst, np.abs(populations - analytic_purestate_flow(x0, lam, s)).max())
-print(f"max deviation from the closed form over s in [0,5]: {worst:.2e}")
-
-w = kinematic_maximizer(np.eye(n, dtype=complex), state, oset.operators[0])
+w = kinematic_maximizer(u0, state, theta)
 phi_w = expectations(w, state, oset)[0]
-bound = state.populations @ np.sort(lam)
-print(f"Phi at the closed-form maximizer {phi_w:.12f}, flow endpoint {flow.phi[-1]:.12f}, "
-      f"trace bound {bound:.12f}")
+print(f"Phi at the closed-form maximizer {phi_w:.12f}, trace bound {bound:.12f}")
+print("maximizer attains the bound:", bool(abs(phi_w - bound) <= 1e-12 * max(abs(bound), 1.0)))
 
-# The distance to the optimal vertex does not have to shrink monotonically:
-jstar = int(np.argmax(lam))
-signs = {np.sign(distance_derivative(x0, lam, j, 1.0)) for j in range(n)}
-print(f"distance-derivative signs across target vertices at s=1: {sorted(signs)}")
-print(f"toward the optimum e_{jstar}: d/ds ||x - e*||^2 = "
-      f"{distance_derivative(x0, lam, jstar, 1.0):+.4f}")
+grad = np.linalg.norm(unitary_gradient(w, state, oset))
+print(f"||[Theta, W rho W^dag] W||_F at the maximizer {grad:.2e}")
+print("gradient vanishes at the maximizer:", bool(grad < 1e-10))
+
+
+def random_unitary(n: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+phis = np.array([expectations(random_unitary(system.dim), state, oset)[0] for _ in range(200)])
+print(f"Phi over 200 random unitaries: max {phis.max():.6f}, "
+      f"below the bound: {bool(phis.max() < bound)}")

@@ -1,8 +1,8 @@
 """Deterministic quantum multiobservable control.
 
 Propagation of driven N-level systems, control-landscape gradients and
-Gramians, gradient flows on the unitary group, and homotopy tracking of
-prescribed paths in U(N) or in multiobservable-expectation space.
+Gramians, the closed-form maximizer of the objective on U(N), and homotopy
+tracking of prescribed paths in U(N) or in multiobservable-expectation space.
 """
 
 from . import errors
@@ -23,12 +23,8 @@ from .integrate import (
     rkck_adaptive,
 )
 from .landscape import (
-    KinematicFlowResult,
     ObservableSet,
-    analytic_purestate_flow,
-    distance_derivative,
     gradient_field,
-    kinematic_flow,
     kinematic_maximizer,
     natural_basis_dimension,
     natural_basis_functions,
@@ -71,12 +67,8 @@ __all__ = [
     "IntegrationReport",
     "euler_integrate",
     "rkck_adaptive",
-    "KinematicFlowResult",
     "ObservableSet",
-    "analytic_purestate_flow",
-    "distance_derivative",
     "gradient_field",
-    "kinematic_flow",
     "kinematic_maximizer",
     "natural_basis_dimension",
     "natural_basis_functions",

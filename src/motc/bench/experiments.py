@@ -8,7 +8,6 @@ results are reproducible and independent of sample execution order.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 import re
@@ -444,20 +443,24 @@ def run_gramian_distribution(config: ExperimentConfig) -> dict:
     ensemble of random fields; histogram plus log10 summary statistics, and
     per Gramian the count of numerically singular samples."""
     rows, failures = [], 0
+    # What every sample shares; pool workers get it pickled with each chunk.
+    system = config.build_system()
+    shared = (
+        system, config.build_observables(),
+        build_rank_truncated_state(system, system.dim, config.temperature),
+        build_rank_truncated_state(system, 1, config.temperature),
+    )
+    sample = functools.partial(_gramian_sample, shared, config.seed)
     # The pool forks all its workers at once: no more than samples or cores.
     workers = min(config.workers, config.samples, usable_cores())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    _gramian_sample, itertools.repeat(config), range(config.samples),
-                    chunksize=max(1, config.samples // (8 * workers)),
-                )
-            )
+            chunksize = max(1, config.samples // (8 * workers))
+            results = list(pool.map(sample, range(config.samples), chunksize=chunksize))
     else:
-        results = [_gramian_sample(config, k) for k in range(config.samples)]
+        results = [sample(k) for k in range(config.samples)]
     for rec in results:
         if rec is None:
             failures += 1
@@ -495,21 +498,12 @@ def run_gramian_distribution(config: ExperimentConfig) -> dict:
     }
 
 
-@functools.lru_cache(maxsize=1)
-def _gramian_survey(config: ExperimentConfig):
-    """The system, observable set and thermal and pure states that every
-    sample of a survey shares: built once per survey and process."""
-    system = config.build_system()
-    oset = config.build_observables()
-    thermal = build_rank_truncated_state(system, system.dim, config.temperature)
-    return system, oset, thermal, build_rank_truncated_state(system, 1, config.temperature)
-
-
-def _gramian_sample(config: ExperimentConfig, k: int):
-    """One field sample of the Gramian survey (top level for process pools)."""
-    system, oset, thermal, pure = _gramian_survey(config)
+def _gramian_sample(shared: tuple, seed: int, k: int):
+    """One field sample of the Gramian survey (top level for process pools)
+    on the survey's ``shared`` system, observable set and states."""
+    system, oset, thermal, pure = shared
     try:
-        control = sample_random_field(system, substream(config.seed, _STREAM_SAMPLES, k))
+        control = sample_random_field(system, substream(seed, _STREAM_SAMPLES, k))
         prop = propagate(system, control)
         cond_g = gramian_unitary(prop).condition
         cond_th = gramian_motc(single_observable_gradients(prop, thermal, oset), prop.weights).condition
@@ -524,7 +518,8 @@ def run_motc_experiment(config: ExperimentConfig) -> dict:
 
     Pipeline: sample eps_0, propagate to U_0, take the maximizer W of
     <Theta_1> nearest U_0, build the observable track per m, then integrate
-    the tracking equation, logging every accepted step.
+    the tracking equation, logging every accepted step.  High-frequency
+    modes are counted only in the field of a completed leg.
     """
     propagator, state, oset_full, eps0 = _setup(config)
     prop0, w, geodesic, flow_info = _flow_target(config, propagator, state, oset_full, eps0)
@@ -545,7 +540,8 @@ def run_motc_experiment(config: ExperimentConfig) -> dict:
         **flow_info,
         "phi1_at_u0": float(expectations(prop0, state, oset_full.subset(1))[0]),
         "high_mode_counts": {
-            str(m): count_high_frequency_modes(*spectra[m]) for m in spectra
+            str(m): count_high_frequency_modes(*spectra[m])
+            for m in spectra if logs[m].termination == "completed"
         },
         "per_m": {str(m): logs[m].summary() for m in logs},
     }

@@ -40,16 +40,14 @@ steps each.  The chunks build H_j, its ``eigh`` and S_j in parallel; the
 product U(t_{j+1}, 0) = S_j U(t_j, 0) then runs in the calling thread in
 step order; then the chunks build W_j and the step averages in parallel,
 each into its own rows.  The calling thread runs the first chunk and a
-module-level thread pool, made at the first split propagation, the rest.
+module-level thread pool, made at import and rebuilt after a fork, the rest.
 Each step sees the same operands whatever the split, so the chunk count
-cannot change a single bit of the result.  A forked child drops the
-inherited pool, whose threads it does not have, and makes its own.
+cannot change a single bit of the result.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
@@ -222,21 +220,17 @@ def usable_cores() -> int:
 # another thread costs more than its stages save.
 MIN_CHUNK_STEPS = 128
 
-# Helper threads for the chunks after the first, made at the first
-# propagation that splits its steps.
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
+
+def _make_pool() -> None:
+    # Helper threads for the chunks after the first, started at the first
+    # submit.  A forked child inherits the pool but not its threads.
+    global _pool
+    _pool = ThreadPoolExecutor(max(1, usable_cores() - 1), thread_name_prefix="motc-propagate")
 
 
-def _forget_pool() -> None:
-    # A forked child inherits the pool object but not its threads, and the
-    # lock in whatever state another thread left it.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
+_make_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_make_pool)
 
 
 def _chunk_count(steps: int) -> int:
@@ -247,11 +241,6 @@ def _run_chunks(stage, chunks: list[tuple]) -> list:
     """[stage(*args) for args in chunks]: the first in this thread, the rest
     on the helper pool.  An error is raised only once every chunk has
     finished, so no helper writes into a buffer after the caller has left."""
-    global _pool
-    if len(chunks) > 1:
-        with _pool_lock:
-            if _pool is None:
-                _pool = ThreadPoolExecutor(max(1, usable_cores() - 1), thread_name_prefix="motc-propagate")
     helpers = [_pool.submit(stage, *args) for args in chunks[1:]]
     try:
         first = stage(*chunks[0])

@@ -1,7 +1,9 @@
-"""The multiobservable objective, its gradients, and the kinematic flow on U(N).
+"""The multiobservable objective, its gradients, and its maximum on U(N).
 
 Objective.  Phi_M = sum_k Phi_k = Tr(U rho U^dag Theta_M), Theta_M = sum_k Theta_k,
-whose gradient on U(N) is the double bracket [Theta_M, V rho V^dag] V.
+whose gradient on U(N) is the double bracket [Theta_M, V rho V^dag] V and
+whose maximizers are closed-form.  The integrated flow is kept, unexported,
+only until ROADMAP D13.
 
 Sign convention.  With H(t) = H0 - mu eps(t) and hbar = 1, first-order
 perturbation of the Schroedinger equation gives
@@ -126,6 +128,7 @@ def _polar_unitary(v: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
+# ROADMAP D13 deletes the flow and its oracle once the benchmark stops wrapping it.
 @dataclass(frozen=True)
 class KinematicFlowResult:
     """Accepted states of the gradient flow on U(N)."""
@@ -247,21 +250,6 @@ def analytic_purestate_flow(x0: np.ndarray, lambdas: np.ndarray, s: float) -> np
         raise ValueError(f"x0 sums to {x0.sum()!r}, not 1")
     y = np.clip(x0, 0.0, None) * np.exp(2.0 * s * (lam - lam.max()))
     return y / y.sum()
-
-
-def distance_derivative(x0: np.ndarray, lambdas: np.ndarray, jstar: int, s: float) -> float:
-    """d/ds of ||x(s) - e_jstar||^2 along the closed-form flow.
-
-    With <lam> = sum_k lambda_k x_k(s), the derivative is
-    4 [ sum_k x_k^2 (lambda_k - <lam>)  -  x_jstar (lambda_jstar - <lam>) ].
-    Its sign may alternate along s; no monotonicity is implied.
-    """
-    lam = np.asarray(lambdas, float)
-    if not 0 <= jstar < lam.size:
-        raise ValueError(f"jstar {jstar} out of range")
-    x = analytic_purestate_flow(x0, lam, s)
-    lam_mean = float(lam @ x)
-    return float(4.0 * ((x**2) @ (lam - lam_mean) - x[jstar] * (lam[jstar] - lam_mean)))
 
 
 def natural_basis_dimension(state: StateSpec) -> int:

@@ -1,8 +1,10 @@
 import ast
 import csv
+import gc
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -299,13 +301,28 @@ class TestGramianDistributionSmall:
         calls = []
         build = ExperimentConfig.build_system
         monkeypatch.setattr(ExperimentConfig, "build_system", lambda cfg: calls.append(1) or build(cfg))
-        experiments._gramian_survey.cache_clear()
         cfg = ExperimentConfig(
             experiment="gramian-dist", n_levels=3, state="pure", t_final=30.0, q=64,
             observables=(2,), samples=4,
         )
         assert run_gramian_distribution(cfg)["summary"]["failures"] == 0
         assert len(calls) == 1
+
+    def test_no_model_left_behind(self, monkeypatch):
+        # The survey's model lives as long as the run that built it.
+        systems = []
+        build = ExperimentConfig.build_system
+        monkeypatch.setattr(
+            ExperimentConfig, "build_system",
+            lambda cfg: systems.append(weakref.ref(system := build(cfg))) or system,
+        )
+        cfg = ExperimentConfig(
+            experiment="gramian-dist", n_levels=3, state="pure", t_final=30.0, q=64,
+            observables=(2,), samples=2,
+        )
+        run_gramian_distribution(cfg)
+        gc.collect()
+        assert len(systems) == 1 and systems[0]() is None
 
     def test_deterministic_across_runs_and_workers(self):
         cfg = ExperimentConfig(
@@ -575,6 +592,19 @@ class TestTrackingEndToEnd:
         assert (s[-1] == 1.0) == (termination == "completed")
         assert summary["accepted_steps"] == summary["records"] - 1 == len(s) - 1
         assert ("error" in summary) == (termination == "stall")
+
+    @pytest.mark.parametrize("max_steps,termination", [(20000, "completed"), (5, "max_steps")])
+    def test_high_modes_of_completed_legs_only(self, tmp_path, max_steps, termination):
+        # Every leg with a final field emits its spectrum, but only a
+        # completed leg's field is the tracked one whose modes are counted.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"max_steps": max_steps}))
+        args = ["--config", str(cfg_file), *_TINY, *_LOOSE, "--out", str(tmp_path)]
+        assert cli_main(["motc-track", *args]) == 0
+        summary = json.loads((tmp_path / "motc-track_summary.json").read_text())["summary"]
+        assert summary["per_m"]["2"]["termination"] == termination
+        assert ("2" in summary["high_mode_counts"]) == (termination == "completed")
+        assert (tmp_path / "motc-track_spectrum_m2.csv").is_file()
 
 
 class TestOnePropagationPerField:

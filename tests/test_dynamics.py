@@ -204,10 +204,19 @@ def _chunked_system(kind: str) -> tuple[QuantumSystem, ControlField]:
     return system, ControlField(rng.standard_normal(101))
 
 
-# A child interpreter that makes the helper pool with one propagation, then
-# forks survey workers that propagate in chunks of their own.  Two chunks
-# and two workers are forced, so it forks on a one-core machine too.
+def _child_env() -> dict:
+    # A child interpreter that imports this checkout's motc, on one BLAS thread.
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
+
+
+# A child interpreter that starts the helper pool's threads with one
+# propagation, then forks survey workers that propagate in chunks of their
+# own.  Two chunks and two workers are forced, so it forks on a one-core
+# machine too.
 _FORK_CHILD = """
+import threading
 import numpy as np
 from motc import dynamics
 from motc.bench import build_model_system, sample_random_field
@@ -216,7 +225,7 @@ dynamics._chunk_count = lambda steps: 2
 experiments.usable_cores = lambda: 2
 system = build_model_system(11, t_final=100.0, q=1024)
 dynamics.propagate(system, sample_random_field(system, np.random.default_rng(0)))
-assert dynamics._pool is not None
+assert any(t.name.startswith("motc-propagate") for t in threading.enumerate())
 cfg = dict(experiment="gramian-dist", samples=4, q=128, t_final=30.0, observables=(4,))
 serial = experiments.run_gramian_distribution(experiments.ExperimentConfig(**cfg))
 forked = experiments.run_gramian_distribution(experiments.ExperimentConfig(**cfg, workers=2))
@@ -250,11 +259,25 @@ class TestChunkedPropagate:
             raise AssertionError(f"thread {thread.name} started")
 
         monkeypatch.setattr(dynamics, "usable_cores", lambda: 1)
-        monkeypatch.setattr(dynamics, "_pool", None)
         monkeypatch.setattr(threading.Thread, "start", refuse)
         field = sample_random_field(model_system, np.random.default_rng(2))
         propagate(model_system, field)
-        assert dynamics._pool is None
+
+    def test_import_starts_no_thread(self):
+        # The helper pool is made at import; its threads start only with a
+        # propagation that splits its steps.
+        code = (
+            "import threading\n"
+            "def refuse(thread):\n"
+            "    raise AssertionError(f'thread {thread.name} started')\n"
+            "threading.Thread.start = refuse\n"
+            "import motc, motc.bench\n"
+            "print(threading.active_count())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1"]
 
     def test_usable_cores_follow_affinity(self, monkeypatch):
         monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
@@ -293,12 +316,9 @@ class TestChunkedPropagate:
     def test_forked_workers_get_a_pool_of_their_own(self):
         # A forked child inherits the pool object but not its threads; one
         # that kept it would wait on them forever, so a timeout fails it.
-        root = Path(__file__).resolve().parents[1]
-        path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
         proc = subprocess.Popen(
             [sys.executable, "-c", _FORK_CHILD], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True, env=env, start_new_session=True,
+            text=True, env=_child_env(), start_new_session=True,
         )
         try:
             out, err = proc.communicate(timeout=60)

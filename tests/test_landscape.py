@@ -8,7 +8,6 @@ from motc.dynamics import ControlField, StateSpec, expectations, propagate, pure
 from motc.landscape import (
     ObservableSet,
     analytic_purestate_flow,
-    distance_derivative,
     gradient_field,
     kinematic_flow,
     kinematic_maximizer,
@@ -284,45 +283,6 @@ class TestAnalyticFlow:
             analytic_purestate_flow(np.array([-0.1, 1.1]), np.array([0.0, 1.0]), 1.0)
         with pytest.raises(ValueError, match="sums"):
             analytic_purestate_flow(np.array([0.4, 0.4]), np.array([0.0, 1.0]), 1.0)
-
-
-class TestDistanceDerivative:
-    def test_zero_at_optimum(self):
-        x0 = np.zeros(4)
-        x0[3] = 1.0
-        lam = np.array([0.1, 0.2, 0.3, 0.9])
-        for s in (0.0, 0.7, 5.0):
-            assert distance_derivative(x0, lam, 3, s) == pytest.approx(0.0, abs=1e-14)
-
-    def test_two_level_negative(self):
-        # Closed form: d/ds ||x - e_2||^2 = -8 x_2 (1 - x_2)^2 < 0 for s > 0.
-        lam = np.array([0.0, 1.0])
-        x0 = np.array([0.5, 0.5])
-        for s in (0.01, 0.5, 2.0, 10.0):
-            x2 = np.exp(2 * s) / (1 + np.exp(2 * s))
-            expected = -8.0 * x2 * (1 - x2) ** 2
-            got = distance_derivative(x0, lam, 1, s)
-            assert got == pytest.approx(expected, rel=1e-12)
-            assert got < 0
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_finite_difference_along_flow(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 7
-        lam = rng.uniform(0, 1, n)
-        x0 = rng.uniform(0.05, 1, n)
-        x0 /= x0.sum()
-        jstar = int(rng.integers(0, n))
-        s, h = 0.8, 1e-6
-
-        def dist2(ss):
-            x = analytic_purestate_flow(x0, lam, ss)
-            e = np.zeros(n)
-            e[jstar] = 1.0
-            return ((x - e) ** 2).sum()
-
-        fd = (dist2(s + h) - dist2(s - h)) / (2 * h)
-        assert distance_derivative(x0, lam, jstar, s) == pytest.approx(fd, abs=1e-6)
 
 
 class TestNaturalBasis:
