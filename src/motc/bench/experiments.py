@@ -308,7 +308,7 @@ class _RunPropagator:
 
     Called on a field, it returns that field's propagation, computing it
     only when the field differs from the last one it was called on.  Within
-    a run the same field is asked for in turn: eps_0 by the flow target, the
+    a run the same field is asked for in turn: eps_0 by `_geodesic`, the
     first record and the first stage; each accepted field by the recorder
     and then by the next step's first stage.  The memo is keyed on an exact
     copy of the field samples, so a hit returns what ``propagate`` would:
@@ -377,15 +377,15 @@ def _setup(config: ExperimentConfig):
     return _RunPropagator(system), state, config.build_observables(), eps0
 
 
-def _flow_target(
+def _geodesic(
     config: ExperimentConfig, propagator: _RunPropagator, state: StateSpec,
     oset_full: ObservableSet, eps0: ControlField,
 ):
-    """Propagation of eps_0, the maximizer W of <Theta_1> nearest U_0
-    (`kinematic_maximizer`, in closed form), nudged off the log branch cut
+    """The propagation of eps_0, the maximizer W of <Theta_1> nearest U_0
+    (`kinematic_maximizer`, in closed form) nudged off the log branch cut
     if the geodesic generator lands on it, and the run's one geodesic track
-    from U_0 to W; plus the summary entry ``kinematic_max_phi1``, Phi_1 at
-    W before any nudge."""
+    from U_0 to W; plus ``target_info``, the summary entry
+    ``kinematic_max_phi1``: Phi_1 at W before any nudge."""
     prop0 = propagator(eps0)
     u0 = prop0.final
     w = kinematic_maximizer(u0, state, oset_full.operators[0])
@@ -522,7 +522,7 @@ def run_motc_experiment(config: ExperimentConfig) -> dict:
     modes are counted only in the field of a completed leg.
     """
     propagator, state, oset_full, eps0 = _setup(config)
-    prop0, w, geodesic, flow_info = _flow_target(config, propagator, state, oset_full, eps0)
+    prop0, w, geodesic, target_info = _geodesic(config, propagator, state, oset_full, eps0)
     logs: dict[int, TrajectoryLog] = {}
     spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for m in config.observables:
@@ -537,7 +537,7 @@ def run_motc_experiment(config: ExperimentConfig) -> dict:
         if final is not None:
             spectra[m] = field_power_spectrum(propagator.system, final)
     summary = {
-        **flow_info,
+        **target_info,
         "phi1_at_u0": float(expectations(prop0, state, oset_full.subset(1))[0]),
         "high_mode_counts": {
             str(m): count_high_frequency_modes(*spectra[m])
@@ -551,12 +551,12 @@ def run_motc_experiment(config: ExperimentConfig) -> dict:
 def run_unitary_experiment(config: ExperimentConfig) -> dict:
     """Track the geodesic Q_s in U(N) itself with the N^2-dimensional solve."""
     propagator, state, oset_full, eps0 = _setup(config)
-    _, _, track, flow_info = _flow_target(config, propagator, state, oset_full, eps0)
+    _, _, track, target_info = _geodesic(config, propagator, state, oset_full, eps0)
     log = TrajectoryLog(label="unitary_track", m=max(config.observables))
     oset = oset_full.subset(log.m)
     _run_leg(config, propagator, track, log, eps0, phi=lambda prop: expectations(prop, state, oset))
     summary = {
-        **flow_info,
+        **target_info,
         "final_track_distance": (log.columns["track_distance"] or [float("nan")])[-1],
         "log": log.summary(),
     }
@@ -595,8 +595,8 @@ def run_efficiency_comparison(config: ExperimentConfig) -> dict:
     Phi_1 >= threshold: MOTC (largest m) versus the gradient flow, under
     identical tolerances."""
     propagator, state, oset_full, eps0 = _setup(config)
-    _, _, geodesic, flow_info = _flow_target(config, propagator, state, oset_full, eps0)
-    threshold = config.threshold_fraction * flow_info["kinematic_max_phi1"]
+    _, _, geodesic, target_info = _geodesic(config, propagator, state, oset_full, eps0)
+    threshold = config.threshold_fraction * target_info["kinematic_max_phi1"]
 
     # MOTC leg
     m_big = max(config.observables)
@@ -624,7 +624,7 @@ def run_efficiency_comparison(config: ExperimentConfig) -> dict:
         "logs": {f"motc_m{m_big}": motc_log, "gradient": grad_log},
         "table": (header, rows),
         "summary": {
-            **flow_info,
+            **target_info,
             "threshold": threshold,
             "motc_steps_to_threshold": motc_steps,
             "gradient_steps_to_threshold": grad_steps,

@@ -324,7 +324,7 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
 def expectations(prop: PropagationResult | np.ndarray, state: StateSpec, oset) -> np.ndarray:
     """Phi_k = Tr(U(T) rho(0) U^dag(T) Theta_k) for each observable of the
     ObservableSet ``oset``; ``prop`` is a propagation or U(T) itself (such
-    as a flow target W)."""
+    as the maximizer W)."""
     theta = oset.operators
     u = prop.final if isinstance(prop, PropagationResult) else np.asarray(prop)
     if state.dim != u.shape[-1] or theta.shape[-1] != u.shape[-1]:

@@ -11,6 +11,8 @@ with the Gramian (Gamma)_ij = int a^i a^j dt, the free function f choosing
 among the solution family, and an optional error-correction term c_s pulling
 the actual expectations back onto the track.  Unitary-propagator tracking is
 the same construction over the N^2 dipole basis functions with Gramian G.
+Both follow one geodesic Q_s in U(N): the observable geodesic is its image
+w_s = Phi(Q_s), with dw_s^k/ds = 2 Re Tr(Theta_k dQ_s/ds rho(0) Q_s^dag).
 
 So the two differ only in their track, and `motc_rhs` is the one engine for
 both.  A track (`ObservableTrack`, `UnitaryTrack`) supplies ``rows(prop)``,
@@ -130,12 +132,12 @@ class UnitaryTrack(Track):
     """The geodesic Q_s = U0 e^{iAs} in U(N) for the propagator U_s(T).
 
     One ``eigh`` of the generator A = va diag(wa) va^dag at construction
-    serves every ``rotation(s)`` = e^{iAs}, Q_s and dQ_s/ds.  Rows: the N^2
-    dipole basis functions, the real coordinates of ``dipoles`` (a = B^T).
-    Rate: the coordinates of Delta_s = Herm(-i U_s^dag(T) dQ_s/ds), dQ/ds
-    in the tangent frame at U_s(T), plus beta (-i log(U_s^dag(T) Q_s)).
-    Error: ||U_s(T) - Q_s||_F in all three places.  G is routinely ill-conditioned; its solves
-    truncate and check the residual as for every track.
+    serves every Q_s and dQ_s/ds, and so the observable geodesic Phi(Q_s).  Rows:
+    the N^2 dipole basis functions, the real coordinates of ``dipoles`` (a = B^T).
+    Rate: the coordinates of Delta_s = Herm(-i U_s^dag(T) dQ_s/ds), dQ/ds in the
+    tangent frame at U_s(T), plus beta (-i log(U_s^dag(T) Q_s)).  Error:
+    ||U_s(T) - Q_s||_F in all three places.  G is routinely ill-conditioned; its
+    solves truncate and check the residual as for every track.
     """
 
     def __init__(self, u0: np.ndarray, generator: np.ndarray):
@@ -143,11 +145,8 @@ class UnitaryTrack(Track):
         self._wa, self._va = np.linalg.eigh(generator)
         self._vah = self._va.conj().T
 
-    def rotation(self, s: float) -> np.ndarray:
-        return (self._va * np.exp(1j * s * self._wa)) @ self._vah
-
     def q_of_s(self, s: float) -> np.ndarray:
-        return self.u0 @ self.rotation(s)
+        return self.u0 @ ((self._va * np.exp(1j * s * self._wa)) @ self._vah)
 
     def dq_ds(self, s: float) -> np.ndarray:
         return self.u0 @ ((self._va * (1j * self._wa * np.exp(1j * s * self._wa))) @ self._vah)
@@ -182,26 +181,17 @@ def geodesic_target_unitary(u0: np.ndarray, w: np.ndarray) -> UnitaryTrack:
 def geodesic_target_observables(
     geodesic: UnitaryTrack, state: StateSpec, oset: ObservableSet
 ) -> ObservableTrack:
-    """Expectation-value path induced by the unitary ``geodesic`` Q_s.
+    """Expectation-value path w_s = Phi(Q_s) along the unitary ``geodesic``.
 
-    w_s^k = Tr(rho(0) M_k(s)) with M_k(s) = e^{-iAs} U0^dag Theta_k U0 e^{iAs},
-    and dw_s^k/ds = i Tr(rho(0) [M_k(s), A]) by commutator differentiation.
+    w_s^k = Tr(Q_s rho(0) Q_s^dag Theta_k), by `expectations` at Q_s, and
+    dw_s^k/ds = 2 Re Tr(Theta_k dQ_s/ds rho(0) Q_s^dag).
     """
-    u0, a = geodesic.u0, geodesic.generator
-    kern = np.einsum("ba,kbc,cd->kad", u0.conj(), oset.operators, u0)
-    rho = state.rho0
-
-    def frame(s: float) -> np.ndarray:
-        e = geodesic.rotation(s)
-        return np.einsum("ba,kbc,cd->kad", e.conj(), kern, e)
-
     def w_of_s(s: float) -> np.ndarray:
-        return np.einsum("kab,ba->k", frame(s), rho).real
+        return expectations(geodesic.q_of_s(s), state, oset)
 
     def dw_ds(s: float) -> np.ndarray:
-        m = frame(s)
-        comm = m @ a - a @ m
-        return (1j * np.einsum("kab,ba->k", comm, rho)).real
+        d = geodesic.dq_ds(s) @ state.rho0 @ geodesic.q_of_s(s).conj().T
+        return 2.0 * np.einsum("ab,kba->k", d, oset.operators).real
 
     return ObservableTrack(state, oset, w_of_s, dw_ds)
 

@@ -134,7 +134,7 @@ class TestConfig:
             ExperimentConfig.from_dict({"volume": 11})
 
     def test_kinematic_s_max_removed(self):
-        # The flow target is closed-form; the flow's budget is no longer a key.
+        # The target W is closed-form; the kinematic flow's budget is no longer a key.
         with pytest.raises(ConfigError, match="kinematic_s_max"):
             ExperimentConfig.from_dict({"kinematic_s_max": 2000.0})
 
@@ -686,7 +686,7 @@ class TestNoKinematicFlowInRunners:
 
 
 class TestOneGeodesicPerRun:
-    """A run builds its geodesic from U_0 to W once: the flow target's
+    """A run builds its geodesic from U_0 to W once: `_geodesic`'s
     branch-cut probe is the track every leg uses, so one principal log is
     taken per run whatever the number of observable sets."""
 
@@ -704,7 +704,7 @@ class TestOneGeodesicPerRun:
 
 
 class TestBranchCutRetry:
-    """`_flow_target` nudges W off the log branch cut and tries the geodesic
+    """`_geodesic` nudges W off the log branch cut and tries the geodesic
     again, up to five times; then the run ends in BranchBoundaryError."""
 
     CONFIG = ExperimentConfig(

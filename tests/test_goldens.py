@@ -1,0 +1,64 @@
+"""``tools/goldens.py --diff`` on small synthetic output trees."""
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "goldens", Path(__file__).resolve().parents[1] / "tools" / "goldens.py"
+)
+goldens = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(goldens)
+
+CSV = "step,s,phi_1\n0,0.0,0.25\n1,0.5,0.5\n2,1.0,nan\n"
+SUMMARY = {
+    "summary": {
+        "phi1_at_u0": 0.25,
+        "log": {"accepted_steps": 2, "rejected_steps": 1, "rhs_evaluations": 13,
+                "termination": "completed", "final_phi": [0.5]},
+    }
+}
+
+
+@pytest.fixture
+def trees(tmp_path):
+    """Two copies of one output tree with one config, ``case``."""
+    old = tmp_path / "old"
+    (old / "case").mkdir(parents=True)
+    (old / "case" / "run.csv").write_text(CSV)
+    (old / "case" / "run_summary.json").write_text(json.dumps(SUMMARY))
+    new = tmp_path / "new"
+    shutil.copytree(old, new)
+    return old, new
+
+
+def test_identical_tree(trees):
+    assert goldens.diff(*trees) == ["case: identical"]
+
+
+def test_changed_cell_reported_under_its_column(trees):
+    old, new = trees
+    (new / "case" / "run.csv").write_text(CSV.replace("1,0.5,0.5", "1,0.5,0.75"))
+    lines = goldens.diff(old, new)
+    assert lines[:2] == ["case: differs", "  run.csv: rows 3 -> 3"]
+    assert "    phi_1: max |diff| 0.25, relative 0.333" in lines
+    assert "    s: max |diff| 0, relative 0" in lines
+    assert "    step: max |diff| 0, relative 0" in lines
+    assert not any("run_summary.json" in line for line in lines)
+
+
+def test_leg_counters_and_numbers_reported(trees):
+    old, new = trees
+    changed = json.loads(json.dumps(SUMMARY))
+    changed["summary"]["log"].update(rejected_steps=2, termination="stall", final_phi=[0.5 + 1e-9])
+    (new / "case" / "run_summary.json").write_text(json.dumps(changed))
+    lines = goldens.diff(old, new)
+    assert (
+        "    leg summary.log: accepted 2 -> 2, rejected 1 -> 2, rhs 13 -> 13; "
+        "termination completed -> stall"
+    ) in lines
+    assert any(line.startswith("    summary.log.final_phi[0]: |diff| 1e-09") for line in lines)
+    assert not any("phi1_at_u0" in line for line in lines)

@@ -73,11 +73,16 @@ class TestGeodesicObservables:
     def test_endpoint_values(self, track_setup, rank7_state, observable_set):
         _, _, prop, w = track_setup
         oset = observable_set.subset(4)
-        t = geodesic_target_observables(geodesic_target_unitary(prop.final, w), rank7_state, oset)
+        geodesic = geodesic_target_unitary(prop.final, w)
+        t = geodesic_target_observables(geodesic, rank7_state, oset)
         assert np.abs(t.w_of_s(0.0) - expectations(prop, rank7_state, oset)).max() <= 1e-10
         rho_w = w @ rank7_state.rho0 @ w.conj().T
         phi_w = np.einsum("ab,kba->k", rho_w, oset.operators).real
         assert np.abs(t.w_of_s(1.0) - phi_w).max() <= 1e-10
+        # Interior points: w_s is Phi at the unitary track's Q_s.
+        for s in (0.25, 0.5, 0.75):
+            phi_q = expectations(geodesic.q_of_s(s), rank7_state, oset)
+            assert np.abs(t.w_of_s(s) - phi_q).max() <= 1e-12
 
     def test_derivative_finite_difference(self, track_setup, rank7_state, observable_set):
         _, _, prop, w = track_setup

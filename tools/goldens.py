@@ -1,6 +1,8 @@
-"""Run the nine golden configs and write their CSV/JSON outputs.
+"""Run the nine golden configs and write their CSV/JSON outputs, or
+compare two trees of them.
 
     PYTHONPATH=src python tools/goldens.py OUT_DIR
+    python tools/goldens.py --diff OLD_DIR NEW_DIR
 
 Each config runs through the ``motc`` CLI entry point with one BLAS thread
 and writes into ``OUT_DIR/<name>/``, next to the ``config.json`` it ran
@@ -9,7 +11,17 @@ this script against two checkouts and comparing the trees:
 
     PYTHONPATH=<old>/src python tools/goldens.py /tmp/gold-old
     PYTHONPATH=<new>/src python tools/goldens.py /tmp/gold-new
-    diff -r /tmp/gold-old /tmp/gold-new
+    python tools/goldens.py --diff /tmp/gold-old /tmp/gold-new
+
+``--diff`` prints "identical" for each config whose files match byte for
+byte.  Of every other config it lists the files that differ: per CSV the
+row counts and the largest absolute and relative difference per column
+(over the rows both files have); from the summary JSON each leg's
+accepted, rejected and rhs counts and its termination, then every other
+number that differs.
+``diff -r`` cannot gate a change that touches arithmetic: golden config 1
+(``motc-default``) accepts or rejects steps differently past s = 0.9 on
+changes of 1e-14, so its rows shift while its run still completes.
 
 The configs are small (N=3 or 4) and take about ten seconds in all.  Every
 config key but the experiment is pinned here, so no output rests on a
@@ -18,17 +30,12 @@ default that a change could move.
 
 from __future__ import annotations
 
-import os
-
-# Before numpy loads: threaded BLAS sums in another order from run to run.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
+import csv
 import json
+import math
+import os
 import sys
 from pathlib import Path
-
-from motc.bench.cli import main
 
 # The base every config starts from: a three-level pure state, tracked
 # briefly on a coarse grid.
@@ -72,6 +79,8 @@ GOLDENS = {
 
 
 def run(out_dir: Path) -> int:
+    from motc.bench.cli import main
+
     for name, (command, changes) in GOLDENS.items():
         case = out_dir / name
         case.mkdir(parents=True, exist_ok=True)
@@ -84,7 +93,121 @@ def run(out_dir: Path) -> int:
     return 0
 
 
+COUNTERS = ("accepted_steps", "rejected_steps", "rhs_evaluations")
+
+
+def _num_diff(x: float, y: float) -> tuple[float, float]:
+    """Absolute and relative difference of two numbers: NaN equals NaN,
+    and NaN or inf against anything else differs by inf."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0, 0.0
+    d = abs(x - y)
+    if not math.isfinite(d):
+        return math.inf, math.inf
+    return d, d / max(abs(x), abs(y))
+
+
+def _cell_diff(a: str, b: str) -> tuple[float, float]:
+    """`_num_diff` of two CSV cells; inf for unequal text."""
+    if a == b:
+        return 0.0, 0.0
+    try:
+        return _num_diff(float(a), float(b))
+    except ValueError:
+        return math.inf, math.inf
+
+
+def _diff_csv(old: Path, new: Path) -> list[str]:
+    with old.open(newline="") as f:
+        head_a, *rows_a = list(csv.reader(f))
+    with new.open(newline="") as f:
+        head_b, *rows_b = list(csv.reader(f))
+    lines = [f"  {old.name}: rows {len(rows_a)} -> {len(rows_b)}"]
+    if head_a != head_b:
+        lines.append(f"    columns {head_a} -> {head_b}")
+    for col in (c for c in head_a if c in head_b):
+        i, j = head_a.index(col), head_b.index(col)
+        diffs = [_cell_diff(ra[i], rb[j]) for ra, rb in zip(rows_a, rows_b)]
+        worst = max((d for d, _ in diffs), default=0.0)
+        rel = max((r for _, r in diffs), default=0.0)
+        lines.append(f"    {col}: max |diff| {worst:.3g}, relative {rel:.3g}")
+    return lines
+
+
+def _numbers(node, path: str = ""):
+    """(path, value) of every number in a JSON tree."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numbers(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from _numbers(value, f"{path}[{k}]")
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, float(node)
+
+
+def _legs(node, path: str = ""):
+    """(path, leg) of every run leg, a dict with ``accepted_steps``."""
+    if isinstance(node, dict):
+        if "accepted_steps" in node:
+            yield path, node
+        for key, value in node.items():
+            yield from _legs(value, f"{path}.{key}" if path else key)
+
+
+def _diff_summary(old: Path, new: Path) -> list[str]:
+    """Each leg's counters and termination, then every other number that
+    differs."""
+    a, b = json.loads(old.read_text()), json.loads(new.read_text())
+    lines = [f"  {old.name}:"]
+    legs_b = dict(_legs(b))
+    for path, leg in _legs(a):
+        other = legs_b.get(path, {})
+        counts = ", ".join(f"{key.split('_')[0]} {leg[key]} -> {other.get(key)}" for key in COUNTERS)
+        lines.append(
+            f"    leg {path}: {counts}; "
+            f"termination {leg['termination']} -> {other.get('termination')}"
+        )
+    nums_b = dict(_numbers(b))
+    for path, x in _numbers(a):
+        if path.rsplit(".", 1)[-1] in COUNTERS:
+            continue
+        d, rel = _num_diff(x, nums_b[path]) if path in nums_b else (math.inf, math.inf)
+        if d:
+            lines.append(f"    {path}: |diff| {d:.3g}, relative {rel:.3g}")
+    return lines
+
+
+def diff(old_dir: Path, new_dir: Path) -> list[str]:
+    """The report of ``--diff`` on two output trees, one line per entry."""
+    lines = []
+    names = sorted({p.name for d in (old_dir, new_dir) for p in d.iterdir() if p.is_dir()})
+    for name in names:
+        old, new = old_dir / name, new_dir / name
+        report = []
+        for f in sorted({p.name for d in (old, new) if d.is_dir() for p in d.iterdir()}):
+            a, b = old / f, new / f
+            if not (a.is_file() and b.is_file()):
+                report.append(f"  {f}: only in {'old' if a.is_file() else 'new'}")
+            elif a.read_bytes() == b.read_bytes():
+                continue
+            elif f.endswith(".csv"):
+                report.extend(_diff_csv(a, b))
+            elif f.endswith("_summary.json"):
+                report.extend(_diff_summary(a, b))
+            else:
+                report.append(f"  {f}: differs")
+        lines.extend([f"{name}: differs", *report] if report else [f"{name}: identical"])
+    return lines
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--diff":
+        print("\n".join(diff(Path(sys.argv[2]), Path(sys.argv[3]))))
+        sys.exit(0)
     if len(sys.argv) != 2:
         sys.exit(__doc__)
+    # Before numpy loads: threaded BLAS sums in another order from run to run.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     sys.exit(run(Path(sys.argv[1])))
