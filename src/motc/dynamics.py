@@ -308,9 +308,11 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
 
     eig = _run_chunks(exponentials, bounds)
     # U(t_j, 0) at every node, in step order, of which only U(T) is returned.
+    # The views are listed once, so each step is one 2-D GEMM call.
     u_nodes[0] = np.eye(n)
-    for j in range(q - 1):
-        np.matmul(steps[j], u_nodes[j], out=u_nodes[j + 1])
+    nodes = list(u_nodes)
+    for step, node, following in zip(steps, nodes, nodes[1:]):
+        step.dot(node, out=following)
     final = u_nodes[-1].copy()
     _run_chunks(averages, eig)
     dipoles = u_nodes

@@ -2,20 +2,22 @@
 
 Input validation, the principal unitary logarithm, condition numbers, and
 the real Hermitian-basis vectorization used by the gradient and Gramian
-machinery.  Everything is a pure function over numpy arrays; LAPACK (via
-numpy/scipy) does the heavy lifting.
+machinery.  Everything is a pure function over numpy arrays; LAPACK, through
+numpy alone, does the heavy lifting.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-from .errors import BranchBoundaryError
+from .errors import BranchBoundaryError, ConsistencyError
 
 # Distance of a unitary-log eigenphase to +-pi below which we refuse to pick
 # a branch.  The principal branch is the open interval (-pi, pi).
 BRANCH_TOL = 1e-6
+# Largest entrywise off-diagonal |Z^dag V Z| of a basis Z taken as
+# diagonalising the unitary V.
+SCHUR_TOL = 1e-10
 # Largest entrywise |M - M^dag| of a matrix taken as Hermitian.
 HERMITIAN_TOL = 1e-12
 # Largest ||V^dag V - I||_F of a matrix taken as unitary.
@@ -54,13 +56,22 @@ def log_unitary_principal(v: np.ndarray) -> np.ndarray:
 
     All eigenphases of V are mapped into (-pi, pi).  An eigenphase within
     BRANCH_TOL of +-pi raises :class:`BranchBoundaryError`; the caller
-    should perturb the input or re-seed.
+    should perturb the input or re-seed.  A basis that leaves an off-diagonal
+    of Z^dag V Z above SCHUR_TOL raises :class:`ConsistencyError`.
     """
     v = require_unitary(v, name="V")
-    # A unitary matrix is normal, so its complex Schur form is diagonal and
-    # the Schur vectors are orthonormal (unlike raw eigenvectors from geev).
-    t, z = scipy.linalg.schur(v.astype(complex), output="complex")
+    # A unitary matrix is normal: eigenvectors of distinct eigenvalues are
+    # orthogonal, and QR orthonormalises the raw ones from geev within each
+    # cluster of (nearly) repeated eigenvalues, giving a Schur basis Z in
+    # which Z^dag V Z is diagonal.
+    z, _ = np.linalg.qr(np.linalg.eig(v)[1])
+    t = z.conj().T @ v @ z
     phases = np.angle(np.diag(t))
+    off = np.abs(t - np.diag(np.diag(t))).max()
+    if off > SCHUR_TOL:
+        raise ConsistencyError(
+            f"eigenbasis leaves off-diagonal {off:.3e} above {SCHUR_TOL:.1e} in Z^dag V Z"
+        )
     if np.any(np.pi - np.abs(phases) < BRANCH_TOL):
         worst = phases[np.argmax(np.abs(phases))]
         raise BranchBoundaryError(

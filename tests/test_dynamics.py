@@ -331,6 +331,16 @@ class TestChunkedPropagate:
         assert out.split() == ["ok"]
 
 
+def test_import_loads_no_scipy():
+    # The package and its CLI need numpy alone; scipy would add its import
+    # time and memory to every run.
+    code = "import sys\nimport motc, motc.bench, motc.bench.cli\nprint('scipy' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 class TestExpectations:
     def test_projector_on_own_state(self):
         sys_ = build_model_system(4, t_final=1.0, q=8)

@@ -134,11 +134,10 @@ class TestUnitaryGradient:
         def phi_of(u):
             return np.trace(u @ rank7_state.rho0 @ u.conj().T @ theta_m).real
 
+        # B = V^dag G is skew-Hermitian: exp(eps B) = exp(-i eps H), H = iB.
         eps = 1e-6
         b = v.conj().T @ g
-        from scipy.linalg import expm
-
-        moved = v @ expm(eps * b)
+        moved = v @ expi(1j * b, eps)
         dphi = phi_of(moved) - phi_of(v)
         assert dphi == pytest.approx(eps * np.linalg.norm(g) ** 2, rel=1e-4)
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from motc.errors import BranchBoundaryError
+from motc.errors import BranchBoundaryError, ConsistencyError
 from motc.linalg import (
+    BRANCH_TOL,
     condition_number,
     herm_to_vec,
     log_unitary_principal,
@@ -62,6 +63,59 @@ class TestLogUnitaryPrincipal:
         a = log_unitary_principal(v)
         assert np.abs(a - a.conj().T).max() < 1e-12
         assert np.linalg.norm(expi(a, -1.0) - v) <= 1e-8
+
+    # Phases that LAPACK sees as one cluster: exactly repeated, or split by
+    # gaps from 1e-14 to 1e-4, where raw eigenvectors need not be orthogonal.
+    @pytest.mark.parametrize("gap", [0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4])
+    @pytest.mark.parametrize("n", [2, 3, 11])
+    def test_clustered_phases(self, n, gap):
+        rng = np.random.default_rng(n)
+        base = rng.uniform(-np.pi + 0.1, np.pi - 0.1, n)
+        # One cluster of two (all of N=2), and for N=11 a second of four.
+        base[1] = base[0]
+        if n == 11:
+            base[5:9] = base[4]
+        theta = base + gap * np.arange(n)
+        _assert_log_matches(theta, random_unitary(n, rng))
+
+    # Phases up to 1e-3 from one side of the branch cut, each farther than
+    # BRANCH_TOL: the principal branch keeps them all near +pi or all near -pi.
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("n", [2, 3, 11])
+    def test_phases_near_branch_cut(self, n, side):
+        rng = np.random.default_rng(100 + n)
+        theta = rng.uniform(-np.pi + 0.1, np.pi - 0.1, n)
+        near = [1e-3, 3 * BRANCH_TOL, 1e-4, 1e-5, 5e-4][: 2 if n == 2 else 5 if n == 11 else 3]
+        theta[: len(near)] = side * (np.pi - np.array(near))
+        _assert_log_matches(theta, random_unitary(n, rng))
+
+    # Phases near +pi and near -pi are close on the unit circle but 2 pi
+    # apart in A, so roundoff in V reaches A amplified by 2 pi / gap, for the
+    # exact logarithm as for any algorithm.
+    @pytest.mark.parametrize("n", [2, 3, 11])
+    def test_phases_straddling_branch_cut(self, n):
+        rng = np.random.default_rng(200 + n)
+        theta = rng.uniform(-np.pi + 0.1, np.pi - 0.1, n)
+        theta[:2] = [np.pi - 1e-3, -np.pi + 1e-4]
+        if n == 11:
+            theta[2:5] = [np.pi - 3 * BRANCH_TOL, np.pi - 1e-5, -np.pi + 2 * BRANCH_TOL]
+        gap = 2 * np.pi - theta[theta > 0].max() + theta[theta < 0].min()
+        _assert_log_matches(theta, random_unitary(n, rng), tol=1e-14 * 2 * np.pi / gap)
+
+    def test_non_diagonalising_basis_raises(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        v, wrong = random_unitary(5, rng), random_unitary(5, rng)
+        monkeypatch.setattr(np.linalg, "eig", lambda a: (np.diag(a), wrong))
+        with pytest.raises(ConsistencyError, match="off-diagonal"):
+            log_unitary_principal(v)
+
+
+def _assert_log_matches(theta: np.ndarray, q: np.ndarray, tol: float = 1e-12) -> None:
+    """The log of V = Q diag(e^{i theta}) Q^dag is the closed form Q diag(theta) Q^dag."""
+    v = (q * np.exp(1j * theta)) @ q.conj().T
+    a = log_unitary_principal(v)
+    assert np.abs(a - (q * theta) @ q.conj().T).max() <= tol
+    assert np.abs(a - a.conj().T).max() <= 1e-14
 
 
 class TestConditionNumber:
