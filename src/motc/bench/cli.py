@@ -2,6 +2,13 @@
 
 Subcommands: gramian-dist, motc-track, grad-flow, unitary-track, efficiency.
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
+
+A numerical failure inside an integration leg (a step below ds_min, a
+Gramian solve left with too large a residual, a non-finite field) ends only
+that leg: its summary records termination "stall" or "error" and the error
+text, and the run exits 0.  So does a failed sample of the Gramian survey,
+counted under "failures".  A failure outside any leg, such as a geodesic
+generator that five nudges do not move off the log branch cut, exits 3.
 """
 
 from __future__ import annotations

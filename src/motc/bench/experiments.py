@@ -160,6 +160,8 @@ class ExperimentConfig:
         integrator = _spec_numbers(
             "integrator", self.integrator, f"euler:ds={_NUMBER}|rkck:atol={_NUMBER},rtol={_NUMBER}"
         )
+        if len(integrator) == 1 and not math.isfinite(max(1.0, self.grad_s_max) / integrator[0]):
+            raise ConfigError(f"integrator {self.integrator!r}: ds too small for a leg's s span")
         object.__setattr__(self, "_rank", rank)
         object.__setattr__(self, "_beta", beta)
         object.__setattr__(self, "_eta", eta)
@@ -303,54 +305,28 @@ def count_high_frequency_modes(omega: np.ndarray, power: np.ndarray) -> int:
     return int(((omega > HIGH_MODE_OMEGA_MIN) & (power >= threshold)).sum())
 
 
-class _RunPropagator:
-    """A run's system with a one-entry memo of its last propagation.
-
-    Called on a field, it returns that field's propagation, computing it
-    only when the field differs from the last one it was called on.  Within
-    a run the same field is asked for in turn: eps_0 by `_geodesic`, the
-    first record and the first stage; each accepted field by the recorder
-    and then by the next step's first stage.  The memo is keyed on an exact
-    copy of the field samples, so a hit returns what ``propagate`` would:
-    the same object, on which the track keys its memo of rows and Gramian
-    (`Track.gramian`).  ``propagate`` is looked up in this module at call
-    time, so a wrapper bound there sees every propagation.
-    """
-
-    def __init__(self, system: QuantumSystem):
-        self.system = system
-        self._samples: np.ndarray | None = None
-        self._prop: PropagationResult | None = None
-
-    def __call__(self, control: ControlField) -> PropagationResult:
-        if self._samples is None or not np.array_equal(control.samples, self._samples):
-            self._prop = propagate(self.system, control)
-            self._samples = control.samples.copy()
-        return self._prop
-
-
 class _Recorder:
     """Observer logging accepted integrator steps into a TrajectoryLog.
 
-    It takes each accepted field's propagation from the run's
-    `_RunPropagator`, and the tracking error and Gramian condition from the
-    track, whose memo keeps that propagation's rows and Gramian for the next
-    step's first stage: a record adds no gradient, Gramian or SVD of its
-    own.  ``phi`` gives the expectations logged (default: the track's).
+    It takes each accepted field's propagation from the `_Run`'s memo, and
+    the tracking error and Gramian condition from the track, whose memo
+    keeps that propagation's rows and Gramian for the next step's first
+    stage: a record adds no gradient, Gramian or SVD of its own.  ``phi``
+    gives the expectations logged (default: the track's).
     """
 
     def __init__(
-        self, propagator: _RunPropagator, track: Track, log: TrajectoryLog,
+        self, run: _Run, track: Track, log: TrajectoryLog,
         phi=None, stop_phi1_at: float | None = None,
     ):
-        self.propagator, self.track, self.log = propagator, track, log
+        self.run, self.track, self.log = run, track, log
         self.phi = track.phi if phi is None else phi
         self.stop_phi1_at = stop_phi1_at
         self._prev_u = self._prev_field = None
         self._u_length = self._field_length = 0.0
 
     def __call__(self, s: float, control: ControlField) -> bool:
-        prop = self.propagator(control)
+        prop = self.run.propagation(control)
         phi = self.phi(prop)
         err, err_inf, dist = self.track.error(prop, s)
         if self._prev_u is not None:
@@ -365,77 +341,92 @@ class _Recorder:
         return bool(self.stop_phi1_at is not None and phi[0] >= self.stop_phi1_at)
 
 
-def _setup(config: ExperimentConfig):
-    """The model system, initial state, full observable set and initial
-    field eps_0 that every tracking or flow run starts from.  The system
-    comes wrapped in the run's own `_RunPropagator`, through which every
-    propagation of the run goes, so a field asked for twice in a row is
-    propagated once."""
-    system = config.build_system()
-    state = config.build_state(system)
-    eps0 = sample_random_field(system, substream(config.seed, _STREAM_FIELD0))
-    return _RunPropagator(system), state, config.build_observables(), eps0
+class _Run:
+    """One tracking or flow run: the model system, initial state, full
+    observable set and initial field eps_0, built once from the config;
+    the run's geodesic, built on first use; and `leg`, which drives each
+    integration.
 
+    Every propagation of the run goes through `propagation`, a one-entry
+    memo: eps_0 is asked for by `geodesic`, the first record and the first
+    stage, each accepted field by the recorder and the next first stage.
+    Keyed on an exact copy of the samples, a hit returns the object
+    ``propagate`` gave, on which the track keys its rows and Gramian
+    (`Track.gramian`).  ``propagate`` is looked up in this module at call
+    time, so a wrapper bound there sees every propagation.
+    """
 
-def _geodesic(
-    config: ExperimentConfig, propagator: _RunPropagator, state: StateSpec,
-    oset_full: ObservableSet, eps0: ControlField,
-):
-    """The propagation of eps_0, the maximizer W of <Theta_1> nearest U_0
-    (`kinematic_maximizer`, in closed form) nudged off the log branch cut
-    if the geodesic generator lands on it, and the run's one geodesic track
-    from U_0 to W; plus ``target_info``, the summary entry
-    ``kinematic_max_phi1``: Phi_1 at W before any nudge."""
-    prop0 = propagator(eps0)
-    u0 = prop0.final
-    w = kinematic_maximizer(u0, state, oset_full.operators[0])
-    info = {"kinematic_max_phi1": float(expectations(w, state, oset_full.subset(1))[0])}
-    rng = substream(config.seed, _STREAM_PERTURB)
-    for _ in range(5):
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self.system = config.build_system()
+        self.state = config.build_state(self.system)
+        self.eps0 = sample_random_field(self.system, substream(config.seed, _STREAM_FIELD0))
+        self.oset_full = config.build_observables()
+        self._samples: np.ndarray | None = None
+        self._prop: PropagationResult | None = None
+
+    def propagation(self, control: ControlField) -> PropagationResult:
+        if self._samples is None or not np.array_equal(control.samples, self._samples):
+            self._prop = propagate(self.system, control)
+            self._samples = control.samples.copy()
+        return self._prop
+
+    @functools.cached_property
+    def geodesic(self):
+        """The propagation of eps_0, the maximizer W of <Theta_1> nearest U_0
+        (`kinematic_maximizer`, in closed form) nudged off the log branch
+        cut if the geodesic generator lands on it, and the run's one
+        geodesic track from U_0 to W; plus ``target_info``, the summary
+        entry ``kinematic_max_phi1``: Phi_1 at W before any nudge."""
+        prop0 = self.propagation(self.eps0)
+        u0, state = prop0.final, self.state
+        w = kinematic_maximizer(u0, state, self.oset_full.operators[0])
+        info = {"kinematic_max_phi1": float(expectations(w, state, self.oset_full.subset(1))[0])}
+        rng = substream(self.config.seed, _STREAM_PERTURB)
+        for _ in range(5):
+            try:
+                return prop0, w, geodesic_target_unitary(u0, w), info
+            except BranchBoundaryError:
+                herm = rng.standard_normal((state.dim, state.dim))
+                herm = 1e-4 * (herm + herm.T) / 2.0
+                wl, vl = np.linalg.eigh(herm)
+                w = w @ ((vl * np.exp(-1j * wl)) @ vl.conj().T)
+        raise BranchBoundaryError("could not move the geodesic generator off the branch cut")
+
+    def leg(
+        self, track: Track, log: TrajectoryLog, rhs=None, phi=None,
+        stop_phi1_at: float | None = None, s_end: float = 1.0,
+    ) -> np.ndarray | None:
+        """One leg of the run: integrate d eps/d s = rhs from eps_0 over
+        [0, s_end] with the configured integrator, logging eps_0 and every
+        accepted step into ``log`` (`_Recorder`), then its counters and
+        termination, a MotcError included.  The default rhs is `motc_rhs`
+        along ``track`` with the configured free function and correction.
+        Returns the final field samples, or None after an error."""
+        config = self.config
+        recorder = _Recorder(self, track, log, phi=phi, stop_phi1_at=stop_phi1_at)
+        if rhs is None:
+            beta = config.correction_beta()
+
+            def rhs(s: float, control: ControlField) -> np.ndarray:
+                free = config.free_function(control.samples)
+                return motc_rhs(track, self.propagation(control), s, free=free, beta=beta)
+
+        recorder(0.0, self.eps0)
+        problem = FlowProblem(
+            rhs=rhs, s_span=(0.0, s_end), initial=self.eps0, ds_min=config.ds_min,
+            ds_max=config.ds_max, max_steps=config.max_steps,
+        )
         try:
-            return prop0, w, geodesic_target_unitary(u0, w), info
-        except BranchBoundaryError:
-            herm = rng.standard_normal((state.dim, state.dim))
-            herm = 1e-4 * (herm + herm.T) / 2.0
-            wl, vl = np.linalg.eigh(herm)
-            w = w @ ((vl * np.exp(-1j * wl)) @ vl.conj().T)
-    raise BranchBoundaryError("could not move the geodesic generator off the branch cut")
-
-
-def _run_leg(
-    config: ExperimentConfig, propagator: _RunPropagator, track: Track, log: TrajectoryLog,
-    eps0: ControlField, rhs=None, phi=None, stop_phi1_at: float | None = None,
-    s_end: float = 1.0,
-) -> np.ndarray | None:
-    """One leg of a run: integrate d eps/d s = rhs from eps_0 over [0, s_end]
-    with the configured integrator, logging eps_0 and every accepted step
-    into ``log`` (`_Recorder`), then its counters and termination, a
-    MotcError included.  The default rhs is `motc_rhs` along ``track`` with
-    the configured free function and correction.  Returns the final field
-    samples, or None after an error."""
-    recorder = _Recorder(propagator, track, log, phi=phi, stop_phi1_at=stop_phi1_at)
-    if rhs is None:
-        beta = config.correction_beta()
-
-        def rhs(s: float, control: ControlField) -> np.ndarray:
-            free = config.free_function(control.samples)
-            return motc_rhs(track, propagator(control), s, free=free, beta=beta)
-
-    recorder(0.0, eps0)
-    problem = FlowProblem(
-        rhs=rhs, s_span=(0.0, s_end), initial=eps0, ds_min=config.ds_min, ds_max=config.ds_max,
-        max_steps=config.max_steps,
-    )
-    try:
-        report = config.integrate(problem, observer=recorder)
-    except MotcError as exc:
-        log.accepted_steps, log.rejected_steps, log.rhs_evaluations = exc.counts
-        log.termination = "stall" if isinstance(exc, StallError) else "error"
-        log.error = f"{type(exc).__name__}: {exc}"
-        return None
-    log.accepted_steps, log.rejected_steps, log.rhs_evaluations = report.counts
-    log.termination = report.termination
-    return report.final_field.samples
+            report = config.integrate(problem, observer=recorder)
+        except MotcError as exc:
+            log.accepted_steps, log.rejected_steps, log.rhs_evaluations = exc.counts
+            log.termination = "stall" if isinstance(exc, StallError) else "error"
+            log.error = f"{type(exc).__name__}: {exc}"
+            return None
+        log.accepted_steps, log.rejected_steps, log.rhs_evaluations = report.counts
+        log.termination = report.termination
+        return report.final_field.samples
 
 
 def run_gramian_distribution(config: ExperimentConfig) -> dict:
@@ -521,24 +512,25 @@ def run_motc_experiment(config: ExperimentConfig) -> dict:
     the tracking equation, logging every accepted step.  High-frequency
     modes are counted only in the field of a completed leg.
     """
-    propagator, state, oset_full, eps0 = _setup(config)
-    prop0, w, geodesic, target_info = _geodesic(config, propagator, state, oset_full, eps0)
+    run = _Run(config)
+    prop0, w, geodesic, target_info = run.geodesic
+    state = run.state
     logs: dict[int, TrajectoryLog] = {}
     spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for m in config.observables:
-        oset = oset_full.subset(m)
+        oset = run.oset_full.subset(m)
         if config.track == "geodesic":
             track = geodesic_target_observables(geodesic, state, oset)
         else:
             phi0 = expectations(prop0, state, oset)
             track = linear_target_observables(phi0, expectations(w, state, oset), state, oset)
         logs[m] = TrajectoryLog(label=f"motc_m{m}", m=m)
-        final = _run_leg(config, propagator, track, logs[m], eps0)
+        final = run.leg(track, logs[m])
         if final is not None:
-            spectra[m] = field_power_spectrum(propagator.system, final)
+            spectra[m] = field_power_spectrum(run.system, final)
     summary = {
         **target_info,
-        "phi1_at_u0": float(expectations(prop0, state, oset_full.subset(1))[0]),
+        "phi1_at_u0": float(expectations(prop0, state, run.oset_full.subset(1))[0]),
         "high_mode_counts": {
             str(m): count_high_frequency_modes(*spectra[m])
             for m in spectra if logs[m].termination == "completed"
@@ -550,11 +542,11 @@ def run_motc_experiment(config: ExperimentConfig) -> dict:
 
 def run_unitary_experiment(config: ExperimentConfig) -> dict:
     """Track the geodesic Q_s in U(N) itself with the N^2-dimensional solve."""
-    propagator, state, oset_full, eps0 = _setup(config)
-    _, _, track, target_info = _geodesic(config, propagator, state, oset_full, eps0)
+    run = _Run(config)
+    _, _, track, target_info = run.geodesic
     log = TrajectoryLog(label="unitary_track", m=max(config.observables))
-    oset = oset_full.subset(log.m)
-    _run_leg(config, propagator, track, log, eps0, phi=lambda prop: expectations(prop, state, oset))
+    oset = run.oset_full.subset(log.m)
+    run.leg(track, log, phi=lambda prop: expectations(prop, run.state, oset))
     summary = {
         **target_info,
         "final_track_distance": (log.columns["track_distance"] or [float("nan")])[-1],
@@ -563,22 +555,19 @@ def run_unitary_experiment(config: ExperimentConfig) -> dict:
     return {"name": "unitary-track", "logs": {"unitary": log}, "summary": summary}
 
 
-def _gradient_leg(
-    config: ExperimentConfig, propagator: _RunPropagator, state: StateSpec,
-    oset_full: ObservableSet, eps0: ControlField, threshold: float | None,
-) -> TrajectoryLog:
+def _gradient_leg(run: _Run, threshold: float | None) -> TrajectoryLog:
     """Integrate the dynamical gradient flow of <Theta_1> from eps_0 with the
     configured integrator, stopping once Phi_1 reaches ``threshold`` (if
     given); returns the flow's log."""
-    oset1 = oset_full.subset(1)
+    state, oset1 = run.state, run.oset_full.subset(1)
     log = TrajectoryLog(label="grad_flow", m=1)
     # The flow follows no path: along a NaN one the logged tracking errors
     # are NaN, while the track still gives Phi_1 and Gamma's condition.
     nan = np.full(1, np.nan)
-    _run_leg(
-        config, propagator, linear_target_observables(nan, nan, state, oset1), log, eps0,
-        rhs=lambda s, control: gradient_field(propagator(control), state, oset1),
-        stop_phi1_at=threshold, s_end=config.grad_s_max,
+    run.leg(
+        linear_target_observables(nan, nan, state, oset1), log,
+        rhs=lambda s, control: gradient_field(run.propagation(control), state, oset1),
+        stop_phi1_at=threshold, s_end=run.config.grad_s_max,
     )
     return log
 
@@ -586,7 +575,7 @@ def _gradient_leg(
 def run_gradient_flow(config: ExperimentConfig) -> dict:
     """Integrate the dynamical gradient flow of <Theta_1> with the configured
     integrator over [0, grad_s_max]."""
-    log = _gradient_leg(config, *_setup(config), threshold=None)
+    log = _gradient_leg(_Run(config), threshold=None)
     return {"name": "grad-flow", "logs": {"gradient": log}, "summary": {"log": log.summary()}}
 
 
@@ -594,18 +583,18 @@ def run_efficiency_comparison(config: ExperimentConfig) -> dict:
     """Accepted steps of the configured integrator to reach
     Phi_1 >= threshold: MOTC (largest m) versus the gradient flow, under
     identical tolerances."""
-    propagator, state, oset_full, eps0 = _setup(config)
-    _, _, geodesic, target_info = _geodesic(config, propagator, state, oset_full, eps0)
+    run = _Run(config)
+    _, _, geodesic, target_info = run.geodesic
     threshold = config.threshold_fraction * target_info["kinematic_max_phi1"]
 
     # MOTC leg
     m_big = max(config.observables)
-    track = geodesic_target_observables(geodesic, state, oset_full.subset(m_big))
+    track = geodesic_target_observables(geodesic, run.state, run.oset_full.subset(m_big))
     motc_log = TrajectoryLog(label=f"efficiency_motc_m{m_big}", m=m_big)
-    _run_leg(config, propagator, track, motc_log, eps0, stop_phi1_at=threshold)
+    run.leg(track, motc_log, stop_phi1_at=threshold)
 
     # gradient-flow leg
-    grad_log = _gradient_leg(config, propagator, state, oset_full, eps0, threshold)
+    grad_log = _gradient_leg(run, threshold)
 
     def steps_to_threshold(log: TrajectoryLog) -> int | None:
         col = log.columns

@@ -120,9 +120,6 @@ class ControlField:
             raise ValueError("field has non-finite samples")
         object.__setattr__(self, "samples", s)
 
-    def __len__(self) -> int:
-        return self.samples.size
-
 
 def zero_field(system: QuantumSystem) -> ControlField:
     return ControlField(np.zeros(system.q))

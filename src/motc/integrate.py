@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import ControlField
-from .errors import MotcError, StallError
+from .errors import ConsistencyError, MotcError, StallError
 
 # Cash-Karp tableau.
 _CK_C = np.array([0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8])
@@ -85,6 +85,14 @@ class IntegrationReport:
 Observer = Callable[[float, ControlField], bool | None]
 
 
+def _field(s: float, y: np.ndarray) -> ControlField:
+    """The field with samples ``y`` at s; ConsistencyError if one is not
+    finite (a right-hand side that overflowed)."""
+    if not np.all(np.isfinite(y)):
+        raise ConsistencyError(f"non-finite field at s = {s:.6g}")
+    return ControlField(y)
+
+
 def euler_integrate(
     problem: FlowProblem, ds: float, observer: Observer | None = None
 ) -> IntegrationReport:
@@ -95,38 +103,34 @@ def euler_integrate(
     any) is called after every accepted step; returning True stops the
     integration early.  After the problem's ``max_steps`` steps the
     integration returns with termination "max_steps" short of the
-    interval's end.  A MotcError from the right-hand side or the observer
-    propagates with ``counts`` set.
+    interval's end.  A MotcError from the right-hand side or the observer,
+    or a ConsistencyError for a non-finite step field, propagates with
+    ``counts`` set.
     """
-    if ds <= 0:
-        raise ValueError("ds must be positive")
     s0, s1 = problem.s_span
+    if ds <= 0 or not np.isfinite((s1 - s0) / ds):
+        raise ValueError(f"ds must be positive and (s1 - s0) / ds finite, got ds = {ds!r}")
     n = max(1, round((s1 - s0) / ds))
-    y = problem.initial.samples.copy()
-    s, steps, termination = s0, 0, "completed"
+    control = problem.initial
+    s, steps, n_eval, termination = s0, 0, 0, "completed"
     try:
         while steps < n:
             h = ds if steps < n - 1 else s1 - s
-            dy = problem.rhs(s, ControlField(y))
+            dy = problem.rhs(s, control)
+            n_eval += 1
+            s = s + h if steps < n - 1 else s1
+            control = _field(s, control.samples + h * dy)
             steps += 1
-            y = y + h * dy
-            s = s + h if steps < n else s1
-            if observer is not None and observer(s, ControlField(y)):
+            if observer is not None and observer(s, control):
                 termination = "observer"
                 break
             if steps >= problem.max_steps and steps < n:
                 termination = "max_steps"
                 break
     except MotcError as exc:
-        exc.counts = (steps, 0, steps)
+        exc.counts = (steps, 0, n_eval)
         raise
-    return IntegrationReport(
-        accepted_steps=steps,
-        rejected_steps=0,
-        rhs_evaluations=steps,
-        final_field=ControlField(y),
-        termination=termination,
-    )
+    return IntegrationReport(steps, 0, n_eval, control, termination)
 
 
 def rkck_adaptive(problem: FlowProblem, observer: Observer | None = None) -> IntegrationReport:
@@ -136,9 +140,11 @@ def rkck_adaptive(problem: FlowProblem, observer: Observer | None = None) -> Int
     RMS norm; a step is accepted when the scaled error is at most 1.  The
     next step is safety * err^(-1/5) times the current one, clamped to
     [ds_min, ds_max] with growth at most 5x.  A required step below ds_min
-    raises StallError.  After the problem's ``max_steps`` attempted steps
-    the integration returns with termination "max_steps" short of the
-    interval's end.  Any MotcError propagates with ``counts`` set.
+    raises StallError, a non-finite stage field ConsistencyError (an
+    accepted step's field is finite: its error estimate is).  After the
+    problem's ``max_steps`` attempted steps the integration returns with
+    termination "max_steps" short of the interval's end.  Any MotcError
+    propagates with ``counts`` set.
 
     A rejected attempt keeps k[0] = rhs(s, eps): the next attempt starts
     from the same (s, eps), so it evaluates only the five later stages.
@@ -161,7 +167,7 @@ def rkck_adaptive(problem: FlowProblem, observer: Observer | None = None) -> Int
                 n_eval += 1
             for i in range(1, 6):
                 yi = y + h * sum(a * k[j] for j, a in enumerate(_CK_A[i]))
-                k[i] = problem.rhs(s + _CK_C[i] * h, ControlField(yi))
+                k[i] = problem.rhs(s + _CK_C[i] * h, _field(s + _CK_C[i] * h, yi))
                 n_eval += 1
             y5 = y + h * sum(b * ki for b, ki in zip(_CK_B5, k))
             y4 = y + h * sum(b * ki for b, ki in zip(_CK_B4, k))
@@ -196,11 +202,5 @@ def rkck_adaptive(problem: FlowProblem, observer: Observer | None = None) -> Int
     except MotcError as exc:
         exc.counts = (acc, rej, n_eval)
         raise
-    return IntegrationReport(
-        accepted_steps=acc,
-        rejected_steps=rej,
-        rhs_evaluations=n_eval,
-        final_field=ControlField(y),
-        termination=termination,
-    )
+    return IntegrationReport(acc, rej, n_eval, ControlField(y), termination)
 

@@ -100,6 +100,7 @@ class TestConfig:
             {"t_final": float("nan")},
             {"temperature": True},
             {"grad_s_max": float("inf"), "integrator": "euler:ds=0.5"},
+            {"integrator": "euler:ds=1e-310"},
             {"state": 3},
             {"integrator": 7},
             {"correction": None},
@@ -243,16 +244,16 @@ class TestTrajectoryLog:
     def test_pathlength_monotone(self):
         # The recorder sums the distances between consecutive U(T) and
         # between consecutive fields, starting from 0.
-        system = build_model_system(3, t_final=10.0, q=16)
-        state = build_rank_truncated_state(system, 1)
-        oset = build_observable_set(3, 2, np.random.default_rng(0))
-        track = linear_target_observables(np.zeros(2), np.ones(2), state, oset)
+        run = experiments._Run(
+            ExperimentConfig(n_levels=3, state="pure", t_final=10.0, q=16, observables=(2,))
+        )
+        track = linear_target_observables(np.zeros(2), np.ones(2), run.state, run.oset_full)
         log = TrajectoryLog(label="x", m=2)
-        recorder = experiments._Recorder(experiments._RunPropagator(system), track, log)
+        recorder = experiments._Recorder(run, track, log)
         fields = [ControlField(np.full(16, c)) for c in (0.0, 0.5, 0.8)]
         for s, control in zip((0.0, 0.1, 0.2), fields):
             recorder(s, control)
-        u = [propagate(system, control).final for control in fields]
+        u = [propagate(run.system, control).final for control in fields]
         du = [np.linalg.norm(u[1] - u[0]), np.linalg.norm(u[2] - u[1])]
         assert log.columns["u_pathlength"] == [0.0, du[0], pytest.approx(du[0] + du[1])]
         assert log.columns["field_pathlength"] == [0.0, 2.0, pytest.approx(3.2)]
@@ -454,8 +455,8 @@ class TestEfficiencyRunner:
     def test_setup_built_once(self, monkeypatch):
         # Both legs start from one model, state, observable set and eps_0.
         calls = []
-        setup = experiments._setup
-        monkeypatch.setattr(experiments, "_setup", lambda config: calls.append(config) or setup(config))
+        run = experiments._Run
+        monkeypatch.setattr(experiments, "_Run", lambda config: calls.append(config) or run(config))
         cfg = ExperimentConfig(
             experiment="efficiency", n_levels=3, state="pure", t_final=20.0, q=32,
             observables=(2,), max_steps=3,
@@ -592,6 +593,19 @@ class TestTrackingEndToEnd:
         assert (s[-1] == 1.0) == (termination == "completed")
         assert summary["accepted_steps"] == summary["records"] - 1 == len(s) - 1
         assert ("error" in summary) == (termination == "stall")
+
+    def test_non_finite_field_recorded(self, tmp_path):
+        # At eta = 1e-300 the minimum-fluence free function overflows, and
+        # with it a Cash-Karp stage field: the leg ends in a recorded
+        # error, not a traceback, and the run's outputs are written.
+        flags = ["--free-fn", "fluence:eta=1e-300", "--out", str(tmp_path)]
+        assert cli_main(["motc-track", *_TINY, *flags]) == 0
+        summary = json.loads((tmp_path / "motc-track_summary.json").read_text())["summary"]
+        leg = summary["per_m"]["2"]
+        assert leg["termination"] == "error"
+        assert leg["error"].startswith("ConsistencyError: non-finite field at s = ")
+        assert leg["records"] == leg["accepted_steps"] + 1
+        assert summary["high_mode_counts"] == {}
 
     @pytest.mark.parametrize("max_steps,termination", [(20000, "completed"), (5, "max_steps")])
     def test_high_modes_of_completed_legs_only(self, tmp_path, max_steps, termination):

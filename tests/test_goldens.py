@@ -3,13 +3,14 @@
 import importlib.util
 import json
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "goldens", Path(__file__).resolve().parents[1] / "tools" / "goldens.py"
-)
+_SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "goldens.py"
+_SPEC = importlib.util.spec_from_file_location("goldens", _SCRIPT)
 goldens = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(goldens)
 
@@ -62,3 +63,21 @@ def test_leg_counters_and_numbers_reported(trees):
     ) in lines
     assert any(line.startswith("    summary.log.final_phi[0]: |diff| 1e-09") for line in lines)
     assert not any("phi1_at_u0" in line for line in lines)
+
+
+@pytest.mark.parametrize("change,status", [(False, 0), (True, 1)], ids=["identical", "differs"])
+def test_exit_status(trees, change, status):
+    # A script gates on the exit status: 0 only when every config is identical.
+    old, new = trees
+    (old / "other").mkdir()
+    (old / "other" / "run.csv").write_text(CSV)
+    shutil.copytree(old / "other", new / "other")
+    if change:
+        (new / "case" / "run.csv").write_text(CSV.replace("0.25", "0.5"))
+    proc = subprocess.run(
+        [sys.executable, str(_SCRIPT), "--diff", str(old), str(new)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == status
+    assert proc.stdout.splitlines()[-1] == "other: identical"
+    assert ("case: differs" in proc.stdout) == change

@@ -101,6 +101,35 @@ class TestEuler:
             euler_integrate(make_problem(rhs), ds=0.1)
         assert err.value.counts == (2, 0, 2)
 
+    @pytest.mark.parametrize("ds", [0.0, -0.1, 1e-310], ids=["zero", "negative", "span-overflow"])
+    def test_bad_step_rejected(self, ds):
+        # 1 / 1e-310 overflows to inf: no step count exists for the span.
+        with pytest.raises(ValueError, match="ds must be positive"):
+            euler_integrate(make_problem(lambda s, f: np.zeros(32)), ds=ds)
+
+
+@pytest.mark.parametrize(
+    "integrate,counts,s",
+    [
+        # The third evaluation gives the third step's field.
+        (lambda problem: euler_integrate(problem, ds=0.1), (2, 0, 3), "0.3"),
+        # The third evaluation is stage 2 of the first attempt, whose
+        # stage 3 field at s = 3/5 * 0.01 is the first non-finite one.
+        (rkck_adaptive, (0, 0, 3), "0.006"),
+    ],
+    ids=["euler", "rkck"],
+)
+def test_non_finite_field_raises_with_counts(integrate, counts, s):
+    calls = []
+
+    def rhs(s, field):
+        calls.append(s)
+        return np.full(32, np.inf if len(calls) >= 3 else 1.0)
+
+    with pytest.raises(ConsistencyError, match=f"non-finite field at s = {s}$") as err:
+        integrate(make_problem(rhs))
+    assert err.value.counts == counts
+
 
 class TestRkckAdaptive:
     def test_constant_rhs_no_rejections(self):

@@ -18,7 +18,9 @@ byte.  Of every other config it lists the files that differ: per CSV the
 row counts and the largest absolute and relative difference per column
 (over the rows both files have); from the summary JSON each leg's
 accepted, rejected and rhs counts and its termination, then every other
-number that differs.
+number that differs.  It exits 0 when every config is identical and 1
+when any differs, so a script can gate a change that must not move a
+number on it.
 ``diff -r`` cannot gate a change that touches arithmetic: golden config 1
 (``motc-default``) accepts or rejects steps differently past s = 0.9 on
 changes of 1e-14, so its rows shift while its run still completes.
@@ -203,8 +205,9 @@ def diff(old_dir: Path, new_dir: Path) -> list[str]:
 
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--diff":
-        print("\n".join(diff(Path(sys.argv[2]), Path(sys.argv[3]))))
-        sys.exit(0)
+        lines = diff(Path(sys.argv[2]), Path(sys.argv[3]))
+        print("\n".join(lines))
+        sys.exit(0 if all(line.endswith(": identical") for line in lines) else 1)
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     # Before numpy loads: threaded BLAS sums in another order from run to run.
