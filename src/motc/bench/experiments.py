@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
+from .. import dynamics
 from ..dynamics import (
     ControlField,
     PropagationResult,
@@ -432,7 +433,14 @@ class _Run:
 def run_gramian_distribution(config: ExperimentConfig) -> dict:
     """Condition numbers of G and of Gamma (thermal and pure states) over an
     ensemble of random fields; histogram plus log10 summary statistics, and
-    per Gramian the count of numerically singular samples."""
+    per Gramian the count of numerically singular samples.
+
+    ``workers`` above 1 runs the samples on that many forked processes (at
+    most one per sample and usable core).  At 1 they run in this process:
+    one after another when one propagation fits on one core, that is below
+    ``propagate``'s chunk floor; above it, in contiguous blocks, one per
+    usable core, on ``propagate``'s helper threads, each block's
+    propagations in its own thread.  The table is the same either way."""
     rows, failures = [], 0
     # What every sample shares; pool workers get it pickled with each chunk.
     system = config.build_system()
@@ -450,6 +458,16 @@ def run_gramian_distribution(config: ExperimentConfig) -> dict:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = max(1, config.samples // (8 * workers))
             results = list(pool.map(sample, range(config.samples), chunksize=chunksize))
+    elif dynamics._chunk_count(system.q - 1) > 1:
+        # One propagation would split its steps over the cores, so a block
+        # of samples per core keeps them busier: the serial product, G and
+        # its SVD run alongside, and each propagation in its block's thread.
+        blocks = min(usable_cores(), config.samples)
+        edges = [b * config.samples // blocks for b in range(blocks + 1)]
+        spread = dynamics._run_chunks(
+            lambda lo, hi: [sample(k) for k in range(lo, hi)], list(zip(edges[:-1], edges[1:]))
+        )
+        results = [rec for block in spread for rec in block]
     else:
         results = [sample(k) for k in range(config.samples)]
     for rec in results:

@@ -39,15 +39,22 @@ process's CPU affinity, see ``usable_cores``) and at least MIN_CHUNK_STEPS
 steps each.  The chunks build H_j, its ``eigh`` and S_j in parallel; the
 product U(t_{j+1}, 0) = S_j U(t_j, 0) then runs in the calling thread in
 step order; then the chunks build W_j and the step averages in parallel,
-each into its own rows.  The calling thread runs the first chunk and a
-module-level thread pool, made at import and rebuilt after a fork, the rest.
-Each step sees the same operands whatever the split, so the chunk count
-cannot change a single bit of the result.
+each into its own rows.  A chunk takes its steps in sub-blocks of at most
+MIN_CHUNK_STEPS, so the stages' temporaries are block-sized and a
+propagation holds little beyond S_j, the node propagators (whose buffer
+becomes the dipoles) and the eigenbases.  The calling thread runs the first
+chunk and a module-level thread pool, made at import and rebuilt after a
+fork, the rest.  A call made from inside a chunk, such as a propagation in
+a block of survey samples (``motc.bench``), runs all of its chunks in its
+own thread.  Each step sees the same operands whatever the split, so
+neither the chunk count nor the blocks can change a single bit of the
+result.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
@@ -234,13 +241,31 @@ def _chunk_count(steps: int) -> int:
     return max(1, min(usable_cores(), steps // MIN_CHUNK_STEPS))
 
 
+# Whether this thread is running a chunk: a call made from inside one runs
+# its own chunks inline.
+_chunk_thread = threading.local()
+
+
+def _in_chunk(stage, args: tuple):
+    _chunk_thread.inside = True
+    try:
+        return stage(*args)
+    finally:
+        _chunk_thread.inside = False
+
+
 def _run_chunks(stage, chunks: list[tuple]) -> list:
     """[stage(*args) for args in chunks]: the first in this thread, the rest
     on the helper pool.  An error is raised only once every chunk has
-    finished, so no helper writes into a buffer after the caller has left."""
-    helpers = [_pool.submit(stage, *args) for args in chunks[1:]]
+    finished, so no helper writes into a buffer after the caller has left.
+    A call made from inside a chunk runs all of its chunks in its own
+    thread: nested work neither waits on the helpers it occupies nor asks
+    for more cores than there are."""
+    if getattr(_chunk_thread, "inside", False):
+        return [stage(*args) for args in chunks]
+    helpers = [_pool.submit(_in_chunk, stage, args) for args in chunks[1:]]
     try:
-        first = stage(*chunks[0])
+        first = _in_chunk(stage, chunks[0])
     finally:
         wait(helpers)
     return [first, *(future.result() for future in helpers)]
@@ -261,32 +286,39 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
     chunks = _chunk_count(q - 1)
     edges = [c * (q - 1) // chunks for c in range(chunks + 1)]
     bounds = list(zip(edges[:-1], edges[1:]))
-    # The step exponentials and their rows; the node propagators, whose
-    # buffer takes the dipoles once W_j is built.
+    # The step exponentials; the node propagators, whose buffer takes the
+    # dipoles once W_j is built.  A block's rows of each serve as its
+    # scratch while they hold nothing else.
     steps = np.empty((q - 1, n, n), dtype=complex)
-    rows = np.empty_like(steps)
     u_nodes = np.empty((q, n, n), dtype=complex)
 
     def exponentials(lo: int, hi: int) -> tuple:
         w, v = np.linalg.eigh(h0[None, :, :] - eps[lo:hi, None, None] * mu[None, :, :])
-        vh = v.conj().transpose(0, 2, 1)
         # S_j = V_j (e^{-i w_j dt} o V_j^dag), the phases scaling the rows of
         # a C-ordered operand that a real V_j multiplies as one real GEMM.
-        np.multiply(np.exp(-1j * dt * w)[:, :, None], vh, out=rows[lo:hi])
-        _matmul_real_left(v, rows[lo:hi], out=steps[lo:hi])
-        return lo, hi, w, v, vh
+        # The operand takes the node propagators' rows, unused until the
+        # product.
+        phased = np.multiply(
+            np.exp(-1j * dt * w)[:, :, None], v.conj().transpose(0, 2, 1), out=u_nodes[lo:hi]
+        )
+        _matmul_real_left(v, phased, out=steps[lo:hi])
+        return lo, hi, w, v
 
-    def averages(lo: int, hi: int, w: np.ndarray, v: np.ndarray, vh: np.ndarray) -> None:
+    def averages(lo: int, hi: int, w: np.ndarray, v: np.ndarray) -> None:
+        # W_j takes the block's step exponentials, spent once the node
+        # propagators are built, and mu' o Phi the node propagators, spent
+        # once W_j is.
+        vh = v.conj().transpose(0, 2, 1)
+        wj = _matmul_real_left(vh, u_nodes[lo:hi], out=steps[lo:hi])
         # Within-step average of the interaction-picture dipole, in closed
         # form: (1/dt) int_0^dt e^{iHs} mu e^{-iHs} ds has eigenbasis
         # elements mu'_{ab} * phi(i g_ab) with g_ab = (w_a - w_b) dt and
         # phi(ig) = (e^{ig} - 1)/(ig) = sin(g)/g + i 2 sin^2(g/2)/g, phi(0) = 1.
         # Real sines lose no digits at any gap, where e^{ig} - 1 cancels
-        # them.  The chunk's step exponentials and rows, spent once the node
-        # propagators are built, take mu' o Phi and W_j.
+        # them.
         g = (w[:, :, None] - w[:, None, :]) * dt
         gap = g != 0
-        phi = steps[lo:hi]
+        phi = u_nodes[lo:hi]
         phi.real = 1.0
         np.divide(np.sin(g), g, out=phi.real, where=gap)
         half = np.sin(0.5 * g)
@@ -294,16 +326,24 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
         phi.imag = 0.0
         np.divide(2.0 * half, g, out=phi.imag, where=gap)
         mu_phi = np.multiply(vh @ mu @ v, phi, out=phi)
-        wj = _matmul_real_left(vh, u_nodes[lo:hi], out=rows[lo:hi])
         mixed = mu_phi @ wj
         # W_j^dag is the transposed view of W_j conjugated in place: BLAS
         # takes a transposed operand as it is, where a conjugated copy costs
-        # a pass.  The dipoles overwrite the chunk's own node propagators,
-        # the only ones its W_j read.
+        # a pass.  The dipoles overwrite mu' o Phi, spent once mixed is built.
         np.conjugate(wj, out=wj)
         np.matmul(wj.transpose(0, 2, 1), mixed, out=u_nodes[lo:hi])
 
-    eig = _run_chunks(exponentials, bounds)
+    # A chunk runs each stage over sub-blocks of at most MIN_CHUNK_STEPS
+    # steps, so the stages' temporaries are block-sized.
+    def chunk_exponentials(lo: int, hi: int) -> list:
+        starts = range(lo, hi, MIN_CHUNK_STEPS)
+        return [exponentials(b, min(b + MIN_CHUNK_STEPS, hi)) for b in starts]
+
+    def chunk_averages(blocks: list) -> None:
+        for block in blocks:
+            averages(*block)
+
+    eig = _run_chunks(chunk_exponentials, bounds)
     # U(t_j, 0) at every node, in step order, of which only U(T) is returned.
     # The views are listed once, so each step is one 2-D GEMM call.
     u_nodes[0] = np.eye(n)
@@ -311,7 +351,7 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
     for step, node, following in zip(steps, nodes, nodes[1:]):
         step.dot(node, out=following)
     final = u_nodes[-1].copy()
-    _run_chunks(averages, eig)
+    _run_chunks(chunk_averages, [(blocks,) for blocks in eig])
     dipoles = u_nodes
     dipoles[-1] = 0.0
     # Sample units: dt/weights[j] is 1 but at the ends, and row q-1 is zero.

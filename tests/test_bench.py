@@ -700,7 +700,7 @@ class TestNoKinematicFlowInRunners:
 
 
 class TestOneGeodesicPerRun:
-    """A run builds its geodesic from U_0 to W once: `_geodesic`'s
+    """A run builds its geodesic from U_0 to W once: `_Run.geodesic`'s
     branch-cut probe is the track every leg uses, so one principal log is
     taken per run whatever the number of observable sets."""
 
@@ -718,8 +718,9 @@ class TestOneGeodesicPerRun:
 
 
 class TestBranchCutRetry:
-    """`_geodesic` nudges W off the log branch cut and tries the geodesic
-    again, up to five times; then the run ends in BranchBoundaryError."""
+    """`_Run.geodesic` nudges W off the log branch cut and tries the
+    geodesic again, up to five times; then the run ends in
+    BranchBoundaryError."""
 
     CONFIG = ExperimentConfig(
         n_levels=3, state="pure", t_final=20.0, q=32, observables=(2,), max_steps=3

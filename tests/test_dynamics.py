@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from motc.dynamics import (
     zero_field,
 )
 from motc import dynamics
+from motc.bench import experiments
 from motc.dynamics import DEGENERACY_TOL
 from motc.landscape import ObservableSet, natural_basis_dimension
 
@@ -144,9 +146,10 @@ class TestPropagate:
         assert abs(phi - expected) <= 1e-14 * abs(expected)
 
     def test_peak_allocation(self, model_system):
-        # One propagation at N=11, q=1024 allocates at most 9.5 complex
-        # (q, N, N) arrays at its peak (18.0 MiB): the one it returns plus
-        # the temporaries of its stages.
+        # One propagation at N=11, q=1024 allocates at most 4 complex
+        # (q, N, N) arrays at its peak (7.6 MiB): the one it returns, the
+        # step exponentials, the real eigenbases and the temporaries of
+        # one block of steps per chunk.
         field = sample_random_field(model_system, np.random.default_rng(3))
         propagate(model_system, field)
         tracemalloc.start()
@@ -156,7 +159,7 @@ class TestPropagate:
         finally:
             tracemalloc.stop()
         one = model_system.q * model_system.dim**2 * np.dtype(complex).itemsize
-        assert peak <= 9.5 * one
+        assert peak <= 4.0 * one
 
     def test_length_mismatch(self, small_system):
         with pytest.raises(ValueError, match="samples"):
@@ -232,6 +235,67 @@ forked = experiments.run_gramian_distribution(experiments.ExperimentConfig(**cfg
 assert np.array_equal(serial["table"][1], forked["table"][1])
 print("ok")
 """
+
+
+# A child interpreter that runs a survey above the chunk floor on two
+# cores: spread over two sample blocks on two threads, then one sample
+# after another with one chunk per propagation.  The tables must match.
+_SPREAD_CHILD = """
+import threading
+from motc import dynamics
+from motc.bench import experiments
+dynamics.usable_cores = experiments.usable_cores = lambda: 2
+threads, sample = [], experiments._gramian_sample
+def recorded(*args):
+    threads.append(threading.current_thread().name)
+    return sample(*args)
+experiments._gramian_sample = recorded
+cfg = experiments.ExperimentConfig(
+    experiment="gramian-dist", n_levels=5, state="pure", t_final=30.0, q=300,
+    observables=(2,), samples=5,
+)
+spread = experiments.run_gramian_distribution(cfg)["table"][1]
+assert len(set(threads)) == 2, threads
+assert any(name.startswith("motc-propagate") for name in threads), threads
+threads.clear()
+dynamics._chunk_count = lambda steps: 1
+serial = experiments.run_gramian_distribution(cfg)["table"][1]
+assert set(threads) == {threading.current_thread().name}, threads
+assert spread.tobytes() == serial.tobytes()
+print("ok")
+"""
+
+
+# A child interpreter that spreads survey samples over two blocks while
+# each sample's propagation asks for two chunks of its own.  A nested
+# call that went to the helper pool would wait on the helper it occupies.
+_NESTED_CHILD = """
+from motc import dynamics
+from motc.bench import experiments
+dynamics._chunk_count = lambda steps: 2
+experiments.usable_cores = lambda: 2
+cfg = dict(experiment="gramian-dist", samples=4, q=64, t_final=30.0, observables=(4,))
+out = experiments.run_gramian_distribution(experiments.ExperimentConfig(**cfg))
+assert out["summary"]["failures"] == 0
+print("ok")
+"""
+
+
+def _run_child(code: str, timeout: float, hang: str) -> None:
+    # Runs ``code`` in a child interpreter and fails with ``hang`` if it has
+    # not finished within ``timeout`` seconds, killing it with any children.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=_child_env(), start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(hang)
+    assert proc.returncode == 0, err
+    assert out.split() == ["ok"]
 
 
 class TestChunkedPropagate:
@@ -316,19 +380,36 @@ class TestChunkedPropagate:
     def test_forked_workers_get_a_pool_of_their_own(self):
         # A forked child inherits the pool object but not its threads; one
         # that kept it would wait on them forever, so a timeout fails it.
-        proc = subprocess.Popen(
-            [sys.executable, "-c", _FORK_CHILD], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True, env=_child_env(), start_new_session=True,
+        _run_child(_FORK_CHILD, 60, "survey workers forked after a chunked propagation hung")
+
+
+class TestSpreadSurvey:
+    """At ``workers`` 1 a survey whose propagations would split their steps
+    runs one block of samples per usable core on the helper threads.  The
+    surveys that spread run in a child interpreter: a nested call that
+    reached the one-thread helper pool would hang, and a timeout fails it."""
+
+    def test_spread_table_matches_serial(self):
+        _run_child(_SPREAD_CHILD, 60, "a spread survey hung")
+
+    def test_chunks_inside_a_chunk_run_inline(self):
+        _run_child(_NESTED_CHILD, 60, "a propagation inside a survey block hung")
+
+    def test_short_survey_starts_no_thread(self, monkeypatch):
+        # Below the chunk floor the samples stay in this thread, whatever
+        # the cores.  A fresh pool would start a thread at its first submit.
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(dynamics, "usable_cores", lambda: 2)
+        monkeypatch.setattr(experiments, "usable_cores", lambda: 2)
+        monkeypatch.setattr(dynamics, "_pool", ThreadPoolExecutor(1))
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = experiments.ExperimentConfig(
+            experiment="gramian-dist", n_levels=5, state="pure", t_final=30.0, q=64,
+            observables=(2,), samples=5,
         )
-        try:
-            out, err = proc.communicate(timeout=60)
-        except subprocess.TimeoutExpired:
-            # Kill the hung survey workers with their parent.
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            pytest.fail("survey workers forked after a chunked propagation hung")
-        assert proc.returncode == 0, err
-        assert out.split() == ["ok"]
+        assert experiments.run_gramian_distribution(cfg)["summary"]["failures"] == 0
 
 
 def test_import_loads_no_scipy():

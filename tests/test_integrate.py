@@ -131,6 +131,21 @@ def test_non_finite_field_raises_with_counts(integrate, counts, s):
     assert err.value.counts == counts
 
 
+def test_rkck_non_finite_error_estimate_raises_with_counts():
+    # The sixth evaluation is the first attempt's last stage, which builds
+    # no field: only the error estimate sees its NaN.  It is no rejection,
+    # which would shrink the step and retry from the same state.
+    calls = []
+
+    def rhs(s, field):
+        calls.append(s)
+        return np.full(8, np.nan if len(calls) == 6 else 1.0)
+
+    with pytest.raises(ConsistencyError, match="non-finite error estimate at s = 0$") as err:
+        rkck_adaptive(make_problem(rhs, q=8))
+    assert err.value.counts == (0, 0, 6)
+
+
 class TestRkckAdaptive:
     def test_constant_rhs_no_rejections(self):
         c = np.full(16, 0.3)
