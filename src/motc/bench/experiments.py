@@ -439,8 +439,9 @@ def run_gramian_distribution(config: ExperimentConfig) -> dict:
     most one per sample and usable core).  At 1 they run in this process:
     one after another when one propagation fits on one core, that is below
     ``propagate``'s chunk floor; above it, in contiguous blocks, one per
-    usable core, on ``propagate``'s helper threads, each block's
-    propagations in its own thread.  The table is the same either way."""
+    usable core, the first in this thread and the rest on ``propagate``'s
+    helper threads, each block's propagations in its own thread.  The table
+    is the same either way."""
     rows, failures = [], 0
     # What every sample shares; pool workers get it pickled with each chunk.
     system = config.build_system()
