@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
-from .. import dynamics
 from ..dynamics import (
     ControlField,
     PropagationResult,
@@ -23,6 +22,7 @@ from ..dynamics import (
     StateSpec,
     expectations,
     propagate,
+    spread,
     usable_cores,
 )
 from ..errors import BranchBoundaryError, ConfigError, MotcError, StallError
@@ -436,12 +436,11 @@ def run_gramian_distribution(config: ExperimentConfig) -> dict:
     per Gramian the count of numerically singular samples.
 
     ``workers`` above 1 runs the samples on that many forked processes (at
-    most one per sample and usable core).  At 1 they run in this process:
-    one after another when one propagation fits on one core, that is below
-    ``propagate``'s chunk floor; above it, in contiguous blocks, one per
-    usable core, the first in this thread and the rest on ``propagate``'s
-    helper threads, each block's propagations in its own thread.  The table
-    is the same either way."""
+    most one per sample and usable core).  At 1 they run in this process
+    through ``dynamics.spread``: in contiguous blocks, one per usable core,
+    on this thread and ``propagate``'s helper threads when a sample's
+    propagation is large enough to pay for a thread of its own, else one
+    after another in this thread.  The table is the same either way."""
     rows, failures = [], 0
     # What every sample shares; pool workers get it pickled with each chunk.
     system = config.build_system()
@@ -459,18 +458,8 @@ def run_gramian_distribution(config: ExperimentConfig) -> dict:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = max(1, config.samples // (8 * workers))
             results = list(pool.map(sample, range(config.samples), chunksize=chunksize))
-    elif dynamics._chunk_count(system.q - 1) > 1:
-        # One propagation would split its steps over the cores, so a block
-        # of samples per core keeps them busier: the serial product, G and
-        # its SVD run alongside, and each propagation in its block's thread.
-        blocks = min(usable_cores(), config.samples)
-        edges = [b * config.samples // blocks for b in range(blocks + 1)]
-        spread = dynamics._run_chunks(
-            lambda lo, hi: [sample(k) for k in range(lo, hi)], list(zip(edges[:-1], edges[1:]))
-        )
-        results = [rec for block in spread for rec in block]
     else:
-        results = [sample(k) for k in range(config.samples)]
+        results = spread(sample, config.samples, system)
     for rec in results:
         if rec is None:
             failures += 1

@@ -44,11 +44,14 @@ MIN_CHUNK_STEPS, so the stages' temporaries are block-sized and a
 propagation holds little beyond S_j, the node propagators (whose buffer
 becomes the dipoles) and the eigenbases.  The calling thread runs the first
 chunk and a module-level thread pool, made at import and rebuilt after a
-fork, the rest.  A call made from inside a chunk, such as a propagation in
-a block of survey samples (``motc.bench``), runs all of its chunks in its
-own thread.  Each step sees the same operands whatever the split, so
+fork, the rest.  Each step sees the same operands whatever the split, so
 neither the chunk count nor the blocks can change a single bit of the
 result.
+
+``spread`` runs independent items that each propagate once, such as the
+samples of a Gramian survey (``motc.bench``), in blocks on the same
+threads when a propagation is large enough to pay for it.  A call made
+from inside a chunk or a block runs all of its own chunks in its thread.
 """
 
 from __future__ import annotations
@@ -241,6 +244,12 @@ def _chunk_count(steps: int) -> int:
     return max(1, min(usable_cores(), steps // MIN_CHUNK_STEPS))
 
 
+def _blocks(n: int, parts: int) -> list[tuple[int, int]]:
+    """[0, n) cut into ``parts`` contiguous (lo, hi) blocks of near-equal size."""
+    edges = [b * n // parts for b in range(parts + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 # Whether this thread is running a chunk: a call made from inside one runs
 # its own chunks inline.
 _chunk_thread = threading.local()
@@ -260,8 +269,9 @@ def _run_chunks(stage, chunks: list[tuple]) -> list:
     finished, so no helper writes into a buffer after the caller has left.
     A call made from inside a chunk runs all of its chunks in its own
     thread: nested work neither waits on the helpers it occupies nor asks
-    for more cores than there are."""
-    if getattr(_chunk_thread, "inside", False):
+    for more cores than there are.  A lone chunk occupies no helper, so it
+    runs here unmarked."""
+    if len(chunks) == 1 or getattr(_chunk_thread, "inside", False):
         return [stage(*args) for args in chunks]
     helpers = [_pool.submit(_in_chunk, stage, args) for args in chunks[1:]]
     try:
@@ -269,6 +279,31 @@ def _run_chunks(stage, chunks: list[tuple]) -> list:
     finally:
         wait(helpers)
     return [first, *(future.result() for future in helpers)]
+
+
+# Least work of one propagation, in (q - 1) N^3, the multiply-adds of its
+# step eigh to within a constant, at which items that each propagate once
+# pay for a thread of their own: below it numpy's calls on small stacks
+# hold the GIL for most of an item.  Gramian survey, two cores, one BLAS
+# thread, 12 interleaved pairs each: serial wins 10-12 of 12, by 20-70%,
+# at N = 3, q = 64 and 256 and just below the floor at N = 4, q = 128
+# and N = 5, q = 64 (work 8128 and 7875); spreading wins 8 of 12 at
+# N = 3, q = 512 (6%) and 12 of 12 at N = 11, q = 128 and 1024 (43% and
+# 23%).
+MIN_SPREAD_WORK = 2**13
+
+
+def spread(fn, n: int, system: QuantumSystem) -> list:
+    """[fn(k) for k in range(n)], where each fn(k) propagates ``system``
+    about once.  When one propagation costs at least MIN_SPREAD_WORK, k
+    runs in contiguous blocks, one per usable core, the first in this
+    thread and the rest on the helper pool, each fn(k)'s own propagation
+    inside its block's thread; else all in this thread.  fn must not
+    depend on which thread runs it."""
+    work = (system.q - 1) * system.dim**3
+    parts = max(1, min(usable_cores(), n)) if work >= MIN_SPREAD_WORK else 1
+    ran = _run_chunks(lambda lo, hi: [fn(k) for k in range(lo, hi)], _blocks(n, parts))
+    return [out for block in ran for out in block]
 
 
 def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult:
@@ -283,9 +318,7 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
         # finds with less work than the complex one.
         h0, mu = h0.real, mu.real
 
-    chunks = _chunk_count(q - 1)
-    edges = [c * (q - 1) // chunks for c in range(chunks + 1)]
-    bounds = list(zip(edges[:-1], edges[1:]))
+    bounds = _blocks(q - 1, _chunk_count(q - 1))
     # The step exponentials; the node propagators, whose buffer takes the
     # dipoles once W_j is built.  A block's rows of each serve as its
     # scratch while they hold nothing else.

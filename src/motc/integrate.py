@@ -140,8 +140,10 @@ def rkck_adaptive(problem: FlowProblem, observer: Observer | None = None) -> Int
     RMS norm; a step is accepted when the scaled error is at most 1.  The
     next step is safety * err^(-1/5) times the current one, clamped to
     [ds_min, ds_max] with growth at most 5x.  A required step below ds_min
-    raises StallError, a non-finite stage field or error estimate
-    ConsistencyError (so an accepted step's field is finite).  After the
+    raises StallError, a non-finite stage field or a NaN error estimate
+    ConsistencyError.  An infinite estimate, which finite stages give when
+    the squared scaled error overflows, is a rejection like any err > 1.
+    So an accepted step's field is finite.  After the
     problem's ``max_steps`` attempted steps the integration returns with
     termination "max_steps" short of the interval's end.  Any MotcError
     propagates with ``counts`` set.
@@ -173,8 +175,8 @@ def rkck_adaptive(problem: FlowProblem, observer: Observer | None = None) -> Int
             y4 = y + h * sum(b * ki for b, ki in zip(_CK_B4, k))
             scale = problem.atol + problem.rtol * np.abs(y)
             err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
-            if not np.isfinite(err):
-                raise ConsistencyError(f"non-finite error estimate at s = {s:.6g}")
+            if np.isnan(err):
+                raise ConsistencyError(f"NaN error estimate at s = {s:.6g}")
             if err <= 1.0:
                 s = s + h
                 y = y5

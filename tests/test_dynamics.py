@@ -237,9 +237,10 @@ print("ok")
 """
 
 
-# A child interpreter that runs a survey above the chunk floor on two
-# cores: spread over two sample blocks on two threads, then one sample
-# after another with one chunk per propagation.  The tables must match.
+# A child interpreter that runs a survey large enough to spread on two
+# cores: over two sample blocks on two threads, then on one core, one
+# sample after another with one chunk per propagation.  The tables must
+# match.
 _SPREAD_CHILD = """
 import threading
 from motc import dynamics
@@ -258,7 +259,7 @@ spread = experiments.run_gramian_distribution(cfg)["table"][1]
 assert len(set(threads)) == 2, threads
 assert any(name.startswith("motc-propagate") for name in threads), threads
 threads.clear()
-dynamics._chunk_count = lambda steps: 1
+dynamics.usable_cores = lambda: 1
 serial = experiments.run_gramian_distribution(cfg)["table"][1]
 assert set(threads) == {threading.current_thread().name}, threads
 assert spread.tobytes() == serial.tobytes()
@@ -273,7 +274,7 @@ _NESTED_CHILD = """
 from motc import dynamics
 from motc.bench import experiments
 dynamics._chunk_count = lambda steps: 2
-experiments.usable_cores = lambda: 2
+dynamics.usable_cores = experiments.usable_cores = lambda: 2
 cfg = dict(experiment="gramian-dist", samples=4, q=64, t_final=30.0, observables=(4,))
 out = experiments.run_gramian_distribution(experiments.ExperimentConfig(**cfg))
 assert out["summary"]["failures"] == 0
@@ -384,10 +385,11 @@ class TestChunkedPropagate:
 
 
 class TestSpreadSurvey:
-    """At ``workers`` 1 a survey whose propagations would split their steps
-    runs one block of samples per usable core on the helper threads.  The
-    surveys that spread run in a child interpreter: a nested call that
-    reached the one-thread helper pool would hang, and a timeout fails it."""
+    """At ``workers`` 1 a survey whose propagations are large enough runs
+    one block of samples per usable core on the helper threads
+    (``dynamics.spread``).  The surveys that spread run in a child
+    interpreter: a nested call that reached the one-thread helper pool
+    would hang, and a timeout fails it."""
 
     def test_spread_table_matches_serial(self):
         _run_child(_SPREAD_CHILD, 60, "a spread survey hung")
@@ -396,7 +398,7 @@ class TestSpreadSurvey:
         _run_child(_NESTED_CHILD, 60, "a propagation inside a survey block hung")
 
     def test_short_survey_starts_no_thread(self, monkeypatch):
-        # Below the chunk floor the samples stay in this thread, whatever
+        # Below MIN_SPREAD_WORK the samples stay in this thread, whatever
         # the cores.  A fresh pool would start a thread at its first submit.
         def refuse(thread):
             raise AssertionError(f"thread {thread.name} started")
@@ -406,10 +408,28 @@ class TestSpreadSurvey:
         monkeypatch.setattr(dynamics, "_pool", ThreadPoolExecutor(1))
         monkeypatch.setattr(threading.Thread, "start", refuse)
         cfg = experiments.ExperimentConfig(
-            experiment="gramian-dist", n_levels=5, state="pure", t_final=30.0, q=64,
+            experiment="gramian-dist", n_levels=3, state="pure", t_final=30.0, q=64,
             observables=(2,), samples=5,
         )
         assert experiments.run_gramian_distribution(cfg)["summary"]["failures"] == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_spread_follows_propagation_size(self, monkeypatch, n):
+        # The paper's N = 11 at q = 128 is spread although one of its
+        # propagations takes a single chunk; N = 3 at q = 64 is not.  Either
+        # way the results come back in item order.
+        monkeypatch.setattr(dynamics, "usable_cores", lambda: 2)
+        here = threading.current_thread().name
+        for levels, q, spreads in ((3, 64, False), (11, 128, True)):
+            threads = []
+
+            def item(k):
+                threads.append(threading.current_thread().name)
+                return k
+
+            system = build_model_system(levels, t_final=20.0, q=q)
+            assert dynamics.spread(item, n, system) == list(range(n))
+            assert len(set(threads) - {here}) == (1 if spreads and n > 1 else 0)
 
 
 def test_import_loads_no_scipy():

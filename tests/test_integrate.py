@@ -141,9 +141,28 @@ def test_rkck_non_finite_error_estimate_raises_with_counts():
         calls.append(s)
         return np.full(8, np.nan if len(calls) == 6 else 1.0)
 
-    with pytest.raises(ConsistencyError, match="non-finite error estimate at s = 0$") as err:
+    with pytest.raises(ConsistencyError, match="NaN error estimate at s = 0$") as err:
         rkck_adaptive(make_problem(rhs, q=8))
     assert err.value.counts == (0, 0, 6)
+
+
+def test_rkck_infinite_error_estimate_rejects():
+    # A huge but finite last stage overflows the squared scaled error to
+    # inf: the attempt is rejected and retried with the largest shrink, as
+    # any attempt with err > 1, and the run goes on.
+    calls = []
+
+    def rhs(s, field):
+        calls.append(s)
+        return np.full(8, 1e200 if len(calls) == 6 else 1.0)
+
+    with np.errstate(over="ignore"):
+        report = rkck_adaptive(make_problem(rhs, q=8))
+    assert report.termination == "completed"
+    assert report.rejected_steps == 1
+    # The retry starts from s = 0 with a tenth of the first step.
+    assert calls[6] == pytest.approx(0.2 * 0.001)
+    assert np.all(np.isfinite(report.final_field.samples))
 
 
 class TestRkckAdaptive:
