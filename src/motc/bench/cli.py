@@ -9,6 +9,9 @@ that leg: its summary records termination "stall" or "error" and the error
 text, and the run exits 0.  So does a failed sample of the Gramian survey,
 counted under "failures".  A failure outside any leg, such as a geodesic
 generator that five nudges do not move off the log branch cut, exits 3.
+
+gramian-dist spreads its samples over threads when they are large enough
+(``motc.dynamics.spread``); no flag sets the number of workers.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-final", dest="t_final", type=float, help="final time T")
     p.add_argument("--grid", dest="q", type=int, help="time-grid points q")
     p.add_argument("--levels", dest="n_levels", type=int, help="system dimension N")
-    p.add_argument("--workers", type=int, help="worker processes for sample fan-out")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,14 +16,7 @@ from dataclasses import dataclass, field, fields, asdict, replace
 import numpy as np
 
 from ..dynamics import (
-    ControlField,
-    PropagationResult,
-    QuantumSystem,
-    StateSpec,
-    expectations,
-    propagate,
-    spread,
-    usable_cores,
+    ControlField, PropagationResult, QuantumSystem, StateSpec, expectations, propagate, spread,
 )
 from ..errors import BranchBoundaryError, ConfigError, MotcError, StallError
 from ..integrate import FlowProblem, IntegrationReport, euler_integrate, rkck_adaptive
@@ -122,6 +115,8 @@ class ExperimentConfig:
     threshold_fraction: float = 0.95
     grad_s_max: float = 2000.0
     max_steps: int = 20000
+    # Samples run on threads, not worker processes, so 1 is the only value;
+    # the key stays so that configs which set it still load.
     workers: int = 1
 
     def __post_init__(self):
@@ -135,6 +130,8 @@ class ExperimentConfig:
             raise ConfigError("need q >= 2 and t_final > 0")
         if self.samples < 1:
             raise ConfigError("samples must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if not 0 < self.ds_min <= self.ds_max:
             raise ConfigError("need 0 < ds_min <= ds_max")
         for name in ("temperature", "grad_s_max", "max_steps"):
@@ -177,8 +174,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown track spec {self.track!r}")
         if not 0 < self.threshold_fraction <= 1:
             raise ConfigError("threshold_fraction must be in (0, 1]")
-        if self.workers < 1:
-            raise ConfigError("workers must be positive")
+        if self.workers != 1:
+            raise ConfigError("workers must be 1: samples run on threads, not processes")
 
     # -- constructed objects --
 
@@ -435,14 +432,12 @@ def run_gramian_distribution(config: ExperimentConfig) -> dict:
     ensemble of random fields; histogram plus log10 summary statistics, and
     per Gramian the count of numerically singular samples.
 
-    ``workers`` above 1 runs the samples on that many forked processes (at
-    most one per sample and usable core).  At 1 they run in this process
-    through ``dynamics.spread``: in contiguous blocks, one per usable core,
-    on this thread and ``propagate``'s helper threads when a sample's
-    propagation is large enough to pay for a thread of its own, else one
-    after another in this thread.  The table is the same either way."""
+    The samples run through ``dynamics.spread``: in contiguous blocks, one
+    per usable core, on this thread and ``propagate``'s helper threads when
+    a sample's propagation has at least ``dynamics.MIN_THREAD_WORK`` of
+    work, else one after another in this thread.  The table is the same
+    either way."""
     rows, failures = [], 0
-    # What every sample shares; pool workers get it pickled with each chunk.
     system = config.build_system()
     shared = (
         system, config.build_observables(),
@@ -450,17 +445,7 @@ def run_gramian_distribution(config: ExperimentConfig) -> dict:
         build_rank_truncated_state(system, 1, config.temperature),
     )
     sample = functools.partial(_gramian_sample, shared, config.seed)
-    # The pool forks all its workers at once: no more than samples or cores.
-    workers = min(config.workers, config.samples, usable_cores())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, config.samples // (8 * workers))
-            results = list(pool.map(sample, range(config.samples), chunksize=chunksize))
-    else:
-        results = spread(sample, config.samples, system)
-    for rec in results:
+    for rec in spread(sample, config.samples, system):
         if rec is None:
             failures += 1
         else:
@@ -498,8 +483,8 @@ def run_gramian_distribution(config: ExperimentConfig) -> dict:
 
 
 def _gramian_sample(shared: tuple, seed: int, k: int):
-    """One field sample of the Gramian survey (top level for process pools)
-    on the survey's ``shared`` system, observable set and states."""
+    """One field sample of the Gramian survey on the survey's ``shared``
+    system, observable set and states."""
     system, oset, thermal, pure = shared
     try:
         control = sample_random_field(system, substream(seed, _STREAM_SAMPLES, k))

@@ -33,25 +33,27 @@ exponentials S_j = V_j (e^{-i lambda_j dt} o V_j^T) and W_j = V_j^T U(t_j, 0),
 run as real GEMMs on the complex right factor's float64 view.
 
 Every stage but the cumulative product is independent from one step to the
-next, and numpy's batched ``eigh`` and ``matmul`` release the GIL.  So the
-step axis is split into contiguous chunks, one per usable core (the
-process's CPU affinity, see ``usable_cores``) and at least MIN_CHUNK_STEPS
-steps each.  The chunks build H_j, its ``eigh`` and S_j in parallel; the
-product U(t_{j+1}, 0) = S_j U(t_j, 0) then runs in the calling thread in
-step order; then the chunks build W_j and the step averages in parallel,
-each into its own rows.  A chunk takes its steps in sub-blocks of at most
-MIN_CHUNK_STEPS, so the stages' temporaries are block-sized and a
-propagation holds little beyond S_j, the node propagators (whose buffer
-becomes the dipoles) and the eigenbases.  The calling thread runs the first
-chunk and a module-level thread pool, made at import and rebuilt after a
-fork, the rest.  Each step sees the same operands whatever the split, so
-neither the chunk count nor the blocks can change a single bit of the
-result.
+next, and numpy's batched ``eigh`` and ``matmul`` release the GIL.  Threads
+are the package's one parallel mechanism, and each must get at least
+MIN_THREAD_WORK of a propagation's work (q - 1) N^3.  So the step axis is
+split into contiguous chunks, one per usable core (the process's CPU
+affinity, see ``usable_cores``) within that floor.  The chunks build H_j,
+its ``eigh`` and S_j in parallel; the product U(t_{j+1}, 0) = S_j U(t_j, 0)
+then runs in the calling thread in step order; then the chunks build W_j
+and the step averages in parallel, each into its own rows.  A chunk takes
+its steps in sub-blocks of at most BLOCK_STEPS, so the stages' temporaries
+are block-sized and a propagation holds little beyond S_j, the node
+propagators (whose buffer becomes the dipoles) and the eigenbases.  The
+calling thread runs the first chunk and a module-level thread pool, made at
+import and rebuilt after a fork, the rest.  Each step sees the same
+operands whatever the split, so neither the chunk count nor the blocks can
+change a single bit of the result.
 
 ``spread`` runs independent items that each propagate once, such as the
 samples of a Gramian survey (``motc.bench``), in blocks on the same
-threads when a propagation is large enough to pay for it.  A call made
-from inside a chunk or a block runs all of its own chunks in its thread.
+threads when one propagation has at least MIN_THREAD_WORK of work.  A call
+made from inside a chunk or a block runs all of its own chunks in its
+thread.
 """
 
 from __future__ import annotations
@@ -223,9 +225,18 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# Fewest steps a chunk of the step axis takes: below it, handing a chunk to
-# another thread costs more than its stages save.
-MIN_CHUNK_STEPS = 128
+# Least work, in (q - 1) N^3, the multiply-adds of a propagation's step
+# eigh to within a constant, that pays for a thread: each chunk of a
+# propagation gets at least this much, and items that each propagate once
+# spread when one propagation has this much.  Two cores, one BLAS thread,
+# 190 interleaved pairs per size: two chunks win 41 at N = 3, q = 512 and
+# 162 at N = 11, q = 256; spreading wins 55 at N = 3, q = 512 and 175 at
+# N = 11, q = 128, but also 147 at N = 7, q = 128 and 141 at N = 11,
+# q = 64, which this floor leaves serial.
+MIN_THREAD_WORK = 2**17
+
+# Most steps a chunk's stages take at once, which bounds their temporaries.
+BLOCK_STEPS = 128
 
 
 def _make_pool() -> None:
@@ -240,8 +251,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_make_pool)
 
 
-def _chunk_count(steps: int) -> int:
-    return max(1, min(usable_cores(), steps // MIN_CHUNK_STEPS))
+def _work(system: QuantumSystem) -> int:
+    return (system.q - 1) * system.dim**3
+
+
+def _chunk_count(system: QuantumSystem) -> int:
+    return max(1, min(usable_cores(), _work(system) // MIN_THREAD_WORK))
 
 
 def _blocks(n: int, parts: int) -> list[tuple[int, int]]:
@@ -281,27 +296,14 @@ def _run_chunks(stage, chunks: list[tuple]) -> list:
     return [first, *(future.result() for future in helpers)]
 
 
-# Least work of one propagation, in (q - 1) N^3, the multiply-adds of its
-# step eigh to within a constant, at which items that each propagate once
-# pay for a thread of their own: below it numpy's calls on small stacks
-# hold the GIL for most of an item.  Gramian survey, two cores, one BLAS
-# thread, 12 interleaved pairs each: serial wins 10-12 of 12, by 20-70%,
-# at N = 3, q = 64 and 256 and just below the floor at N = 4, q = 128
-# and N = 5, q = 64 (work 8128 and 7875); spreading wins 8 of 12 at
-# N = 3, q = 512 (6%) and 12 of 12 at N = 11, q = 128 and 1024 (43% and
-# 23%).
-MIN_SPREAD_WORK = 2**13
-
-
 def spread(fn, n: int, system: QuantumSystem) -> list:
     """[fn(k) for k in range(n)], where each fn(k) propagates ``system``
-    about once.  When one propagation costs at least MIN_SPREAD_WORK, k
-    runs in contiguous blocks, one per usable core, the first in this
-    thread and the rest on the helper pool, each fn(k)'s own propagation
-    inside its block's thread; else all in this thread.  fn must not
-    depend on which thread runs it."""
-    work = (system.q - 1) * system.dim**3
-    parts = max(1, min(usable_cores(), n)) if work >= MIN_SPREAD_WORK else 1
+    about once.  When one propagation has at least MIN_THREAD_WORK of
+    work, k runs in contiguous blocks, one per usable core, the first in
+    this thread and the rest on the helper pool, each fn(k)'s own
+    propagation inside its block's thread; else all in this thread.  fn
+    must not depend on which thread runs it."""
+    parts = max(1, min(usable_cores(), n)) if _work(system) >= MIN_THREAD_WORK else 1
     ran = _run_chunks(lambda lo, hi: [fn(k) for k in range(lo, hi)], _blocks(n, parts))
     return [out for block in ran for out in block]
 
@@ -318,7 +320,7 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
         # finds with less work than the complex one.
         h0, mu = h0.real, mu.real
 
-    bounds = _blocks(q - 1, _chunk_count(q - 1))
+    bounds = _blocks(q - 1, _chunk_count(system))
     # The step exponentials; the node propagators, whose buffer takes the
     # dipoles once W_j is built.  A block's rows of each serve as its
     # scratch while they hold nothing else.
@@ -366,11 +368,11 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
         np.conjugate(wj, out=wj)
         np.matmul(wj.transpose(0, 2, 1), mixed, out=u_nodes[lo:hi])
 
-    # A chunk runs each stage over sub-blocks of at most MIN_CHUNK_STEPS
-    # steps, so the stages' temporaries are block-sized.
+    # A chunk runs each stage over sub-blocks of at most BLOCK_STEPS steps,
+    # so the stages' temporaries are block-sized.
     def chunk_exponentials(lo: int, hi: int) -> list:
-        starts = range(lo, hi, MIN_CHUNK_STEPS)
-        return [exponentials(b, min(b + MIN_CHUNK_STEPS, hi)) for b in starts]
+        starts = range(lo, hi, BLOCK_STEPS)
+        return [exponentials(b, min(b + BLOCK_STEPS, hi)) for b in starts]
 
     def chunk_averages(blocks: list) -> None:
         for block in blocks:

@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import PropagationResult, StateSpec, expectations
-from .errors import SingularTrackError
+from .errors import ConsistencyError, SingularTrackError
 from .landscape import ObservableSet, single_observable_gradients
 from .linalg import (
     condition_from_singular_values,
@@ -228,10 +228,12 @@ def gramian_unitary(prop: PropagationResult) -> GramianReport:
 
 
 def free_function_min_fluence(samples: np.ndarray, eta: float) -> np.ndarray:
-    """Minimal-fluence free function f_s(t) = -(1/eta) eps_s(t)."""
+    """Minimal-fluence free function f_s(t) = -(1/eta) eps_s(t).  A sample
+    that overflows is infinite, which `motc_rhs` rejects."""
     if not eta > 0:
         raise ValueError("eta must be positive")
-    return -np.asarray(samples, float) / eta
+    with np.errstate(over="ignore"):
+        return -np.asarray(samples, float) / eta
 
 
 def solve_gramian(report: GramianReport, b: np.ndarray) -> np.ndarray:
@@ -267,10 +269,17 @@ def motc_rhs(
 ) -> np.ndarray:
     """d eps/d s = f + x^T a along ``track`` at algorithmic time s, with
     Gamma x = rate - int a f dt solved by `solve_gramian`; ``beta`` adds the
-    track's error correction (None tracks without it)."""
+    track's error correction (None tracks without it).  ConsistencyError
+    if f is not finite, or if the solve's right-hand side or its squared
+    norm, which the solve's residual check takes, is not."""
     a, report = track.gramian(prop)
     f = np.zeros(a.shape[1]) if free is None else np.asarray(free, float)
     if f.shape != (a.shape[1],):
         raise ValueError("free function must have one sample per grid node")
-    b = track.rate(prop, s, beta) - a @ (prop.weights * f)
+    if not np.isfinite(f).all():
+        raise ConsistencyError(f"non-finite free function at s = {s:.6g}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = track.rate(prop, s, beta) - a @ (prop.weights * f)
+        if not np.isfinite(b @ b):
+            raise ConsistencyError(f"non-finite Gramian right-hand side at s = {s:.6g}")
     return solve_gramian(report, b) @ a + f

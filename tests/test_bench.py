@@ -109,6 +109,8 @@ class TestConfig:
             {"free_fn": "fluence:eta=1e999"},
             {"observables": (2, 2)},
             {"n_levels": 3},
+            {"workers": 2},
+            {"seed": -1},
         ],
     )
     def test_validation_rejects(self, kw):
@@ -326,50 +328,14 @@ class TestGramianDistributionSmall:
         assert len(systems) == 1 and systems[0]() is None
 
     def test_deterministic_across_runs_and_workers(self):
+        # Samples run on threads only; TestSpreadSurvey compares the table
+        # on one and two of them.
         cfg = ExperimentConfig(
             experiment="gramian-dist", samples=4, q=128, t_final=30.0, observables=(4,)
         )
         t1 = run_gramian_distribution(cfg)["table"][1]
         t2 = run_gramian_distribution(cfg)["table"][1]
         assert np.array_equal(t1, t2)
-        cfg2 = ExperimentConfig(
-            experiment="gramian-dist", samples=4, q=128, t_final=30.0, observables=(4,),
-            workers=2,
-        )
-        t3 = run_gramian_distribution(cfg2)["table"][1]
-        assert np.array_equal(t1, t3)
-
-    @pytest.mark.parametrize(
-        "workers,samples,cpus,pool", [(4, 1, 8, None), (4, 2, 8, 2), (8, 3, 2, 2)]
-    )
-    def test_pool_bounded(self, monkeypatch, workers, samples, cpus, pool):
-        # The pool forks all its workers at the first submit, so it gets no
-        # more than there are samples or cores; one worker runs in process.
-        import concurrent.futures
-
-        made = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(experiments, "usable_cores", lambda: cpus)
-        cfg = ExperimentConfig(
-            experiment="gramian-dist", n_levels=3, state="pure", t_final=20.0, q=32,
-            observables=(2,), samples=samples, workers=workers,
-        )
-        assert run_gramian_distribution(cfg)["summary"]["failures"] == 0
-        assert made == ([] if pool is None else [pool])
 
 
 class TestEmitResults(object):
@@ -489,12 +455,16 @@ class TestCli:
         [
             ("--correction", "off", "correction", "off"),
             ("--free-fn", "fluence:eta=2", "free_fn", "fluence:eta=2"),
-            ("--workers", "3", "workers", 3),
         ],
     )
     def test_flag_reaches_config(self, flag, value, key, expected):
         args = build_parser().parse_args(["motc-track", flag, value])
         assert getattr(config_from_args(args), key) == expected
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        rc = cli_main(["motc-track", *_TINY, "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "config error: seed must be non-negative" in capsys.readouterr().err
 
     def test_bad_flag_value_exit_2(self, tmp_path):
         rc = cli_main(["gramian-dist", "--observables", "2,x", "--out", str(tmp_path)])
@@ -595,15 +565,17 @@ class TestTrackingEndToEnd:
         assert ("error" in summary) == (termination == "stall")
 
     def test_non_finite_field_recorded(self, tmp_path):
-        # At eta = 1e-300 the minimum-fluence free function overflows, and
-        # with it a Cash-Karp stage field: the leg ends in a recorded
-        # error, not a traceback, and the run's outputs are written.
+        # At eta = 1e-300 the minimum-fluence free function of eps_0 is
+        # finite, but the squared norm of the Gramian right-hand side it
+        # gives overflows at the first stage: the leg ends in a recorded
+        # error before any solve, not a traceback or a warning, and the
+        # run's outputs are written.
         flags = ["--free-fn", "fluence:eta=1e-300", "--out", str(tmp_path)]
         assert cli_main(["motc-track", *_TINY, *flags]) == 0
         summary = json.loads((tmp_path / "motc-track_summary.json").read_text())["summary"]
         leg = summary["per_m"]["2"]
         assert leg["termination"] == "error"
-        assert leg["error"].startswith("ConsistencyError: non-finite field at s = ")
+        assert leg["error"] == "ConsistencyError: non-finite Gramian right-hand side at s = 0"
         assert leg["records"] == leg["accepted_steps"] + 1
         assert summary["high_mode_counts"] == {}
 

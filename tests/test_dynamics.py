@@ -215,24 +215,28 @@ def _child_env() -> dict:
 
 
 # A child interpreter that starts the helper pool's threads with one
-# propagation, then forks survey workers that propagate in chunks of their
-# own.  Two chunks and two workers are forced, so it forks on a one-core
-# machine too.
+# chunked propagation, then forks: the forked process must propagate in
+# chunks again, to the same bytes.  It inherits the pool object but not its
+# threads, so without the after-fork rebuild it would wait forever.
 _FORK_CHILD = """
+import os
 import threading
 import numpy as np
 from motc import dynamics
 from motc.bench import build_model_system, sample_random_field
-from motc.bench import experiments
-dynamics._chunk_count = lambda steps: 2
-experiments.usable_cores = lambda: 2
-system = build_model_system(11, t_final=100.0, q=1024)
-dynamics.propagate(system, sample_random_field(system, np.random.default_rng(0)))
+dynamics._chunk_count = lambda system: 2
+system = build_model_system(11, t_final=20.0, q=128)
+field = sample_random_field(system, np.random.default_rng(0))
+parent = dynamics.propagate(system, field)
 assert any(t.name.startswith("motc-propagate") for t in threading.enumerate())
-cfg = dict(experiment="gramian-dist", samples=4, q=128, t_final=30.0, observables=(4,))
-serial = experiments.run_gramian_distribution(experiments.ExperimentConfig(**cfg))
-forked = experiments.run_gramian_distribution(experiments.ExperimentConfig(**cfg, workers=2))
-assert np.array_equal(serial["table"][1], forked["table"][1])
+pid = os.fork()
+if pid == 0:
+    child = dynamics.propagate(system, field)
+    same = all(getattr(child, k).tobytes() == getattr(parent, k).tobytes()
+               for k in ("final", "dipoles"))
+    os._exit(0 if same else 1)
+_, status = os.waitpid(pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0, status
 print("ok")
 """
 
@@ -245,15 +249,15 @@ _SPREAD_CHILD = """
 import threading
 from motc import dynamics
 from motc.bench import experiments
-dynamics.usable_cores = experiments.usable_cores = lambda: 2
+dynamics.usable_cores = lambda: 2
 threads, sample = [], experiments._gramian_sample
 def recorded(*args):
     threads.append(threading.current_thread().name)
     return sample(*args)
 experiments._gramian_sample = recorded
 cfg = experiments.ExperimentConfig(
-    experiment="gramian-dist", n_levels=5, state="pure", t_final=30.0, q=300,
-    observables=(2,), samples=5,
+    experiment="gramian-dist", state="pure", t_final=30.0, q=128, observables=(2,),
+    samples=5,
 )
 spread = experiments.run_gramian_distribution(cfg)["table"][1]
 assert len(set(threads)) == 2, threads
@@ -273,9 +277,9 @@ print("ok")
 _NESTED_CHILD = """
 from motc import dynamics
 from motc.bench import experiments
-dynamics._chunk_count = lambda steps: 2
-dynamics.usable_cores = experiments.usable_cores = lambda: 2
-cfg = dict(experiment="gramian-dist", samples=4, q=64, t_final=30.0, observables=(4,))
+dynamics._chunk_count = lambda system: 2
+dynamics.usable_cores = lambda: 2
+cfg = dict(experiment="gramian-dist", samples=4, q=128, t_final=30.0, observables=(4,))
 out = experiments.run_gramian_distribution(experiments.ExperimentConfig(**cfg))
 assert out["summary"]["failures"] == 0
 print("ok")
@@ -312,7 +316,7 @@ class TestChunkedPropagate:
         sys.setswitchinterval(1e-6)
         try:
             for chunks in (1, 2, 3, 7):
-                monkeypatch.setattr(dynamics, "_chunk_count", lambda steps, k=chunks: k)
+                monkeypatch.setattr(dynamics, "_chunk_count", lambda system, k=chunks: k)
                 prop = propagate(system, field)
                 results.append((prop.final.tobytes(), prop.dipoles.tobytes()))
         finally:
@@ -356,7 +360,7 @@ class TestChunkedPropagate:
         # a helper: propagate raises only once the third has finished, and
         # the pool serves the next propagation.
         system, field = _chunked_system("real")
-        monkeypatch.setattr(dynamics, "_chunk_count", lambda steps: 3)
+        monkeypatch.setattr(dynamics, "_chunk_count", lambda system: 3)
         expected = propagate(system, field)
         h = system.h0.real[None, :, :] - field.samples[:-1, None, None] * system.mu.real[None, :, :]
         eigh, finished, failing = np.linalg.eigh, [], [True]
@@ -378,18 +382,15 @@ class TestChunkedPropagate:
         assert again.final.tobytes() == expected.final.tobytes()
         assert again.dipoles.tobytes() == expected.dipoles.tobytes()
 
-    def test_forked_workers_get_a_pool_of_their_own(self):
-        # A forked child inherits the pool object but not its threads; one
-        # that kept it would wait on them forever, so a timeout fails it.
-        _run_child(_FORK_CHILD, 60, "survey workers forked after a chunked propagation hung")
+    def test_forked_process_gets_a_pool_of_its_own(self):
+        _run_child(_FORK_CHILD, 60, "a chunked propagation in a forked process hung")
 
 
 class TestSpreadSurvey:
-    """At ``workers`` 1 a survey whose propagations are large enough runs
-    one block of samples per usable core on the helper threads
-    (``dynamics.spread``).  The surveys that spread run in a child
-    interpreter: a nested call that reached the one-thread helper pool
-    would hang, and a timeout fails it."""
+    """A survey whose propagations are large enough runs one block of
+    samples per usable core on the helper threads (``dynamics.spread``).
+    The surveys that spread run in a child interpreter: a nested call that
+    reached the one-thread helper pool would hang, and a timeout fails it."""
 
     def test_spread_table_matches_serial(self):
         _run_child(_SPREAD_CHILD, 60, "a spread survey hung")
@@ -398,13 +399,12 @@ class TestSpreadSurvey:
         _run_child(_NESTED_CHILD, 60, "a propagation inside a survey block hung")
 
     def test_short_survey_starts_no_thread(self, monkeypatch):
-        # Below MIN_SPREAD_WORK the samples stay in this thread, whatever
+        # Below MIN_THREAD_WORK the samples stay in this thread, whatever
         # the cores.  A fresh pool would start a thread at its first submit.
         def refuse(thread):
             raise AssertionError(f"thread {thread.name} started")
 
         monkeypatch.setattr(dynamics, "usable_cores", lambda: 2)
-        monkeypatch.setattr(experiments, "usable_cores", lambda: 2)
         monkeypatch.setattr(dynamics, "_pool", ThreadPoolExecutor(1))
         monkeypatch.setattr(threading.Thread, "start", refuse)
         cfg = experiments.ExperimentConfig(
@@ -415,12 +415,14 @@ class TestSpreadSurvey:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7])
     def test_spread_follows_propagation_size(self, monkeypatch, n):
-        # The paper's N = 11 at q = 128 is spread although one of its
-        # propagations takes a single chunk; N = 3 at q = 64 is not.  Either
-        # way the results come back in item order.
+        # One work floor on two cores: the paper's N = 11 at q = 1024 takes
+        # two chunks and is spread; at q = 128 it takes one chunk and is
+        # spread; N = 3 at q = 64 takes one chunk and is not.  Either way
+        # the results come back in item order.
         monkeypatch.setattr(dynamics, "usable_cores", lambda: 2)
         here = threading.current_thread().name
-        for levels, q, spreads in ((3, 64, False), (11, 128, True)):
+        sizes = ((3, 64, 1, False), (11, 128, 1, True), (11, 1024, 2, True))
+        for levels, q, chunks, spreads in sizes:
             threads = []
 
             def item(k):
@@ -428,6 +430,7 @@ class TestSpreadSurvey:
                 return k
 
             system = build_model_system(levels, t_final=20.0, q=q)
+            assert dynamics._chunk_count(system) == chunks
             assert dynamics.spread(item, n, system) == list(range(n))
             assert len(set(threads) - {here}) == (1 if spreads and n > 1 else 0)
 

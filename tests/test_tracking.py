@@ -3,7 +3,7 @@ import pytest
 
 from motc.bench import build_model_system, build_observable_set, sample_random_field
 from motc.dynamics import ControlField, expectations, propagate
-from motc.errors import BranchBoundaryError, SingularTrackError
+from motc.errors import BranchBoundaryError, ConsistencyError, SingularTrackError
 from motc.landscape import gradient_field, single_observable_gradients
 from motc.linalg import herm_to_vec, vec_to_herm
 from motc.tracking import (
@@ -270,6 +270,19 @@ class TestMotcRhs:
         dp = target.dw_ds(0.3)[0]
         scalar = f + (a / gamma) * (dp + c - float((a * f * prop.weights).sum()))
         assert np.abs(out - scalar).max() <= 1e-12 * max(1.0, np.abs(scalar).max())
+
+    @pytest.mark.parametrize(
+        "scale,name", [(np.inf, "free function"), (1e300, "Gramian right-hand side")]
+    )
+    def test_non_finite_input_raises(self, track_setup, rank7_state, observable_set, scale, name):
+        # An infinite free function, or a finite one whose right-hand side
+        # overflows in its squared norm, fails before the solve.
+        system, _, prop, _ = track_setup
+        oset = observable_set.subset(2)
+        phi = expectations(prop, rank7_state, oset)
+        target = linear_target_observables(phi, phi + 0.1, rank7_state, oset)
+        with pytest.raises(ConsistencyError, match=f"non-finite {name} at s = 0.3"):
+            motc_rhs(target, prop, 0.3, free=np.full(system.q, scale))
 
     def test_least_norm_in_row_space(self, track_setup, rank7_state, observable_set):
         _, _, prop, _ = track_setup
