@@ -33,27 +33,35 @@ exponentials S_j = V_j (e^{-i lambda_j dt} o V_j^T) and W_j = V_j^T U(t_j, 0),
 run as real GEMMs on the complex right factor's float64 view.
 
 Every stage but the cumulative product is independent from one step to the
-next, and numpy's batched ``eigh`` and ``matmul`` release the GIL.  Threads
-are the package's one parallel mechanism, and each must get at least
-MIN_THREAD_WORK of a propagation's work (q - 1) N^3.  So the step axis is
-split into contiguous chunks, one per usable core (the process's CPU
-affinity, see ``usable_cores``) within that floor.  The chunks build H_j,
-its ``eigh`` and S_j in parallel; the product U(t_{j+1}, 0) = S_j U(t_j, 0)
-then runs in the calling thread in step order; then the chunks build W_j
-and the step averages in parallel, each into its own rows.  A chunk takes
-its steps in sub-blocks of at most BLOCK_STEPS, so the stages' temporaries
-are block-sized and a propagation holds little beyond S_j, the node
-propagators (whose buffer becomes the dipoles) and the eigenbases.  The
-calling thread runs the first chunk and a module-level thread pool, made at
-import and rebuilt after a fork, the rest.  Each step sees the same
-operands whatever the split, so neither the chunk count nor the blocks can
-change a single bit of the result.
+next, and numpy's batched ``eigh`` and ``matmul`` release the GIL.  The step
+axis is cut into contiguous pieces of at most BLOCK_STEPS steps, so the
+stages' temporaries are piece-sized and a propagation holds little beyond
+S_j, the node propagators (whose buffer becomes the dipoles) and the
+eigenbases.  Threads are the package's one parallel mechanism, under one
+floor: once a propagation's work (q - 1) N^3 reaches MIN_THREAD_WORK, it
+has at least one piece per usable core (the process's CPU affinity, see
+``usable_cores``) and runs on that many threads.  On one thread there is
+nothing to overlap, and each stage runs over every piece in turn.
+
+On more, a propagation is one parallel region, a pipeline over its pieces.
+The calling thread and the helper threads of a module-level pool (made at
+import, rebuilt after a fork) claim the pieces' exponentials (H_j, its
+``eigh``, S_j) one at a time in step order.  The calling thread advances
+the product U(t_{j+1}, 0) = S_j U(t_j, 0) through piece k as soon as
+pieces k and k+1 have their exponentials: the product's last step writes
+into piece k+1's first node row, which its exponentials use as scratch.
+The helpers claim the step averages (W_j and the dipoles, into the
+piece's own rows) of every piece the product has passed, and the calling
+thread joins them once the product ends.  Helpers that have not started
+when the calling thread runs out of work are cancelled, so a core the host
+takes away never holds it up.  Each step sees the same operands whatever
+the pieces and whichever thread runs them, so neither can change a single
+bit of the result.
 
 ``spread`` runs independent items that each propagate once, such as the
-samples of a Gramian survey (``motc.bench``), in blocks on the same
-threads when one propagation has at least MIN_THREAD_WORK of work.  A call
-made from inside a chunk or a block runs all of its own chunks in its
-thread.
+samples of a Gramian survey (``motc.bench``), on the same threads under the
+same floor, each thread claiming one item at a time.  Work that would open
+a region from inside one runs in its own thread.
 """
 
 from __future__ import annotations
@@ -226,22 +234,25 @@ def usable_cores() -> int:
 
 
 # Least work, in (q - 1) N^3, the multiply-adds of a propagation's step
-# eigh to within a constant, that pays for a thread: each chunk of a
-# propagation gets at least this much, and items that each propagate once
-# spread when one propagation has this much.  Two cores, one BLAS thread,
-# 190 interleaved pairs per size: two chunks win 41 at N = 3, q = 512 and
-# 162 at N = 11, q = 256; spreading wins 55 at N = 3, q = 512 and 175 at
-# N = 11, q = 128, but also 147 at N = 7, q = 128 and 141 at N = 11,
-# q = 64, which this floor leaves serial.
+# eigh to within a constant, that pays for a thread: a propagation with this
+# much runs on one thread per usable core, and so do items that each
+# propagate once.  Two cores, one BLAS thread, 190 interleaved pairs per
+# size of the static two-chunk split the pipeline replaced: two chunks won
+# 41 at N = 3, q = 512 and 162 at N = 11, q = 256; spreading won 55 at
+# N = 3, q = 512 and 175 at N = 11, q = 128, but also 147 at N = 7, q = 128
+# and 141 at N = 11, q = 64, which this floor leaves serial.  The pipeline
+# on two threads at N = 11, q = 128, which the split had left on one, cut
+# the benchmark's track-stall step from 28.1 to 22.8 ms (medians of ten
+# alternating 42 s runs, faster in nine).
 MIN_THREAD_WORK = 2**17
 
-# Most steps a chunk's stages take at once, which bounds their temporaries.
+# Most steps in a piece, which bounds the stages' temporaries.
 BLOCK_STEPS = 128
 
 
 def _make_pool() -> None:
-    # Helper threads for the chunks after the first, started at the first
-    # submit.  A forked child inherits the pool but not its threads.
+    # Helper threads of the parallel regions, started at the first submit.
+    # A forked child inherits the pool but not its threads.
     global _pool
     _pool = ThreadPoolExecutor(max(1, usable_cores() - 1), thread_name_prefix="motc-propagate")
 
@@ -255,8 +266,15 @@ def _work(system: QuantumSystem) -> int:
     return (system.q - 1) * system.dim**3
 
 
-def _chunk_count(system: QuantumSystem) -> int:
-    return max(1, min(usable_cores(), _work(system) // MIN_THREAD_WORK))
+def _threads(system: QuantumSystem) -> int:
+    """Threads for work that propagates ``system``: one per usable core once
+    a propagation has MIN_THREAD_WORK of work, else one."""
+    return usable_cores() if _work(system) >= MIN_THREAD_WORK else 1
+
+
+def _piece_count(system: QuantumSystem) -> int:
+    steps = system.q - 1
+    return min(steps, max(-(-steps // BLOCK_STEPS), _threads(system)))
 
 
 def _blocks(n: int, parts: int) -> list[tuple[int, int]]:
@@ -265,47 +283,99 @@ def _blocks(n: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-# Whether this thread is running a chunk: a call made from inside one runs
-# its own chunks inline.
-_chunk_thread = threading.local()
+# What a region's pick returns once it has no task left to hand out.
+_DONE = object()
+
+# Whether this thread works in a parallel region: work that would open a
+# region from inside one runs in this thread, so it neither waits on the
+# helpers it occupies nor asks for more cores than there are.
+_region_thread = threading.local()
 
 
-def _in_chunk(stage, args: tuple):
-    _chunk_thread.inside = True
-    try:
-        return stage(*args)
-    finally:
-        _chunk_thread.inside = False
+def _helpers(threads: int) -> int:
+    """Helper threads for work that may use ``threads`` threads: none from
+    inside a region."""
+    return 0 if getattr(_region_thread, "inside", False) else max(0, threads - 1)
 
 
-def _run_chunks(stage, chunks: list[tuple]) -> list:
-    """[stage(*args) for args in chunks]: the first in this thread, the rest
-    on the helper pool.  An error is raised only once every chunk has
-    finished, so no helper writes into a buffer after the caller has left.
-    A call made from inside a chunk runs all of its chunks in its own
-    thread: nested work neither waits on the helpers it occupies nor asks
-    for more cores than there are.  A lone chunk occupies no helper, so it
-    runs here unmarked."""
-    if len(chunks) == 1 or getattr(_chunk_thread, "inside", False):
-        return [stage(*args) for args in chunks]
-    helpers = [_pool.submit(_in_chunk, stage, args) for args in chunks[1:]]
-    try:
-        first = _in_chunk(stage, chunks[0])
-    finally:
-        wait(helpers)
-    return [first, *(future.result() for future in helpers)]
+class _Region:
+    """One parallel region: tasks claimed one at a time, under one
+    condition, by the calling thread and helper threads of the pool."""
+
+    def __init__(self):
+        self._ready = threading.Condition()
+        self._error: BaseException | None = None
+
+    def _work(self, pick) -> None:
+        # Runs the (stage, k) tasks pick() hands out until it returns _DONE
+        # or a task of the region has failed, waiting while it returns None.
+        # pick runs under the lock; a task runs outside it and records what
+        # it has done before the waiting threads are woken.
+        _region_thread.inside = True
+        try:
+            while True:
+                with self._ready:
+                    while self._error is None and (task := pick()) is None:
+                        self._ready.wait()
+                    if self._error is not None or task is _DONE:
+                        return
+                stage, k = task
+                stage(k)
+                with self._ready:
+                    self._ready.notify_all()
+        except BaseException as exc:
+            with self._ready:
+                if self._error is None:
+                    self._error = exc
+                self._ready.notify_all()
+        finally:
+            _region_thread.inside = False
+
+    def run(self, lead, helper, helpers: int) -> None:
+        """Works through lead's tasks in this thread and helper's on
+        ``helpers`` pool threads, then raises the first error of any task.
+        lead hands out every task no helper has claimed, so this thread
+        alone can finish the region: helpers not started when it runs out
+        of work are cancelled.  The call returns only once the started ones
+        have returned, so no helper writes into a buffer after the caller
+        has left."""
+        futures = [_pool.submit(self._work, helper) for _ in range(helpers)]
+        try:
+            self._work(lead)
+        finally:
+            # A cancelled future counts as done only once a pool thread has
+            # dequeued it, so only the started ones are waited on.
+            wait([future for future in futures if not future.cancel()])
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
 
 
 def spread(fn, n: int, system: QuantumSystem) -> list:
     """[fn(k) for k in range(n)], where each fn(k) propagates ``system``
-    about once.  When one propagation has at least MIN_THREAD_WORK of
-    work, k runs in contiguous blocks, one per usable core, the first in
-    this thread and the rest on the helper pool, each fn(k)'s own
-    propagation inside its block's thread; else all in this thread.  fn
-    must not depend on which thread runs it."""
-    parts = max(1, min(usable_cores(), n)) if _work(system) >= MIN_THREAD_WORK else 1
-    ran = _run_chunks(lambda lo, hi: [fn(k) for k in range(lo, hi)], _blocks(n, parts))
-    return [out for block in ran for out in block]
+    about once.  When one propagation has at least MIN_THREAD_WORK of work,
+    this thread and up to one helper per further usable core claim the k
+    one at a time, each fn(k)'s own propagation running in its claimer's
+    thread; else all run in this thread.  fn must not depend on which
+    thread runs it."""
+    helpers = _helpers(min(_threads(system), n))
+    if not helpers:
+        return [fn(k) for k in range(n)]
+    out = [None] * n
+    claimed = 0
+
+    def item(k: int) -> None:
+        out[k] = fn(k)
+
+    def pick():
+        nonlocal claimed
+        if claimed == n:
+            return _DONE
+        claimed += 1
+        return item, claimed - 1
+
+    _Region().run(pick, pick, helpers)
+    return out
 
 
 def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult:
@@ -320,14 +390,22 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
         # finds with less work than the complex one.
         h0, mu = h0.real, mu.real
 
-    bounds = _blocks(q - 1, _chunk_count(system))
+    pieces = _blocks(q - 1, _piece_count(system))
+    count = len(pieces)
     # The step exponentials; the node propagators, whose buffer takes the
-    # dipoles once W_j is built.  A block's rows of each serve as its
+    # dipoles once W_j is built.  A piece's rows of each serve as its
     # scratch while they hold nothing else.
     steps = np.empty((q - 1, n, n), dtype=complex)
     u_nodes = np.empty((q, n, n), dtype=complex)
+    # Each piece's eigenvalues and eigenbases, from its exponentials to its
+    # averages; the pieces whose exponentials and whose averages are
+    # claimed, and the pieces the node product has passed.
+    eig: list = [None] * count
+    claimed = averaged = passed = 0
+    nodes: list = []
 
-    def exponentials(lo: int, hi: int) -> tuple:
+    def exponentials(k: int) -> None:
+        lo, hi = pieces[k]
         w, v = np.linalg.eigh(h0[None, :, :] - eps[lo:hi, None, None] * mu[None, :, :])
         # S_j = V_j (e^{-i w_j dt} o V_j^dag), the phases scaling the rows of
         # a C-ordered operand that a real V_j multiplies as one real GEMM.
@@ -337,12 +415,29 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
             np.exp(-1j * dt * w)[:, :, None], v.conj().transpose(0, 2, 1), out=u_nodes[lo:hi]
         )
         _matmul_real_left(v, phased, out=steps[lo:hi])
-        return lo, hi, w, v
+        eig[k] = w, v
 
-    def averages(lo: int, hi: int, w: np.ndarray, v: np.ndarray) -> None:
-        # W_j takes the block's step exponentials, spent once the node
+    def product(k: int) -> None:
+        # U(t_j, 0) at the piece's nodes and the next piece's first, in step
+        # order.  The node views are listed once, so each step is one 2-D
+        # GEMM call: at the first piece, as listing them any earlier or
+        # dropping them before the averages doubled a one-thread survey's
+        # minor page faults.
+        nonlocal passed
+        lo, hi = pieces[k]
+        if k == 0:
+            u_nodes[0] = np.eye(n)
+            nodes.extend(u_nodes)
+        for step, node, following in zip(steps[lo:hi], nodes[lo:hi], nodes[lo + 1 : hi + 1]):
+            step.dot(node, out=following)
+        passed = k + 1
+
+    def averages(k: int) -> None:
+        # W_j takes the piece's step exponentials, spent once the node
         # propagators are built, and mu' o Phi the node propagators, spent
         # once W_j is.
+        lo, hi = pieces[k]
+        w, v = eig[k]
         vh = v.conj().transpose(0, 2, 1)
         wj = _matmul_real_left(vh, u_nodes[lo:hi], out=steps[lo:hi])
         # Within-step average of the interaction-picture dipole, in closed
@@ -368,25 +463,37 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
         np.conjugate(wj, out=wj)
         np.matmul(wj.transpose(0, 2, 1), mixed, out=u_nodes[lo:hi])
 
-    # A chunk runs each stage over sub-blocks of at most BLOCK_STEPS steps,
-    # so the stages' temporaries are block-sized.
-    def chunk_exponentials(lo: int, hi: int) -> list:
-        starts = range(lo, hi, BLOCK_STEPS)
-        return [exponentials(b, min(b + BLOCK_STEPS, hi)) for b in starts]
+    def helper():
+        # Exponentials first, then the averages the product has released.
+        nonlocal claimed, averaged
+        if claimed < count:
+            claimed += 1
+            return exponentials, claimed - 1
+        if averaged < passed:
+            averaged += 1
+            return averages, averaged - 1
+        return _DONE if averaged == count else None
 
-    def chunk_averages(blocks: list) -> None:
-        for block in blocks:
-            averages(*block)
+    def lead():
+        # The product whenever it can advance; else what a helper would
+        # take, but no averages before the product ends.
+        if passed < count:
+            if all(eig[k] is not None for k in range(passed, min(passed + 2, count))):
+                return product, passed
+            if claimed == count:
+                return None
+        return helper()
 
-    eig = _run_chunks(chunk_exponentials, bounds)
-    # U(t_j, 0) at every node, in step order, of which only U(T) is returned.
-    # The views are listed once, so each step is one 2-D GEMM call.
-    u_nodes[0] = np.eye(n)
-    nodes = list(u_nodes)
-    for step, node, following in zip(steps, nodes, nodes[1:]):
-        step.dot(node, out=following)
+    helpers = _helpers(min(_threads(system), count))
+    if helpers:
+        _Region().run(lead, helper, helpers)
+    else:
+        # One thread has nothing to overlap: each stage over every piece.
+        for stage in (exponentials, product, averages):
+            for k in range(count):
+                stage(k)
+    # U(T), the last node, belongs to no piece's scratch.
     final = u_nodes[-1].copy()
-    _run_chunks(chunk_averages, [(blocks,) for blocks in eig])
     dipoles = u_nodes
     dipoles[-1] = 0.0
     # Sample units: dt/weights[j] is 1 but at the ends, and row q-1 is zero.

@@ -26,7 +26,7 @@ UNITARY_TOL = 1e-8
 
 def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m)
-    if not np.all(np.isfinite(m.view(float) if np.iscomplexobj(m) else m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     return m
 

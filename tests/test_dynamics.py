@@ -35,6 +35,13 @@ class TestTypes:
         with pytest.raises(ValueError, match="dimensions differ"):
             QuantumSystem(h0=np.eye(3), mu=np.eye(4))
 
+    def test_system_accepts_non_contiguous_hermitian(self):
+        # The transpose of a complex Hermitian matrix is Hermitian, and its
+        # last axis is strided.
+        h = random_hermitian(4, np.random.default_rng(5))
+        system = QuantumSystem(h0=h.T, mu=h)
+        assert np.array_equal(system.h0, h.T)
+
     def test_system_grid(self):
         sys_ = build_model_system(11, t_final=10.0, q=101)
         assert np.isclose(sys_.dt, 0.1)
@@ -198,39 +205,148 @@ class TestPropagate:
 
 
 def _chunked_system(kind: str) -> tuple[QuantumSystem, ControlField]:
-    # q = 101: 100 steps split 50/50 in two chunks and 33/33/34 in three.
+    # N = 11, q = 128, track-stall's size: 127 steps cut 63/64 in two pieces
+    # and 42/42/43 in three.  A piece's work is long enough for the threads
+    # to overlap, so a pipeline that let them share rows would show.
     if kind == "real":
-        system = build_model_system(5, t_final=20.0, q=101)
+        system = build_model_system(11, t_final=20.0, q=128)
         return system, sample_random_field(system, np.random.default_rng(4))
     rng = np.random.default_rng(12)
-    system = QuantumSystem(random_hermitian(4, rng), random_hermitian(4, rng), 10.0, 101)
-    return system, ControlField(rng.standard_normal(101))
+    system = QuantumSystem(random_hermitian(11, rng), random_hermitian(11, rng), 10.0, 128)
+    return system, ControlField(rng.standard_normal(128))
 
 
 def _child_env() -> dict:
-    # A child interpreter that imports this checkout's motc, on one BLAS thread.
+    # A child interpreter that imports this checkout's motc and the tests'
+    # helpers, on one BLAS thread.
     root = Path(__file__).resolve().parents[1]
-    path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    path = [str(root / "src"), str(root / "tests"), *filter(None, [os.environ.get("PYTHONPATH")])]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
 
 
+# A child interpreter that propagates one system in 1, 2, 3 and 7 pieces on
+# one, two and four threads (more than the cores of a two-core machine),
+# switching threads often: every result must have the same bytes, and the
+# helpers must have built some piece's exponentials.
+_IDENTITY_CHILD = """
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+import numpy as np
+from motc import dynamics
+from test_dynamics import _chunked_system
+system, field = _chunked_system({kind!r})
+dynamics._pool = ThreadPoolExecutor(3, thread_name_prefix="motc-propagate")
+eigh, helped = np.linalg.eigh, set()
+def recorded(a):
+    helped.add(threading.current_thread().name.startswith("motc-propagate"))
+    return eigh(a)
+np.linalg.eigh = recorded
+sys.setswitchinterval(1e-6)
+results = set()
+for threads in (1, 2, 4):
+    dynamics._threads = lambda system, t=threads: t
+    for pieces in (1, 2, 3, 7):
+        dynamics._piece_count = lambda system, k=pieces: k
+        for _ in range(10 if threads > 1 else 1):
+            prop = dynamics.propagate(system, field)
+            results.add((prop.final.tobytes(), prop.dipoles.tobytes()))
+assert len(results) == 1, len(results)
+assert helped == {{False, True}}, helped
+print("ok")
+"""
+
+
+# A child interpreter whose one pool thread is held by another task, so a
+# two-thread propagation's helper never starts: the calling thread must do
+# every piece's work alone, to the same bytes.
+_BLOCKED_CHILD = """
+import threading
+from concurrent.futures import ThreadPoolExecutor
+import numpy as np
+from motc import dynamics
+from motc.bench import build_model_system, sample_random_field
+system = build_model_system(11, t_final=20.0, q=128)
+field = sample_random_field(system, np.random.default_rng(0))
+dynamics._threads = lambda system: 1
+serial = dynamics.propagate(system, field)
+dynamics._threads = lambda system: 2
+dynamics._pool = ThreadPoolExecutor(1, thread_name_prefix="motc-propagate")
+release = threading.Event()
+blocker = dynamics._pool.submit(release.wait)
+blocked = dynamics.propagate(system, field)
+assert not blocker.done()
+release.set()
+for prop in (blocked, dynamics.propagate(system, field)):
+    assert prop.final.tobytes() == serial.final.tobytes()
+    assert prop.dipoles.tobytes() == serial.dipoles.tobytes()
+print("ok")
+"""
+
+
+# A child interpreter in which a helper's exponentials piece fails while the
+# calling thread waits for it to advance the product: the error must reach
+# the caller, and the next propagation must give the same bytes as before.
+_FAILING_CHILD = """
+import threading
+import time
+import numpy as np
+from motc import dynamics
+from motc.bench import build_model_system, sample_random_field
+system = build_model_system(11, t_final=20.0, q=128)
+field = sample_random_field(system, np.random.default_rng(0))
+dynamics._threads = lambda system: 2
+dynamics._piece_count = lambda system: 2
+expected = dynamics.propagate(system, field)
+eigh, entered = np.linalg.eigh, threading.Event()
+def faulty(a):
+    if threading.current_thread().name.startswith("motc-propagate"):
+        entered.set()
+        time.sleep(0.2)
+        raise np.linalg.LinAlgError("helper piece")
+    assert entered.wait(30)
+    return eigh(a)
+np.linalg.eigh = faulty
+try:
+    dynamics.propagate(system, field)
+except np.linalg.LinAlgError as exc:
+    assert str(exc) == "helper piece", exc
+else:
+    raise AssertionError("the helper's error was lost")
+np.linalg.eigh = eigh
+again = dynamics.propagate(system, field)
+assert again.final.tobytes() == expected.final.tobytes()
+assert again.dipoles.tobytes() == expected.dipoles.tobytes()
+print("ok")
+"""
+
+
 # A child interpreter that starts the helper pool's threads with one
-# chunked propagation, then forks: the forked process must propagate in
-# chunks again, to the same bytes.  It inherits the pool object but not its
-# threads, so without the after-fork rebuild it would wait forever.
+# two-thread propagation, then forks: the forked process must propagate on
+# two threads again, to the same bytes.  It inherits the pool object but not
+# its threads, so without the after-fork rebuild no helper would start.
 _FORK_CHILD = """
 import os
 import threading
 import numpy as np
 from motc import dynamics
 from motc.bench import build_model_system, sample_random_field
-dynamics._chunk_count = lambda system: 2
+dynamics._threads = lambda system: 2
 system = build_model_system(11, t_final=20.0, q=128)
 field = sample_random_field(system, np.random.default_rng(0))
 parent = dynamics.propagate(system, field)
 assert any(t.name.startswith("motc-propagate") for t in threading.enumerate())
 pid = os.fork()
 if pid == 0:
+    # This thread waits in its first piece until a helper has started one.
+    eigh, helped = np.linalg.eigh, threading.Event()
+    def recorded(a):
+        if threading.current_thread().name.startswith("motc-propagate"):
+            helped.set()
+        elif not helped.wait(20):
+            os._exit(2)
+        return eigh(a)
+    np.linalg.eigh = recorded
     child = dynamics.propagate(system, field)
     same = all(getattr(child, k).tobytes() == getattr(parent, k).tobytes()
                for k in ("final", "dipoles"))
@@ -242,17 +358,21 @@ print("ok")
 
 
 # A child interpreter that runs a survey large enough to spread on two
-# cores: over two sample blocks on two threads, then on one core, one
-# sample after another with one chunk per propagation.  The tables must
-# match.
+# cores: claimed one sample at a time by this thread and a helper, then on
+# one core, one sample after another in this thread.  The tables must
+# match.  Until the helper has taken a sample, this thread waits in its
+# first one, so both threads take part.
 _SPREAD_CHILD = """
 import threading
 from motc import dynamics
 from motc.bench import experiments
 dynamics.usable_cores = lambda: 2
-threads, sample = [], experiments._gramian_sample
+threads, sample, helped = [], experiments._gramian_sample, threading.Event()
 def recorded(*args):
     threads.append(threading.current_thread().name)
+    if threads[-1].startswith("motc-propagate"):
+        helped.set()
+    assert helped.wait(30)
     return sample(*args)
 experiments._gramian_sample = recorded
 cfg = experiments.ExperimentConfig(
@@ -261,7 +381,6 @@ cfg = experiments.ExperimentConfig(
 )
 spread = experiments.run_gramian_distribution(cfg)["table"][1]
 assert len(set(threads)) == 2, threads
-assert any(name.startswith("motc-propagate") for name in threads), threads
 threads.clear()
 dynamics.usable_cores = lambda: 1
 serial = experiments.run_gramian_distribution(cfg)["table"][1]
@@ -271,17 +390,22 @@ print("ok")
 """
 
 
-# A child interpreter that spreads survey samples over two blocks while
-# each sample's propagation asks for two chunks of its own.  A nested
-# call that went to the helper pool would wait on the helper it occupies.
+# A child interpreter that spreads survey samples over two threads while
+# each sample's propagation asks for three pieces on two threads of its
+# own.  Only the survey may reach the helper pool: a nested region runs in
+# its own thread.
 _NESTED_CHILD = """
 from motc import dynamics
 from motc.bench import experiments
-dynamics._chunk_count = lambda system: 2
+dynamics._piece_count = lambda system: 3
 dynamics.usable_cores = lambda: 2
+helpers = []
+submit = dynamics._pool.submit
+dynamics._pool.submit = lambda *args: helpers.append(1) or submit(*args)
 cfg = dict(experiment="gramian-dist", samples=4, q=128, t_final=30.0, observables=(4,))
 out = experiments.run_gramian_distribution(experiments.ExperimentConfig(**cfg))
 assert out["summary"]["failures"] == 0
+assert len(helpers) == 1, helpers
 print("ok")
 """
 
@@ -304,24 +428,24 @@ def _run_child(code: str, timeout: float, hang: str) -> None:
 
 
 class TestChunkedPropagate:
+    """A propagation is a pipeline over pieces of its steps, on this thread
+    and the helper pool.  The cases that need threads run in a child
+    interpreter, so a hang fails by timeout."""
+
     @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_results_independent_of_chunk_count(self, monkeypatch, kind):
-        # Every step sees the same operands however the steps are split:
-        # the real-symmetric and the complex-Hermitian eigh paths alike.
-        # Seven chunks queue on fewer helpers, switching threads often.
-        system, field = _chunked_system(kind)
+    def test_results_independent_of_chunk_count(self, kind):
+        # Every step sees the same operands however the steps are cut and
+        # whichever thread runs them: the real-symmetric and the
+        # complex-Hermitian eigh paths alike.
+        system, _ = _chunked_system(kind)
         assert (system.h0.imag.any() and system.mu.imag.any()) == (kind == "complex")
-        results = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for chunks in (1, 2, 3, 7):
-                monkeypatch.setattr(dynamics, "_chunk_count", lambda system, k=chunks: k)
-                prop = propagate(system, field)
-                results.append((prop.final.tobytes(), prop.dipoles.tobytes()))
-        finally:
-            sys.setswitchinterval(interval)
-        assert results[1:] == [results[0]] * 3
+        _run_child(_IDENTITY_CHILD.format(kind=kind), 60, "a propagation in pieces hung")
+
+    def test_unstarted_helper_does_not_hold_up_caller(self):
+        _run_child(_BLOCKED_CHILD, 60, "a propagation waited on a helper that never started")
+
+    def test_helper_error_reaches_waiting_caller(self):
+        _run_child(_FAILING_CHILD, 60, "a helper's error left the caller waiting")
 
     def test_one_core_starts_no_thread(self, monkeypatch, model_system):
         def refuse(thread):
@@ -356,27 +480,30 @@ class TestChunkedPropagate:
         assert dynamics.usable_cores() == 6
 
     def test_chunk_error_raised_after_every_chunk(self, monkeypatch):
-        # The second chunk's eigh fails while the third is still running on
-        # a helper: propagate raises only once the third has finished, and
+        # A piece's eigh fails in this thread while the helper is still in
+        # its own: propagate raises only once the helper has finished, and
         # the pool serves the next propagation.
         system, field = _chunked_system("real")
-        monkeypatch.setattr(dynamics, "_chunk_count", lambda system: 3)
+        monkeypatch.setattr(dynamics, "_piece_count", lambda system: 3)
+        monkeypatch.setattr(dynamics, "_threads", lambda system: 2)
         expected = propagate(system, field)
-        h = system.h0.real[None, :, :] - field.samples[:-1, None, None] * system.mu.real[None, :, :]
-        eigh, finished, failing = np.linalg.eigh, [], [True]
+        eigh, entered, finished, failing = np.linalg.eigh, threading.Event(), [], [True]
 
         def faulty(a):
-            if failing[0] and np.array_equal(a[0], h[33]):
-                raise np.linalg.LinAlgError("second chunk")
-            if np.array_equal(a[0], h[66]):
+            if not failing[0]:
+                return eigh(a)
+            if threading.current_thread().name.startswith("motc-propagate"):
+                entered.set()
                 time.sleep(0.2)
-                finished.append(3)
-            return eigh(a)
+                finished.append(1)
+                return eigh(a)
+            assert entered.wait(30)
+            raise np.linalg.LinAlgError("caller's piece")
 
         monkeypatch.setattr(np.linalg, "eigh", faulty)
-        with pytest.raises(np.linalg.LinAlgError, match="second chunk"):
+        with pytest.raises(np.linalg.LinAlgError, match="caller's piece"):
             propagate(system, field)
-        assert finished == [3]
+        assert finished == [1]
         failing[0] = False
         again = propagate(system, field)
         assert again.final.tobytes() == expected.final.tobytes()
@@ -387,10 +514,10 @@ class TestChunkedPropagate:
 
 
 class TestSpreadSurvey:
-    """A survey whose propagations are large enough runs one block of
-    samples per usable core on the helper threads (``dynamics.spread``).
-    The surveys that spread run in a child interpreter: a nested call that
-    reached the one-thread helper pool would hang, and a timeout fails it."""
+    """A survey whose propagations are large enough has its samples claimed
+    one at a time by this thread and the helper threads
+    (``dynamics.spread``).  The surveys that spread run in a child
+    interpreter, so a hang fails by timeout."""
 
     def test_spread_table_matches_serial(self):
         _run_child(_SPREAD_CHILD, 60, "a spread survey hung")
@@ -416,23 +543,19 @@ class TestSpreadSurvey:
     @pytest.mark.parametrize("n", [0, 1, 2, 7])
     def test_spread_follows_propagation_size(self, monkeypatch, n):
         # One work floor on two cores: the paper's N = 11 at q = 1024 takes
-        # two chunks and is spread; at q = 128 it takes one chunk and is
-        # spread; N = 3 at q = 64 takes one chunk and is not.  Either way
+        # eight pieces and is spread; at q = 128 it takes two pieces and is
+        # spread; N = 3 at q = 64 takes one piece and is not.  Either way
         # the results come back in item order.
         monkeypatch.setattr(dynamics, "usable_cores", lambda: 2)
-        here = threading.current_thread().name
-        sizes = ((3, 64, 1, False), (11, 128, 1, True), (11, 1024, 2, True))
-        for levels, q, chunks, spreads in sizes:
-            threads = []
-
-            def item(k):
-                threads.append(threading.current_thread().name)
-                return k
-
+        helpers, submit = [], dynamics._pool.submit
+        monkeypatch.setattr(dynamics._pool, "submit", lambda *args: helpers.append(1) or submit(*args))
+        sizes = ((3, 64, 1, False), (11, 128, 2, True), (11, 1024, 8, True))
+        for levels, q, pieces, spreads in sizes:
+            helpers.clear()
             system = build_model_system(levels, t_final=20.0, q=q)
-            assert dynamics._chunk_count(system) == chunks
-            assert dynamics.spread(item, n, system) == list(range(n))
-            assert len(set(threads) - {here}) == (1 if spreads and n > 1 else 0)
+            assert dynamics._piece_count(system) == pieces
+            assert dynamics.spread(lambda k: k, n, system) == list(range(n))
+            assert len(helpers) == (1 if spreads and n > 1 else 0)
 
 
 def test_import_loads_no_scipy():

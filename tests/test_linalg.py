@@ -7,6 +7,7 @@ from motc.linalg import (
     condition_number,
     herm_to_vec,
     log_unitary_principal,
+    require_finite,
     vec_to_herm,
 )
 
@@ -34,6 +35,20 @@ class TestExpiHermitian:
     def test_unitarity(self, rng):
         u = expi(random_hermitian(11, rng), 2.7)
         assert np.linalg.norm(u.conj().T @ u - np.eye(11)) <= 1e-10
+
+
+class TestRequireFinite:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, np.inf)])
+    def test_strided_complex_matrix(self, bad):
+        # Every layout is checked entry by entry: a transposed or sliced
+        # complex matrix, whose last axis is strided, is accepted when finite.
+        m = np.arange(16.0).reshape(4, 4) * (1 + 1j)
+        for view in (m.T, m[:, ::2]):
+            assert require_finite(view) is view
+        m[1, 2] = bad
+        for view in (m.T, m[:, ::2]):
+            with pytest.raises(ValueError, match="non-finite"):
+                require_finite(view)
 
 
 class TestLogUnitaryPrincipal:
