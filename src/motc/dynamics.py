@@ -21,16 +21,18 @@ chain rule.  dt/w_j is 1 in the interior and 2 at the ends: exact scaling.
 One pass computes both.  The step Hamiltonians
 H_j = V_j diag(lambda_j) V_j^dag are diagonalized in one batched ``eigh``:
 the real-symmetric one when H0 and mu have no imaginary part (as in the
-banded model of ``motc.bench``), the complex-Hermitian one otherwise.  With
-W_j = V_j^dag U(t_j, 0), the step average is W_j^dag (mu'_j o Phi_j) W_j,
-where mu'_j = V_j^dag mu V_j is the dipole in the step eigenbasis and
-(Phi_j)_ab = phi(i g_ab) with g_ab = (lambda_a - lambda_b) dt,
-phi(ig) = (e^{ig} - 1)/(ig) = sin(g)/g + i 2 sin^2(g/2)/g and phi(0) = 1.
-The sine form is taken from real sines, so no gap loses digits to the
-cancellation in e^{ig} - 1.  For a real system V_j, mu'_j and Phi_j's
-gaps are real, and the products with a real left factor, the step
-exponentials S_j = V_j (e^{-i lambda_j dt} o V_j^T) and W_j = V_j^T U(t_j, 0),
-run as real GEMMs on the complex right factor's float64 view.
+banded model of ``motc.bench``), the complex-Hermitian one otherwise.  In
+the step eigenbasis mu'_j = V_j^dag mu V_j, and the step average is
+W_j^dag (mu'_j o Phi_j) W_j with W_j = V_j^dag U(t_j, 0), g_ab =
+(lambda_a - lambda_b) dt and (Phi_j)_ab = (e^{ig} - 1)/(ig) = e^{ig/2} sinc(g/2).
+So it is X_j^dag K_j X_j with the kernel K_j = mu'_j o sinc(g/2), sinc(0) = 1,
+and X_j = e^{-i lambda_j dt/2} o W_j, the half-step phases (whose squares
+are the step phases) scaling W_j's rows.  No digit is lost at small gaps:
+sinc takes the real sine of the gap itself, never a difference of nearly
+equal numbers, and the unit phases only multiply.  For a real system V_j
+and K_j are real: S_j = V_j (e^{-i lambda_j dt} o V_j^T), W_j and K_j X_j
+run as real GEMMs on the complex right factor's float64 view, and
+X_j^dag (K_j X_j) is the average's one complex GEMM.
 
 Every stage but the cumulative product is independent from one step to the
 next, and numpy's batched ``eigh`` and ``matmul`` release the GIL.  The step
@@ -214,9 +216,10 @@ class PropagationResult:
 def _matmul_real_left(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """a @ b into ``out`` for complex ``b`` and ``out`` with contiguous last axes.
 
-    A real ``a`` multiplies b's float64 view, whose interleaved real and
-    imaginary columns make one real GEMM of twice the width in place of a
-    complex GEMM that first promotes ``a`` to complex.
+    A real ``a`` (a step eigenbasis, or a real system's step-average kernel
+    K_j) multiplies b's float64 view, whose interleaved real and imaginary
+    columns make one real GEMM of twice the width in place of a complex
+    GEMM that first promotes ``a`` to complex.
     """
     if np.iscomplexobj(a):
         return np.matmul(a, b, out=out)
@@ -397,11 +400,15 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
     # scratch while they hold nothing else.
     steps = np.empty((q - 1, n, n), dtype=complex)
     u_nodes = np.empty((q, n, n), dtype=complex)
-    # Each piece's eigenvalues and eigenbases, from its exponentials to its
-    # averages; the pieces whose exponentials and whose averages are
-    # claimed, and the pieces the node product has passed.
+    # Each piece's eigenvalues, eigenbases and half-step phases, from its
+    # exponentials to its averages; the pieces whose exponentials and whose
+    # averages are claimed, and the pieces the node product has passed.
     eig: list = [None] * count
     claimed = averaged = passed = 0
+    # Where each (a, b) reads a step's row [1, sinc over the pairs a < b].
+    upper = np.triu_indices(n, 1)
+    mirror = np.zeros((n, n), dtype=np.intp)
+    mirror[upper] = mirror.T[upper] = np.arange(1, upper[0].size + 1)
     nodes: list = []
 
     def exponentials(k: int) -> None:
@@ -410,12 +417,12 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
         # S_j = V_j (e^{-i w_j dt} o V_j^dag), the phases scaling the rows of
         # a C-ordered operand that a real V_j multiplies as one real GEMM.
         # The operand takes the node propagators' rows, unused until the
-        # product.
-        phased = np.multiply(
-            np.exp(-1j * dt * w)[:, :, None], v.conj().transpose(0, 2, 1), out=u_nodes[lo:hi]
-        )
+        # product.  The half-step phases are kept for the averages.
+        half = np.exp(-0.5j * dt * w)
+        vh = v.conj().transpose(0, 2, 1)
+        phased = np.multiply((half * half)[:, :, None], vh, out=u_nodes[lo:hi])
         _matmul_real_left(v, phased, out=steps[lo:hi])
-        eig[k] = w, v
+        eig[k] = w, v, half
 
     def product(k: int) -> None:
         # U(t_j, 0) at the piece's nodes and the next piece's first, in step
@@ -433,35 +440,26 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
         passed = k + 1
 
     def averages(k: int) -> None:
-        # W_j takes the piece's step exponentials, spent once the node
-        # propagators are built, and mu' o Phi the node propagators, spent
-        # once W_j is.
+        # X_j = e^{-i w_j dt/2} o W_j takes the piece's step exponentials,
+        # spent once the node propagators are built.
         lo, hi = pieces[k]
-        w, v = eig[k]
+        w, v, half = eig[k]
         vh = v.conj().transpose(0, 2, 1)
-        wj = _matmul_real_left(vh, u_nodes[lo:hi], out=steps[lo:hi])
-        # Within-step average of the interaction-picture dipole, in closed
-        # form: (1/dt) int_0^dt e^{iHs} mu e^{-iHs} ds has eigenbasis
-        # elements mu'_{ab} * phi(i g_ab) with g_ab = (w_a - w_b) dt and
-        # phi(ig) = (e^{ig} - 1)/(ig) = sin(g)/g + i 2 sin^2(g/2)/g, phi(0) = 1.
-        # Real sines lose no digits at any gap, where e^{ig} - 1 cancels
-        # them.
-        g = (w[:, :, None] - w[:, None, :]) * dt
-        gap = g != 0
-        phi = u_nodes[lo:hi]
-        phi.real = 1.0
-        np.divide(np.sin(g), g, out=phi.real, where=gap)
-        half = np.sin(0.5 * g)
-        np.multiply(half, half, out=half)
-        phi.imag = 0.0
-        np.divide(2.0 * half, g, out=phi.imag, where=gap)
-        mu_phi = np.multiply(vh @ mu @ v, phi, out=phi)
-        mixed = mu_phi @ wj
-        # W_j^dag is the transposed view of W_j conjugated in place: BLAS
+        x = _matmul_real_left(vh, u_nodes[lo:hi], out=steps[lo:hi])
+        x *= half[:, :, None]
+        # K_j = mu'_j o sinc(g/2), sinc(g/2) taken once per pair a < b, behind
+        # the 1 of the diagonal and of exact degeneracies, and mirrored.
+        half_gaps = (0.5 * dt) * (w[:, upper[0]] - w[:, upper[1]])
+        sinc = np.ones((hi - lo, 1 + half_gaps.shape[1]))
+        np.divide(np.sin(half_gaps), half_gaps, out=sinc[:, 1:], where=half_gaps != 0)
+        kernel = vh @ mu @ v
+        kernel *= sinc[:, mirror]
+        mixed = _matmul_real_left(kernel, x, out=np.empty_like(x))
+        # X_j^dag is the transposed view of X_j conjugated in place: BLAS
         # takes a transposed operand as it is, where a conjugated copy costs
-        # a pass.  The dipoles overwrite mu' o Phi, spent once mixed is built.
-        np.conjugate(wj, out=wj)
-        np.matmul(wj.transpose(0, 2, 1), mixed, out=u_nodes[lo:hi])
+        # a pass.
+        np.conjugate(x, out=x)
+        np.matmul(x.transpose(0, 2, 1), mixed, out=u_nodes[lo:hi])
 
     def helper():
         # Exponentials first, then the averages the product has released.

@@ -208,12 +208,13 @@ def linear_target_observables(
 
 
 def gramian_motc(a: np.ndarray, weights: np.ndarray) -> GramianReport:
-    """MOTC Gramian (Gamma)_ij = int a^i(t) a^j(t) dt by trapezoid quadrature."""
+    """MOTC Gramian (Gamma)_ij = int a^i(t) a^j(t) dt by trapezoid quadrature,
+    as b b^T with b = a sqrt(w): one BLAS symmetric rank-k update, exactly symmetric."""
     a = np.asarray(a, float)
     if a.ndim != 2 or a.shape[1] != np.asarray(weights).size:
         raise ValueError("a must be (m, q) with one column per quadrature node")
-    g = (a * weights[None, :]) @ a.T
-    g = 0.5 * (g + g.T)
+    b = a * np.sqrt(weights)
+    g = b @ b.T
     u, s, vt = np.linalg.svd(g)
     return GramianReport(
         matrix=g, singular_values=s, condition=condition_from_singular_values(s), _u=u, _vt=vt

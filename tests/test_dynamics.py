@@ -134,29 +134,41 @@ class TestPropagate:
     @pytest.mark.parametrize("x", [1.01e-7, 1e-6, 1e-4, 1e-2])
     def test_step_average_phi_small_gaps(self, x):
         # Two levels x/dt apart (dt = 1) and no field: the (1, 0) entry of the
-        # first step-averaged dipole is phi(ix) = (e^{ix} - 1)/(ix).  Taken
-        # as written, e^{ix} - 1 loses |log10 x| digits at small gaps.
-        system = QuantumSystem(np.diag([0.0, x]), np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0, 2)
-        # dipoles[0] is in sample units: dt/w_0 = 2 times the step average.
-        phi = propagate(system, zero_field(system)).dipoles[0, 1, 0] / 2.0
-        series = sum((1j * x) ** k / math.factorial(k + 1) for k in range(8))
-        assert abs(phi - series) <= 1e-14 * abs(series)
+        # first step-averaged dipole is mu_10 phi(ix) = mu_10 (e^{ix} - 1)/(ix).
+        # Taken as written, e^{ix} - 1 loses |log10 x| digits at small gaps.
+        for system, mu10, gap in _two_level_systems(x):
+            phi = _first_step_average(system) / mu10
+            series = sum((1j * gap) ** k / math.factorial(k + 1) for k in range(8))
+            assert abs(phi - series) <= 1e-14 * abs(series)
 
     @pytest.mark.parametrize("x", [0.0, 1.0, 3.0])
     def test_step_average_phi_closed_form(self, x):
         # The same (1, 0) entry against phi(ix) = sin(x)/x + i (1 - cos x)/x,
         # with phi(0) = 1 at an exactly degenerate pair.
-        system = QuantumSystem(np.diag([0.0, x]), np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0, 2)
-        # dipoles[0] is in sample units: dt/w_0 = 2 times the step average.
-        phi = propagate(system, zero_field(system)).dipoles[0, 1, 0] / 2.0
-        expected = 1.0 if x == 0.0 else math.sin(x) / x + 1j * (1.0 - math.cos(x)) / x
-        assert abs(phi - expected) <= 1e-14 * abs(expected)
+        for system, mu10, gap in _two_level_systems(x):
+            phi = _first_step_average(system) / mu10
+            expected = 1.0 if gap == 0.0 else math.sin(gap) / gap + 1j * (1.0 - math.cos(gap)) / gap
+            assert abs(phi - expected) <= 1e-14 * abs(expected)
+
+    def test_step_average_degenerate_pair(self):
+        # Levels 1 and 2 are exactly degenerate and mu couples them, so the
+        # kernel's zero-gap branch is taken off the diagonal at every step.
+        h0 = np.diag([0.0, 0.5, 0.5])
+        levels = np.linalg.eigvalsh(h0)
+        assert levels[1] == levels[2]
+        mu = np.array([[0.0, 1.0, 0.3], [1.0, 0.0, 0.7], [0.3, 0.7, 0.0]])
+        system = QuantumSystem(h0, mu, 2.0, 8)
+        prop = propagate(system, zero_field(system))
+        cumulative, step_dipoles = propagate_direct(system, zero_field(system))
+        assert np.abs(prop.final - cumulative[-1]).max() <= 1e-12
+        scale = system.dt / system.quadrature_weights
+        assert np.abs(prop.dipoles / scale[:, None, None] - step_dipoles).max() <= 1e-12
 
     def test_peak_allocation(self, model_system):
         # One propagation at N=11, q=1024 allocates at most 4 complex
         # (q, N, N) arrays at its peak (7.6 MiB): the one it returns, the
         # step exponentials, the real eigenbases and the temporaries of
-        # one block of steps per chunk.
+        # one piece per thread.
         field = sample_random_field(model_system, np.random.default_rng(3))
         propagate(model_system, field)
         tracemalloc.start()
@@ -202,6 +214,25 @@ class TestPropagate:
         p1 = propagate(small_system, small_field)
         p2 = propagate(small_system, ControlField(bumped))
         assert np.allclose(p1.final, p2.final)
+
+
+def _two_level_systems(x: float) -> list[tuple[QuantumSystem, complex, float]]:
+    # (system, mu_10, gap) for two levels x apart over one step of dt = 1:
+    # at 0 and x and at 1 and 1 + x with a real mu, and at 1 and 1 + x with
+    # a complex-Hermitian one.  The gap is the one the levels represent.
+    cases = []
+    for base, mu10 in ((0.0, 1.0), (1.0, 1.0), (1.0, np.exp(0.7j))):
+        mu = np.array([[0.0, np.conj(mu10)], [mu10, 0.0]])
+        system = QuantumSystem(np.diag([base, base + x]), mu, 1.0, 2)
+        cases.append((system, mu10, (base + x) - base))
+    assert cases[-1][0].mu.imag.any()
+    return cases
+
+
+def _first_step_average(system: QuantumSystem) -> complex:
+    # The (1, 0) entry of the first step average: dipoles[0] is in sample
+    # units, dt/w_0 = 2 times the step average.
+    return propagate(system, zero_field(system)).dipoles[0, 1, 0] / 2.0
 
 
 def _chunked_system(kind: str) -> tuple[QuantumSystem, ControlField]:
@@ -510,7 +541,7 @@ class TestChunkedPropagate:
         assert again.dipoles.tobytes() == expected.dipoles.tobytes()
 
     def test_forked_process_gets_a_pool_of_its_own(self):
-        _run_child(_FORK_CHILD, 60, "a chunked propagation in a forked process hung")
+        _run_child(_FORK_CHILD, 60, "a propagation in pieces in a forked process hung")
 
 
 class TestSpreadSurvey:
@@ -523,7 +554,7 @@ class TestSpreadSurvey:
         _run_child(_SPREAD_CHILD, 60, "a spread survey hung")
 
     def test_chunks_inside_a_chunk_run_inline(self):
-        _run_child(_NESTED_CHILD, 60, "a propagation inside a survey block hung")
+        _run_child(_NESTED_CHILD, 60, "a propagation inside a survey sample hung")
 
     def test_short_survey_starts_no_thread(self, monkeypatch):
         # Below MIN_THREAD_WORK the samples stay in this thread, whatever

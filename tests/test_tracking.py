@@ -161,6 +161,16 @@ class TestGramians:
         assert np.abs(rep.matrix - rep.matrix.T).max() <= 1e-10
         assert np.linalg.eigvalsh(rep.matrix).min() >= -1e-8 * rep.singular_values[0]
 
+    def test_gramian_exactly_symmetric(self, track_setup):
+        # G = b b^T with b = a sqrt(w) is one symmetric rank-k update:
+        # exactly symmetric, and the quadrature sum of outer products.
+        _, _, prop, _ = track_setup
+        a = herm_to_vec(prop.dipoles).T
+        g = gramian_unitary(prop).matrix
+        assert np.array_equal(g, g.T)
+        expected = sum(w * np.outer(col, col) for w, col in zip(prop.weights, a.T))
+        assert np.abs(g - expected).max() <= 1e-14 * np.abs(expected).max()
+
     def test_rank_bound_when_grid_small(self):
         sys_ = build_model_system(11, t_final=5.0, q=64)  # q < N^2
         prop = propagate(sys_, sample_random_field(sys_, np.random.default_rng(1)))
