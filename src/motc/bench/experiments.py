@@ -432,12 +432,11 @@ def run_gramian_distribution(config: ExperimentConfig) -> dict:
     ensemble of random fields; histogram plus log10 summary statistics, and
     per Gramian the count of numerically singular samples.
 
-    The samples run through ``dynamics.spread``: claimed one at a time by
-    this thread and ``propagate``'s helper threads, up to one thread per
-    usable core, when a sample's propagation has at least
-    ``dynamics.MIN_THREAD_WORK`` of work, else one after another in this
-    thread.  Each sample draws from its own seed, so the table is the same
-    either way."""
+    The samples run through ``dynamics.spread``: on this thread and
+    ``propagate``'s helper threads, up to one thread per usable core, when a
+    sample's propagation has at least ``dynamics.MIN_THREAD_WORK`` of work,
+    else one after another in this thread.  Each sample draws from its own
+    seed, so the table is the same either way."""
     rows, failures = [], 0
     system = config.build_system()
     shared = (

@@ -45,25 +45,25 @@ has at least one piece per usable core (the process's CPU affinity, see
 ``usable_cores``) and runs on that many threads.  On one thread there is
 nothing to overlap, and each stage runs over every piece in turn.
 
-On more, a propagation is one parallel region, a pipeline over its pieces.
-The calling thread and the helper threads of a module-level pool (made at
-import, rebuilt after a fork) claim the pieces' exponentials (H_j, its
-``eigh``, S_j) one at a time in step order.  The calling thread advances
-the product U(t_{j+1}, 0) = S_j U(t_j, 0) through piece k as soon as
-pieces k and k+1 have their exponentials: the product's last step writes
-into piece k+1's first node row, which its exponentials use as scratch.
-The helpers claim the step averages (W_j and the dipoles, into the
-piece's own rows) of every piece the product has passed, and the calling
-thread joins them once the product ends.  Helpers that have not started
-when the calling thread runs out of work are cancelled, so a core the host
-takes away never holds it up.  Each step sees the same operands whatever
-the pieces and whichever thread runs them, so neither can change a single
-bit of the result.
+On more, a propagation is a pipeline over its pieces, on the helper
+threads of a module-level pool (made at import, rebuilt after a fork) that
+take its tasks in the order they were submitted, and on the calling thread,
+which steals, by cancelling it, each task no helper has started and never
+waits on one.  The exponentials (H_j, its ``eigh``, S_j) of every piece
+but the first, which the calling thread builds itself, are submitted first.
+The calling thread steals them in step order until piece k+1 has its own,
+advances the product U(t_{j+1}, 0) = S_j U(t_j, 0) through piece k (its
+last step writes into piece k+1's first node row, the scratch of that
+piece's exponentials) and submits piece k's step averages (W_j and the
+dipoles, into the piece's own rows).  Once the product ends it takes the
+last piece's averages, steals those no helper has started and joins the
+rest.  Each step sees the same operands whatever the pieces and whichever
+thread runs them, so neither can change a single bit of the result.
 
 ``spread`` runs independent items that each propagate once, such as the
 samples of a Gramian survey (``motc.bench``), on the same threads under the
-same floor, each thread claiming one item at a time.  Work that would open
-a region from inside one runs in its own thread.
+same floor, by the same steal-and-join.  A propagation inside an item runs
+in the item's thread.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,7 +255,7 @@ BLOCK_STEPS = 128
 
 
 def _make_pool() -> None:
-    # Helper threads of the parallel regions, started at the first submit.
+    # Helper threads of propagate and spread, started at the first submit.
     # A forked child inherits the pool but not its threads.
     global _pool
     _pool = ThreadPoolExecutor(max(1, usable_cores() - 1), thread_name_prefix="motc-propagate")
@@ -286,98 +287,62 @@ def _blocks(n: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-# What a region's pick returns once it has no task left to hand out.
-_DONE = object()
-
-# Whether this thread works in a parallel region: work that would open a
-# region from inside one runs in this thread, so it neither waits on the
-# helpers it occupies nor asks for more cores than there are.
-_region_thread = threading.local()
+# Whether this thread runs an item of ``spread``: a propagation inside one
+# stays in this thread, so it asks for no more cores than there are.
+_spread_item = threading.local()
 
 
-def _helpers(threads: int) -> int:
-    """Helper threads for work that may use ``threads`` threads: none from
-    inside a region."""
-    return 0 if getattr(_region_thread, "inside", False) else max(0, threads - 1)
+def _parallel(threads: int) -> bool:
+    """Whether work that may use ``threads`` threads takes helpers: not from
+    inside an item of ``spread``."""
+    return threads > 1 and not getattr(_spread_item, "inside", False)
 
 
-class _Region:
-    """One parallel region: tasks claimed one at a time, under one
-    condition, by the calling thread and helper threads of the pool."""
+def _steal(future, fn, k: int) -> None:
+    """Runs fn(k) in this thread when ``future``, fn(k)'s pool task, has not
+    started.  A helper that dequeues it later skips it."""
+    if future.cancel():
+        fn(k)
 
-    def __init__(self):
-        self._ready = threading.Condition()
-        self._error: BaseException | None = None
 
-    def _work(self, pick) -> None:
-        # Runs the (stage, k) tasks pick() hands out until it returns _DONE
-        # or a task of the region has failed, waiting while it returns None.
-        # pick runs under the lock; a task runs outside it and records what
-        # it has done before the waiting threads are woken.
-        _region_thread.inside = True
-        try:
-            while True:
-                with self._ready:
-                    while self._error is None and (task := pick()) is None:
-                        self._ready.wait()
-                    if self._error is not None or task is _DONE:
-                        return
-                stage, k = task
-                stage(k)
-                with self._ready:
-                    self._ready.notify_all()
-        except BaseException as exc:
-            with self._ready:
-                if self._error is None:
-                    self._error = exc
-                self._ready.notify_all()
-        finally:
-            _region_thread.inside = False
-
-    def run(self, lead, helper, helpers: int) -> None:
-        """Works through lead's tasks in this thread and helper's on
-        ``helpers`` pool threads, then raises the first error of any task.
-        lead hands out every task no helper has claimed, so this thread
-        alone can finish the region: helpers not started when it runs out
-        of work are cancelled.  The call returns only once the started ones
-        have returned, so no helper writes into a buffer after the caller
-        has left."""
-        futures = [_pool.submit(self._work, helper) for _ in range(helpers)]
-        try:
-            self._work(lead)
-        finally:
-            # A cancelled future counts as done only once a pool thread has
-            # dequeued it, so only the started ones are waited on.
-            wait([future for future in futures if not future.cancel()])
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
+def _join(futures) -> None:
+    """Cancels the pool tasks of ``futures`` that no helper has started and
+    waits for the others, so no helper writes into a buffer after the caller
+    has left; then raises the first of their errors.  A cancelled task is
+    done only once a pool thread has dequeued it, so it is not waited on."""
+    started = [future for future in futures if not future.cancel()]
+    wait(started)
+    for future in started:
+        future.result()
 
 
 def spread(fn, n: int, system: QuantumSystem) -> list:
     """[fn(k) for k in range(n)], where each fn(k) propagates ``system``
     about once.  When one propagation has at least MIN_THREAD_WORK of work,
-    this thread and up to one helper per further usable core claim the k
-    one at a time, each fn(k)'s own propagation running in its claimer's
-    thread; else all run in this thread.  fn must not depend on which
-    thread runs it."""
-    helpers = _helpers(min(_threads(system), n))
-    if not helpers:
+    every item goes to the helper pool and this thread steals, in order,
+    each one no helper has started; else all run in this thread.  fn must
+    not depend on which thread runs it."""
+    if not _parallel(min(_threads(system), n)):
         return [fn(k) for k in range(n)]
     out = [None] * n
-    claimed = 0
 
     def item(k: int) -> None:
-        out[k] = fn(k)
+        _spread_item.inside = True
+        try:
+            out[k] = fn(k)
+        finally:
+            _spread_item.inside = False
 
-    def pick():
-        nonlocal claimed
-        if claimed == n:
-            return _DONE
-        claimed += 1
-        return item, claimed - 1
-
-    _Region().run(pick, pick, helpers)
+    futures = [_pool.submit(item, k) for k in range(n)]
+    try:
+        for k, future in enumerate(futures):
+            _steal(future, item, k)
+    except BaseException:
+        # This thread's own error goes on, not one a helper raised.
+        with suppress(Exception):
+            _join(futures)
+        raise
+    _join(futures)
     return out
 
 
@@ -401,10 +366,8 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
     steps = np.empty((q - 1, n, n), dtype=complex)
     u_nodes = np.empty((q, n, n), dtype=complex)
     # Each piece's eigenvalues, eigenbases and half-step phases, from its
-    # exponentials to its averages; the pieces whose exponentials and whose
-    # averages are claimed, and the pieces the node product has passed.
+    # exponentials to its averages.
     eig: list = [None] * count
-    claimed = averaged = passed = 0
     # Where each (a, b) reads a step's row [1, sinc over the pairs a < b].
     upper = np.triu_indices(n, 1)
     mirror = np.zeros((n, n), dtype=np.intp)
@@ -430,14 +393,12 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
         # GEMM call: at the first piece, as listing them any earlier or
         # dropping them before the averages doubled a one-thread survey's
         # minor page faults.
-        nonlocal passed
         lo, hi = pieces[k]
         if k == 0:
             u_nodes[0] = np.eye(n)
             nodes.extend(u_nodes)
         for step, node, following in zip(steps[lo:hi], nodes[lo:hi], nodes[lo + 1 : hi + 1]):
             step.dot(node, out=following)
-        passed = k + 1
 
     def averages(k: int) -> None:
         # X_j = e^{-i w_j dt/2} o W_j takes the piece's step exponentials,
@@ -461,35 +422,39 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
         np.conjugate(x, out=x)
         np.matmul(x.transpose(0, 2, 1), mixed, out=u_nodes[lo:hi])
 
-    def helper():
-        # Exponentials first, then the averages the product has released.
-        nonlocal claimed, averaged
-        if claimed < count:
-            claimed += 1
-            return exponentials, claimed - 1
-        if averaged < passed:
-            averaged += 1
-            return averages, averaged - 1
-        return _DONE if averaged == count else None
-
-    def lead():
-        # The product whenever it can advance; else what a helper would
-        # take, but no averages before the product ends.
-        if passed < count:
-            if all(eig[k] is not None for k in range(passed, min(passed + 2, count))):
-                return product, passed
-            if claimed == count:
-                return None
-        return helper()
-
-    helpers = _helpers(min(_threads(system), count))
-    if helpers:
-        _Region().run(lead, helper, helpers)
-    else:
+    if not _parallel(min(_threads(system), count)):
         # One thread has nothing to overlap: each stage over every piece.
         for stage in (exponentials, product, averages):
             for k in range(count):
                 stage(k)
+    else:
+        # This thread runs piece 0's exponentials and the last piece's
+        # averages; the pool gets the other pieces' exponentials, then the
+        # averages of each piece the product has passed.  Submitted, the
+        # last averages could go to a helper just done with the previous
+        # ones while this thread waited idle.
+        exps = {k: _pool.submit(exponentials, k) for k in range(1, count)}
+        avgs = []
+        try:
+            exponentials(0)
+            stolen = 1
+            for k in range(count - 1):
+                while stolen < count and not exps[k + 1].done():
+                    _steal(exps[stolen], exponentials, stolen)
+                    stolen += 1
+                _join([exps[k + 1]])
+                product(k)
+                avgs.append(_pool.submit(averages, k))
+            product(count - 1)
+            averages(count - 1)
+            for k, future in enumerate(avgs):
+                _steal(future, averages, k)
+        except BaseException:
+            # This thread's own error goes on, not one a helper raised.
+            with suppress(Exception):
+                _join([*exps.values(), *avgs])
+            raise
+        _join(avgs)
     # U(T), the last node, belongs to no piece's scratch.
     final = u_nodes[-1].copy()
     dipoles = u_nodes

@@ -288,9 +288,10 @@ print("ok")
 """
 
 
-# A child interpreter whose one pool thread is held by another task, so a
-# two-thread propagation's helper never starts: the calling thread must do
-# every piece's work alone, to the same bytes.
+# A child interpreter whose one pool thread is held by another task, so no
+# helper starts: a two-thread propagation's calling thread must do every
+# piece's work alone, to the same bytes, and a two-thread spread's calling
+# thread every item, in order.
 _BLOCKED_CHILD = """
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -306,6 +307,13 @@ dynamics._pool = ThreadPoolExecutor(1, thread_name_prefix="motc-propagate")
 release = threading.Event()
 blocker = dynamics._pool.submit(release.wait)
 blocked = dynamics.propagate(system, field)
+assert not blocker.done()
+threads = []
+def item(k):
+    threads.append(threading.current_thread())
+    return k
+assert dynamics.spread(item, 5, system) == list(range(5))
+assert threads == [threading.current_thread()] * 5, threads
 assert not blocker.done()
 release.set()
 for prop in (blocked, dynamics.propagate(system, field)):
@@ -389,7 +397,7 @@ print("ok")
 
 
 # A child interpreter that runs a survey large enough to spread on two
-# cores: claimed one sample at a time by this thread and a helper, then on
+# cores: taken in order by a helper and by this thread, then on
 # one core, one sample after another in this thread.  The tables must
 # match.  Until the helper has taken a sample, this thread waits in its
 # first one, so both threads take part.
@@ -423,20 +431,20 @@ print("ok")
 
 # A child interpreter that spreads survey samples over two threads while
 # each sample's propagation asks for three pieces on two threads of its
-# own.  Only the survey may reach the helper pool: a nested region runs in
-# its own thread.
+# own.  Only the survey's items may reach the helper pool: a propagation
+# inside an item runs in the item's thread.
 _NESTED_CHILD = """
 from motc import dynamics
 from motc.bench import experiments
 dynamics._piece_count = lambda system: 3
 dynamics.usable_cores = lambda: 2
-helpers = []
+tasks = []
 submit = dynamics._pool.submit
-dynamics._pool.submit = lambda *args: helpers.append(1) or submit(*args)
+dynamics._pool.submit = lambda fn, *args: tasks.append(fn.__qualname__) or submit(fn, *args)
 cfg = dict(experiment="gramian-dist", samples=4, q=128, t_final=30.0, observables=(4,))
 out = experiments.run_gramian_distribution(experiments.ExperimentConfig(**cfg))
 assert out["summary"]["failures"] == 0
-assert len(helpers) == 1, helpers
+assert tasks == ["spread.<locals>.item"] * 4, tasks
 print("ok")
 """
 
@@ -512,43 +520,48 @@ class TestChunkedPropagate:
 
     def test_chunk_error_raised_after_every_chunk(self, monkeypatch):
         # A piece's eigh fails in this thread while the helper is still in
-        # its own: propagate raises only once the helper has finished, and
-        # the pool serves the next propagation.
+        # its own, which then returns or fails too: propagate raises this
+        # thread's error only once the helper has finished, and the pool
+        # serves the next propagation.
         system, field = _chunked_system("real")
         monkeypatch.setattr(dynamics, "_piece_count", lambda system: 3)
         monkeypatch.setattr(dynamics, "_threads", lambda system: 2)
         expected = propagate(system, field)
-        eigh, entered, finished, failing = np.linalg.eigh, threading.Event(), [], [True]
+        eigh = np.linalg.eigh
+        for helper_fails in (False, True):
+            entered, finished, failing = threading.Event(), [], [True]
 
-        def faulty(a):
-            if not failing[0]:
-                return eigh(a)
-            if threading.current_thread().name.startswith("motc-propagate"):
-                entered.set()
-                time.sleep(0.2)
-                finished.append(1)
-                return eigh(a)
-            assert entered.wait(30)
-            raise np.linalg.LinAlgError("caller's piece")
+            def faulty(a):
+                if not failing[0]:
+                    return eigh(a)
+                if threading.current_thread().name.startswith("motc-propagate"):
+                    entered.set()
+                    time.sleep(0.2)
+                    finished.append(1)
+                    if helper_fails:
+                        raise np.linalg.LinAlgError("helper's piece")
+                    return eigh(a)
+                assert entered.wait(30)
+                raise np.linalg.LinAlgError("caller's piece")
 
-        monkeypatch.setattr(np.linalg, "eigh", faulty)
-        with pytest.raises(np.linalg.LinAlgError, match="caller's piece"):
-            propagate(system, field)
-        assert finished == [1]
-        failing[0] = False
-        again = propagate(system, field)
-        assert again.final.tobytes() == expected.final.tobytes()
-        assert again.dipoles.tobytes() == expected.dipoles.tobytes()
+            monkeypatch.setattr(np.linalg, "eigh", faulty)
+            with pytest.raises(np.linalg.LinAlgError, match="caller's piece"):
+                propagate(system, field)
+            assert finished == [1], helper_fails
+            failing[0] = False
+            again = propagate(system, field)
+            assert again.final.tobytes() == expected.final.tobytes()
+            assert again.dipoles.tobytes() == expected.dipoles.tobytes()
 
     def test_forked_process_gets_a_pool_of_its_own(self):
         _run_child(_FORK_CHILD, 60, "a propagation in pieces in a forked process hung")
 
 
 class TestSpreadSurvey:
-    """A survey whose propagations are large enough has its samples claimed
-    one at a time by this thread and the helper threads
-    (``dynamics.spread``).  The surveys that spread run in a child
-    interpreter, so a hang fails by timeout."""
+    """A survey whose propagations are large enough has its samples run in
+    order by this thread and the helper threads (``dynamics.spread``).  The
+    surveys that spread run in a child interpreter, so a hang fails by
+    timeout."""
 
     def test_spread_table_matches_serial(self):
         _run_child(_SPREAD_CHILD, 60, "a spread survey hung")
@@ -575,8 +588,9 @@ class TestSpreadSurvey:
     def test_spread_follows_propagation_size(self, monkeypatch, n):
         # One work floor on two cores: the paper's N = 11 at q = 1024 takes
         # eight pieces and is spread; at q = 128 it takes two pieces and is
-        # spread; N = 3 at q = 64 takes one piece and is not.  Either way
-        # the results come back in item order.
+        # spread, every item going to the pool; N = 3 at q = 64 takes one
+        # piece and is not, and none does.  Either way the results come back
+        # in item order.
         monkeypatch.setattr(dynamics, "usable_cores", lambda: 2)
         helpers, submit = [], dynamics._pool.submit
         monkeypatch.setattr(dynamics._pool, "submit", lambda *args: helpers.append(1) or submit(*args))
@@ -586,7 +600,27 @@ class TestSpreadSurvey:
             system = build_model_system(levels, t_final=20.0, q=q)
             assert dynamics._piece_count(system) == pieces
             assert dynamics.spread(lambda k: k, n, system) == list(range(n))
-            assert len(helpers) == (1 if spreads and n > 1 else 0)
+            assert len(helpers) == (n if spreads and n > 1 else 0)
+
+    def test_helper_error_reaches_spread_caller(self, monkeypatch):
+        # A helper's item fails while this thread is in its own: spread
+        # raises that error, and the pool serves the next spread.
+        monkeypatch.setattr(dynamics, "_threads", lambda system: 2)
+        system = build_model_system(3, t_final=20.0, q=64)
+        inside, raised = threading.Event(), threading.Event()
+
+        def item(k):
+            if threading.current_thread().name.startswith("motc-propagate"):
+                assert inside.wait(30)
+                raised.set()
+                raise ValueError("helper's item")
+            inside.set()
+            assert raised.wait(30)
+            return k
+
+        with pytest.raises(ValueError, match="helper's item"):
+            dynamics.spread(item, 4, system)
+        assert dynamics.spread(lambda k: k, 4, system) == list(range(4))
 
 
 def test_import_loads_no_scipy():
