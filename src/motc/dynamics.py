@@ -45,20 +45,18 @@ has at least one piece per usable core (the process's CPU affinity, see
 ``usable_cores``) and runs on that many threads.  On one thread there is
 nothing to overlap, and each stage runs over every piece in turn.
 
-On more, a propagation is a pipeline over its pieces, on the helper
-threads of a module-level pool (made at import, rebuilt after a fork) that
-take its tasks in the order they were submitted, and on the calling thread,
-which steals, by cancelling it, each task no helper has started and never
-waits on one.  The exponentials (H_j, its ``eigh``, S_j) of every piece
-but the first, which the calling thread builds itself, are submitted first.
-The calling thread steals them in step order until piece k+1 has its own,
-advances the product U(t_{j+1}, 0) = S_j U(t_j, 0) through piece k (its
-last step writes into piece k+1's first node row, the scratch of that
-piece's exponentials) and submits piece k's step averages (W_j and the
-dipoles, into the piece's own rows).  Once the product ends it takes the
-last piece's averages, steals those no helper has started and joins the
-rest.  Each step sees the same operands whatever the pieces and whichever
-thread runs them, so neither can change a single bit of the result.
+On more, a propagation is a pipeline over its pieces, on the calling thread
+and a pool of one helper per further thread that takes tasks in submission
+order; the calling thread steals (cancels and runs) each task no helper has
+started and never waits on one.  It builds piece 0's exponentials (H_j, its
+``eigh``, S_j) and submits the others', steals them in step order until
+piece k+1 has its own, advances the product U(t_{j+1}, 0) = S_j U(t_j, 0)
+through piece k (into the first node row of piece k+1, its exponentials'
+scratch) and submits piece k's step averages (W_j and the dipoles, into its
+own rows).  Then it takes the last piece's averages and steals the others.
+A helper's error stops the stealing and, once the started tasks end, is
+raised unless the caller has its own.  Each step sees the same operands
+whatever the pieces and threads, so neither can change a bit of the result.
 
 ``spread`` runs independent items that each propagate once, such as the
 samples of a Gramian survey (``motc.bench``), on the same threads under the
@@ -68,10 +66,11 @@ in the item's thread.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import suppress
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,16 +253,14 @@ MIN_THREAD_WORK = 2**17
 BLOCK_STEPS = 128
 
 
-def _make_pool() -> None:
-    # Helper threads of propagate and spread, started at the first submit.
-    # A forked child inherits the pool but not its threads.
-    global _pool
-    _pool = ThreadPoolExecutor(max(1, usable_cores() - 1), thread_name_prefix="motc-propagate")
+@functools.cache
+def _pool(helpers: int) -> ThreadPoolExecutor:
+    # Threads start at the first submit; a forked child inherits none.
+    return ThreadPoolExecutor(helpers, thread_name_prefix="motc-propagate")
 
 
-_make_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_make_pool)
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _work(system: QuantumSystem) -> int:
@@ -292,26 +289,39 @@ def _blocks(n: int, parts: int) -> list[tuple[int, int]]:
 _spread_item = threading.local()
 
 
-def _parallel(threads: int) -> bool:
-    """Whether work that may use ``threads`` threads takes helpers: not from
-    inside an item of ``spread``."""
-    return threads > 1 and not getattr(_spread_item, "inside", False)
+def _helpers(threads: int) -> int:
+    """Helpers for work on up to ``threads`` threads: none inside a spread item."""
+    return 0 if getattr(_spread_item, "inside", False) else max(0, threads - 1)
 
 
-def _steal(future, fn, k: int) -> None:
-    """Runs fn(k) in this thread when ``future``, fn(k)'s pool task, has not
-    started.  A helper that dequeues it later skips it."""
+def _submit(helpers: int, failed: list, fn, k: int):
+    """fn(k) on the pool of ``helpers`` threads; ``failed`` takes it if it raises."""
+    future = _pool(helpers).submit(fn, k)
+    future.add_done_callback(lambda f: f.cancelled() or f.exception() is None or failed.append(f))
+    return future
+
+
+def _steal(future, fn, k: int, failed: list) -> None:
+    """Runs fn(k) in this thread unless a helper has started ``future``, its
+    pool task; first raises the error of a task in ``failed``."""
+    if failed:
+        failed[0].result()
     if future.cancel():
         fn(k)
 
 
-def _join(futures) -> None:
-    """Cancels the pool tasks of ``futures`` that no helper has started and
-    waits for the others, so no helper writes into a buffer after the caller
-    has left; then raises the first of their errors.  A cancelled task is
-    done only once a pool thread has dequeued it, so it is not waited on."""
-    started = [future for future in futures if not future.cancel()]
-    wait(started)
+@contextmanager
+def _join(futures):
+    """After the block, cancels the tasks of ``futures`` no helper has
+    started (done only once dequeued, so not waited on) and waits for the
+    rest, so no helper writes into a buffer after the caller has left.  Then
+    raises the block's own error, else the first of the helpers'."""
+    try:
+        yield
+    finally:
+        started = [future for future in futures if not future.cancel()]
+        for future in started:
+            future.exception()
     for future in started:
         future.result()
 
@@ -319,10 +329,11 @@ def _join(futures) -> None:
 def spread(fn, n: int, system: QuantumSystem) -> list:
     """[fn(k) for k in range(n)], where each fn(k) propagates ``system``
     about once.  When one propagation has at least MIN_THREAD_WORK of work,
-    every item goes to the helper pool and this thread steals, in order,
-    each one no helper has started; else all run in this thread.  fn must
-    not depend on which thread runs it."""
-    if not _parallel(min(_threads(system), n)):
+    every item goes to a pool of up to one helper per further usable core,
+    and this thread steals, in order, each one no helper has started; else
+    all run in this thread.  fn must not depend on which thread runs it."""
+    helpers = _helpers(min(_threads(system), n))
+    if not helpers:
         return [fn(k) for k in range(n)]
     out = [None] * n
 
@@ -333,16 +344,11 @@ def spread(fn, n: int, system: QuantumSystem) -> list:
         finally:
             _spread_item.inside = False
 
-    futures = [_pool.submit(item, k) for k in range(n)]
-    try:
+    failed: list = []
+    futures = [_submit(helpers, failed, item, k) for k in range(n)]
+    with _join(futures):
         for k, future in enumerate(futures):
-            _steal(future, item, k)
-    except BaseException:
-        # This thread's own error goes on, not one a helper raised.
-        with suppress(Exception):
-            _join(futures)
-        raise
-    _join(futures)
+            _steal(future, item, k, failed)
     return out
 
 
@@ -422,39 +428,34 @@ def propagate(system: QuantumSystem, control: ControlField) -> PropagationResult
         np.conjugate(x, out=x)
         np.matmul(x.transpose(0, 2, 1), mixed, out=u_nodes[lo:hi])
 
-    if not _parallel(min(_threads(system), count)):
+    helpers = _helpers(min(_threads(system), count))
+    if not helpers:
         # One thread has nothing to overlap: each stage over every piece.
         for stage in (exponentials, product, averages):
             for k in range(count):
                 stage(k)
     else:
-        # This thread runs piece 0's exponentials and the last piece's
-        # averages; the pool gets the other pieces' exponentials, then the
-        # averages of each piece the product has passed.  Submitted, the
-        # last averages could go to a helper just done with the previous
-        # ones while this thread waited idle.
-        exps = {k: _pool.submit(exponentials, k) for k in range(1, count)}
-        avgs = []
-        try:
+        # This thread builds piece 0's exponentials and the last piece's
+        # averages, which a helper just done with the previous ones could
+        # take while this thread waited idle; the pool gets the others.
+        failed: list = []
+        exps = {k: _submit(helpers, failed, exponentials, k) for k in range(1, count)}
+        futures = [*exps.values()]
+        with _join(futures):
             exponentials(0)
             stolen = 1
             for k in range(count - 1):
                 while stolen < count and not exps[k + 1].done():
-                    _steal(exps[stolen], exponentials, stolen)
+                    _steal(exps[stolen], exponentials, stolen, failed)
                     stolen += 1
-                _join([exps[k + 1]])
+                if not exps[k + 1].cancelled():
+                    exps[k + 1].result()
                 product(k)
-                avgs.append(_pool.submit(averages, k))
+                futures.append(_submit(helpers, failed, averages, k))
             product(count - 1)
             averages(count - 1)
-            for k, future in enumerate(avgs):
-                _steal(future, averages, k)
-        except BaseException:
-            # This thread's own error goes on, not one a helper raised.
-            with suppress(Exception):
-                _join([*exps.values(), *avgs])
-            raise
-        _join(avgs)
+            for k in range(count - 1):
+                _steal(futures[count - 1 + k], averages, k, failed)
     # U(T), the last node, belongs to no piece's scratch.
     final = u_nodes[-1].copy()
     dipoles = u_nodes

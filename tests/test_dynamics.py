@@ -256,18 +256,17 @@ def _child_env() -> dict:
 
 
 # A child interpreter that propagates one system in 1, 2, 3 and 7 pieces on
-# one, two and four threads (more than the cores of a two-core machine),
-# switching threads often: every result must have the same bytes, and the
-# helpers must have built some piece's exponentials.
+# one, two and four threads (more than the cores of a two-core machine, each
+# count with a pool of its own), switching threads often: every result must
+# have the same bytes, and the helpers must have built some piece's
+# exponentials.
 _IDENTITY_CHILD = """
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from motc import dynamics
 from test_dynamics import _chunked_system
 system, field = _chunked_system({kind!r})
-dynamics._pool = ThreadPoolExecutor(3, thread_name_prefix="motc-propagate")
 eigh, helped = np.linalg.eigh, set()
 def recorded(a):
     helped.add(threading.current_thread().name.startswith("motc-propagate"))
@@ -288,13 +287,12 @@ print("ok")
 """
 
 
-# A child interpreter whose one pool thread is held by another task, so no
-# helper starts: a two-thread propagation's calling thread must do every
-# piece's work alone, to the same bytes, and a two-thread spread's calling
-# thread every item, in order.
+# A child interpreter whose one two-thread pool thread is held by another
+# task, so no helper starts: a two-thread propagation's calling thread must
+# do every piece's work alone, to the same bytes, and a two-thread spread's
+# calling thread every item, in order.
 _BLOCKED_CHILD = """
 import threading
-from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from motc import dynamics
 from motc.bench import build_model_system, sample_random_field
@@ -303,9 +301,8 @@ field = sample_random_field(system, np.random.default_rng(0))
 dynamics._threads = lambda system: 1
 serial = dynamics.propagate(system, field)
 dynamics._threads = lambda system: 2
-dynamics._pool = ThreadPoolExecutor(1, thread_name_prefix="motc-propagate")
 release = threading.Event()
-blocker = dynamics._pool.submit(release.wait)
+blocker = dynamics._pool(1).submit(release.wait)
 blocked = dynamics.propagate(system, field)
 assert not blocker.done()
 threads = []
@@ -431,16 +428,17 @@ print("ok")
 
 # A child interpreter that spreads survey samples over two threads while
 # each sample's propagation asks for three pieces on two threads of its
-# own.  Only the survey's items may reach the helper pool: a propagation
+# own.  Only the survey's items may reach a helper pool: a propagation
 # inside an item runs in the item's thread.
 _NESTED_CHILD = """
+from concurrent.futures import ThreadPoolExecutor
 from motc import dynamics
 from motc.bench import experiments
 dynamics._piece_count = lambda system: 3
 dynamics.usable_cores = lambda: 2
 tasks = []
-submit = dynamics._pool.submit
-dynamics._pool.submit = lambda fn, *args: tasks.append(fn.__qualname__) or submit(fn, *args)
+submit = ThreadPoolExecutor.submit
+ThreadPoolExecutor.submit = lambda pool, fn, *args: tasks.append(fn.__qualname__) or submit(pool, fn, *args)
 cfg = dict(experiment="gramian-dist", samples=4, q=128, t_final=30.0, observables=(4,))
 out = experiments.run_gramian_distribution(experiments.ExperimentConfig(**cfg))
 assert out["summary"]["failures"] == 0
@@ -496,8 +494,8 @@ class TestChunkedPropagate:
         propagate(model_system, field)
 
     def test_import_starts_no_thread(self):
-        # The helper pool is made at import; its threads start only with a
-        # propagation that splits its steps.
+        # The helper pools are made at first use; their threads start only
+        # with a propagation that splits its steps.
         code = (
             "import threading\n"
             "def refuse(thread):\n"
@@ -576,7 +574,7 @@ class TestSpreadSurvey:
             raise AssertionError(f"thread {thread.name} started")
 
         monkeypatch.setattr(dynamics, "usable_cores", lambda: 2)
-        monkeypatch.setattr(dynamics, "_pool", ThreadPoolExecutor(1))
+        monkeypatch.setattr(dynamics, "_pool", lambda helpers: ThreadPoolExecutor(helpers))
         monkeypatch.setattr(threading.Thread, "start", refuse)
         cfg = experiments.ExperimentConfig(
             experiment="gramian-dist", n_levels=3, state="pure", t_final=30.0, q=64,
@@ -592,8 +590,8 @@ class TestSpreadSurvey:
         # piece and is not, and none does.  Either way the results come back
         # in item order.
         monkeypatch.setattr(dynamics, "usable_cores", lambda: 2)
-        helpers, submit = [], dynamics._pool.submit
-        monkeypatch.setattr(dynamics._pool, "submit", lambda *args: helpers.append(1) or submit(*args))
+        helpers, submit = [], ThreadPoolExecutor.submit
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", lambda *args: helpers.append(1) or submit(*args))
         sizes = ((3, 64, 1, False), (11, 128, 2, True), (11, 1024, 8, True))
         for levels, q, pieces, spreads in sizes:
             helpers.clear()
@@ -603,23 +601,30 @@ class TestSpreadSurvey:
             assert len(helpers) == (n if spreads and n > 1 else 0)
 
     def test_helper_error_reaches_spread_caller(self, monkeypatch):
-        # A helper's item fails while this thread is in its own: spread
-        # raises that error, and the pool serves the next spread.
+        # A helper's item fails while this thread is in its own, which ends
+        # once the helper has gone on to a slow next item: spread raises
+        # the error without this thread taking another item, and the pool
+        # serves the next spread.
         monkeypatch.setattr(dynamics, "_threads", lambda system: 2)
         system = build_model_system(3, t_final=20.0, q=64)
-        inside, raised = threading.Event(), threading.Event()
+        inside, moved_on, helper_items, caller_items = threading.Event(), threading.Event(), [], []
 
         def item(k):
             if threading.current_thread().name.startswith("motc-propagate"):
+                helper_items.append(k)
+                if len(helper_items) > 1:
+                    moved_on.set()
+                    time.sleep(0.2)
                 assert inside.wait(30)
-                raised.set()
                 raise ValueError("helper's item")
+            caller_items.append(k)
             inside.set()
-            assert raised.wait(30)
+            assert moved_on.wait(30)
             return k
 
         with pytest.raises(ValueError, match="helper's item"):
-            dynamics.spread(item, 4, system)
+            dynamics.spread(item, 6, system)
+        assert len(caller_items) == 1, caller_items
         assert dynamics.spread(lambda k: k, 4, system) == list(range(4))
 
 
