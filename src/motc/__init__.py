@@ -13,7 +13,6 @@ from .dynamics import (
     StateSpec,
     expectations,
     propagate,
-    pure_state,
     zero_field,
 )
 from .integrate import (
@@ -32,12 +31,7 @@ from .landscape import (
     single_observable_gradients,
     unitary_gradient,
 )
-from .linalg import (
-    condition_number,
-    herm_to_vec,
-    log_unitary_principal,
-    vec_to_herm,
-)
+from .linalg import herm_to_vec, log_unitary_principal
 from .tracking import (
     GramianReport,
     ObservableTrack,
@@ -61,7 +55,6 @@ __all__ = [
     "StateSpec",
     "expectations",
     "propagate",
-    "pure_state",
     "zero_field",
     "FlowProblem",
     "IntegrationReport",
@@ -75,10 +68,8 @@ __all__ = [
     "natural_basis_rank",
     "single_observable_gradients",
     "unitary_gradient",
-    "condition_number",
     "herm_to_vec",
     "log_unitary_principal",
-    "vec_to_herm",
     "GramianReport",
     "ObservableTrack",
     "UnitaryTrack",

@@ -11,7 +11,9 @@ counted under "failures".  A failure outside any leg, such as a geodesic
 generator that five nudges do not move off the log branch cut, exits 3.
 
 gramian-dist spreads its samples over threads when they are large enough
-(``motc.dynamics.spread``); no flag sets the number of workers.
+(``motc.dynamics.spread``); no flag sets the number of workers.  Its Gamma
+columns (``cond_gamma_thermal``, ``cond_gamma_pure``) hold the largest
+observable count given: ``--observables 2,4,10`` reports m = 10 alone.
 """
 
 from __future__ import annotations

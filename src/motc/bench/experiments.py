@@ -432,6 +432,10 @@ def run_gramian_distribution(config: ExperimentConfig) -> dict:
     ensemble of random fields; histogram plus log10 summary statistics, and
     per Gramian the count of numerically singular samples.
 
+    Gamma is taken for one observable count only, the largest of
+    ``config.observables``: the default (2, 4, 10) reports the m = 10 Gamma.
+    The smaller counts are not surveyed.
+
     The samples run through ``dynamics.spread``: on this thread and
     ``propagate``'s helper threads, up to one thread per usable core, when a
     sample's propagation has at least ``dynamics.MIN_THREAD_WORK`` of work,

@@ -67,6 +67,7 @@ in the item's thread.
 from __future__ import annotations
 
 import functools
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -97,8 +98,10 @@ class QuantumSystem:
         mu = require_hermitian(np.asarray(self.mu, dtype=complex), name="mu")
         if h0.shape != mu.shape:
             raise ValueError(f"h0 and mu dimensions differ: {h0.shape} vs {mu.shape}")
-        if not (self.t_final > 0):
-            raise ValueError("t_final must be positive")
+        if not (0 < self.t_final < np.inf):
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final!r}")
+        if not isinstance(self.q, numbers.Integral):
+            raise ValueError(f"q must be an integer, got {self.q!r}")
         if self.q < 2:
             raise ValueError("q must be at least 2")
         object.__setattr__(self, "h0", h0)
@@ -192,13 +195,6 @@ class StateSpec:
     @property
     def rank(self) -> int:
         return sum(self.degeneracies)
-
-
-def pure_state(n: int, index: int = 0) -> StateSpec:
-    """Projector |index><index| as a StateSpec."""
-    rho = np.zeros((n, n), dtype=complex)
-    rho[index, index] = 1.0
-    return StateSpec(rho)
 
 
 @dataclass(frozen=True)

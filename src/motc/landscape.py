@@ -3,7 +3,8 @@
 Objective.  Phi_M = sum_k Phi_k = Tr(U rho U^dag Theta_M), Theta_M = sum_k Theta_k,
 whose gradient on U(N) is the double bracket [Theta_M, V rho V^dag] V and
 whose maximizers are closed-form.  The integrated flow is kept, unexported,
-only until ROADMAP D13.
+only because the benchmark (``perfbench/layertrace.py``) wraps it by name;
+its closed-form pure-state oracle lives with the tests (``tests/conftest.py``).
 
 Sign convention.  With H(t) = H0 - mu eps(t) and hbar = 1, first-order
 perturbation of the Schroedinger equation gives
@@ -38,7 +39,7 @@ import numpy as np
 
 from .dynamics import PropagationResult, StateSpec
 from .errors import ConsistencyError, StallError
-from .linalg import condition_number, require_hermitian, require_unitary
+from .linalg import condition_from_singular_values, require_finite, require_hermitian, require_unitary
 
 GRAD_NORM_TOL = 1e-8
 # Smallest step of the kinematic flow's halving retries before it stalls.
@@ -64,7 +65,8 @@ class ObservableSet:
         for k in range(ops.shape[0]):
             require_hermitian(ops[k], name=f"Theta_{k + 1}")
         gram = np.einsum("kab,lba->kl", ops.conj().transpose(0, 2, 1), ops).real
-        if condition_number(gram) >= 1e12:
+        require_finite(gram, "observable Gram matrix")
+        if condition_from_singular_values(np.linalg.svd(gram, compute_uv=False)) >= 1e12:
             raise ValueError("observables are (numerically) linearly dependent")
         object.__setattr__(self, "operators", ops)
 
@@ -128,7 +130,8 @@ def _polar_unitary(v: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-# ROADMAP D13 deletes the flow and its oracle once the benchmark stops wrapping it.
+# Kept only for the benchmark, which wraps kinematic_flow by name; the tests
+# hold its closed-form oracle.
 @dataclass(frozen=True)
 class KinematicFlowResult:
     """Accepted states of the gradient flow on U(N)."""
@@ -232,24 +235,6 @@ def kinematic_maximizer(u0: np.ndarray, state: StateSpec, theta: np.ndarray) -> 
     for lo, hi in zip(edges, edges[1:]):
         d[lo:hi, lo:hi] = _polar_unitary(u[lo:hi, lo:hi])
     return v_theta @ d @ v_rho.conj().T
-
-
-def analytic_purestate_flow(x0: np.ndarray, lambdas: np.ndarray, s: float) -> np.ndarray:
-    """Closed-form populations of the pure-state kinematic flow.
-
-    x_k(s) = exp(2 s lambda_k) x_k(0) / sum_j exp(2 s lambda_j) x_j(0),
-    evaluated with a max-shift for overflow safety.
-    """
-    x0 = np.asarray(x0, float)
-    lam = np.asarray(lambdas, float)
-    if x0.shape != lam.shape:
-        raise ValueError("x0 and lambdas must have matching lengths")
-    if np.any(x0 < -1e-12):
-        raise ValueError("x0 has negative entries")
-    if abs(x0.sum() - 1.0) > 1e-8:
-        raise ValueError(f"x0 sums to {x0.sum()!r}, not 1")
-    y = np.clip(x0, 0.0, None) * np.exp(2.0 * s * (lam - lam.max()))
-    return y / y.sum()
 
 
 def natural_basis_dimension(state: StateSpec) -> int:

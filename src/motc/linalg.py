@@ -1,9 +1,9 @@
 """Dense complex matrix kernel.
 
-Input validation, the principal unitary logarithm, condition numbers, and
-the real Hermitian-basis vectorization used by the gradient and Gramian
-machinery.  Everything is a pure function over numpy arrays; LAPACK, through
-numpy alone, does the heavy lifting.
+Input validation, the principal unitary logarithm, the condition number of
+a singular-value spectrum, and the real Hermitian-basis vectorization used
+by the gradient and Gramian machinery.  Everything is a pure function over
+numpy arrays; LAPACK, through numpy alone, does the heavy lifting.
 """
 
 from __future__ import annotations
@@ -88,12 +88,6 @@ def condition_from_singular_values(s: np.ndarray) -> float:
     return float(s[0] / s[-1])
 
 
-def condition_number(m: np.ndarray) -> float:
-    """sigma_max / sigma_min, with +inf when sigma_min underflows to nothing."""
-    m = require_finite(m, "M")
-    return condition_from_singular_values(np.linalg.svd(np.atleast_2d(m), compute_uv=False))
-
-
 # ---------------------------------------------------------------------------
 # Real Hermitian-basis vectorization.
 #
@@ -117,17 +111,3 @@ def herm_to_vec(m: np.ndarray) -> np.ndarray:
         [diag, np.sqrt(2.0) * off.real, np.sqrt(2.0) * off.imag], axis=-1
     )
 
-
-def vec_to_herm(x: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`herm_to_vec` for a single coordinate vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n * n,):
-        raise ValueError(f"expected coordinate vector of length {n * n}, got {x.shape}")
-    iu, ju = np.triu_indices(n, 1)
-    k = iu.size
-    m = np.zeros((n, n), dtype=complex)
-    m[np.arange(n), np.arange(n)] = x[:n]
-    off = (x[n : n + k] + 1j * x[n + k :]) / np.sqrt(2.0)
-    m[iu, ju] = off
-    m[ju, iu] = off.conj()
-    return m

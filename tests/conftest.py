@@ -7,6 +7,7 @@ from motc.bench import (
     build_rank_truncated_state,
     sample_random_field,
 )
+from motc.dynamics import StateSpec
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -51,6 +52,47 @@ def propagate_direct(system, control) -> tuple[np.ndarray, np.ndarray]:
     step_dipoles = np.zeros_like(cumulative)
     step_dipoles[:-1] = cumulative[:-1].conj().transpose(0, 2, 1) @ mu_local @ cumulative[:-1]
     return cumulative, step_dipoles
+
+
+def pure_state(n: int, index: int = 0) -> StateSpec:
+    """Projector |index><index| as a StateSpec."""
+    rho = np.zeros((n, n), dtype=complex)
+    rho[index, index] = 1.0
+    return StateSpec(rho)
+
+
+def vec_to_herm(x: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of ``motc.linalg.herm_to_vec`` for a single coordinate vector."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n * n,):
+        raise ValueError(f"expected coordinate vector of length {n * n}, got {x.shape}")
+    iu, ju = np.triu_indices(n, 1)
+    k = iu.size
+    m = np.zeros((n, n), dtype=complex)
+    m[np.arange(n), np.arange(n)] = x[:n]
+    off = (x[n : n + k] + 1j * x[n + k :]) / np.sqrt(2.0)
+    m[iu, ju] = off
+    m[ju, iu] = off.conj()
+    return m
+
+
+def analytic_purestate_flow(x0: np.ndarray, lambdas: np.ndarray, s: float) -> np.ndarray:
+    """Closed-form populations of the pure-state kinematic flow, the oracle
+    for ``motc.landscape.kinematic_flow``.
+
+    x_k(s) = exp(2 s lambda_k) x_k(0) / sum_j exp(2 s lambda_j) x_j(0),
+    evaluated with a max-shift for overflow safety.
+    """
+    x0 = np.asarray(x0, float)
+    lam = np.asarray(lambdas, float)
+    if x0.shape != lam.shape:
+        raise ValueError("x0 and lambdas must have matching lengths")
+    if np.any(x0 < -1e-12):
+        raise ValueError("x0 has negative entries")
+    if abs(x0.sum() - 1.0) > 1e-8:
+        raise ValueError(f"x0 sums to {x0.sum()!r}, not 1")
+    y = np.clip(x0, 0.0, None) * np.exp(2.0 * s * (lam - lam.max()))
+    return y / y.sum()
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,6 @@ from motc.dynamics import (
     StateSpec,
     expectations,
     propagate,
-    pure_state,
     zero_field,
 )
 from motc import dynamics
@@ -27,7 +26,7 @@ from motc.bench import experiments
 from motc.dynamics import DEGENERACY_TOL
 from motc.landscape import ObservableSet, natural_basis_dimension
 
-from conftest import free_evolution_final, propagate_direct, random_hermitian
+from conftest import free_evolution_final, propagate_direct, pure_state, random_hermitian
 
 
 class TestTypes:
@@ -49,6 +48,16 @@ class TestTypes:
         w = sys_.quadrature_weights
         assert np.isclose(w.sum(), 10.0)
         assert w[0] == w[-1] == sys_.dt / 2
+
+    @pytest.mark.parametrize("t_final", [np.inf, np.nan, 0.0])
+    def test_system_rejects_bad_horizon(self, t_final):
+        with pytest.raises(ValueError, match="t_final must be positive and finite"):
+            QuantumSystem(h0=np.eye(3), mu=np.eye(3), t_final=t_final, q=8)
+
+    @pytest.mark.parametrize("q", [8.5, 8.0, "8"])
+    def test_system_rejects_non_integer_grid(self, q):
+        with pytest.raises(ValueError, match="q must be an integer"):
+            QuantumSystem(h0=np.eye(3), mu=np.eye(3), q=q)
 
     def test_field_validation(self):
         with pytest.raises(ValueError, match="finite"):

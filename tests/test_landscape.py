@@ -4,10 +4,10 @@ import pytest
 from motc.bench import (
     build_model_system, build_observable_set, build_rank_truncated_state, sample_random_field,
 )
-from motc.dynamics import ControlField, StateSpec, expectations, propagate, pure_state
+from motc.dynamics import ControlField, StateSpec, expectations, propagate
 from motc.landscape import (
+    NATURAL_BASIS_RANK_TOL,
     ObservableSet,
-    analytic_purestate_flow,
     gradient_field,
     kinematic_flow,
     kinematic_maximizer,
@@ -18,9 +18,21 @@ from motc.landscape import (
     unitary_gradient,
 )
 from motc.linalg import herm_to_vec
-from motc.tracking import gramian_unitary
+from motc.tracking import gramian_motc, gramian_unitary
 
-from conftest import expi, random_hermitian, random_unitary
+from conftest import (
+    analytic_purestate_flow, expi, pure_state, random_hermitian, random_unitary, vec_to_herm,
+)
+
+
+@pytest.fixture(params=["pure", "thermal", "rank7"])
+def state(request, small_system, thermal_state, rank7_state):
+    # pure: a 10-fold zero cluster; rank7: a 4-fold one; thermal: none.
+    return {
+        "pure": build_rank_truncated_state(small_system, 1),
+        "thermal": thermal_state,
+        "rank7": rank7_state,
+    }[request.param]
 
 
 def fd_gradient_at(system, state, oset, field, indices, step=1e-5):
@@ -45,6 +57,11 @@ class TestObjectives:
         ops = np.array([np.eye(3), 2.0 * np.eye(3)])
         with pytest.raises(ValueError, match="dependent"):
             ObservableSet(ops)
+
+    def test_overflowing_gram_rejected(self):
+        # Finite, Hermitian operators whose Gram matrix overflows.
+        with pytest.raises(ValueError, match="Gram matrix has non-finite"):
+            ObservableSet(np.array([1e200 * np.eye(2), np.diag([1e200, -1e200])]))
 
     def test_weights_fold_into_operators(
         self, small_system, small_field, rank7_state, observable_set
@@ -184,15 +201,6 @@ class TestKinematicFlow:
 class TestKinematicMaximizer:
     """W = V_Theta D V_rho^dag in closed form, D block-unitary over the
     degenerate eigenspaces of rho: exact maximum, nearest to U0."""
-
-    @pytest.fixture(params=["pure", "thermal", "rank7"])
-    def state(self, request, small_system, thermal_state, rank7_state):
-        # pure: a 10-fold zero cluster; rank7: a 4-fold one; thermal: none.
-        return {
-            "pure": build_rank_truncated_state(small_system, 1),
-            "thermal": thermal_state,
-            "rank7": rank7_state,
-        }[request.param]
 
     @staticmethod
     def _maximizers(state, theta, rng, count, near=None):
@@ -351,3 +359,34 @@ class TestFMatrix:
         direct = b.T @ (prop.weights * a_m)
         chained = gramian_unitary(prop).matrix @ vp
         assert np.abs(chained - direct).max() <= 1e-10 * max(1.0, np.abs(direct).max())
+
+    def test_gamma_is_c_g_ct(self, small_system, small_field, state, observable_set):
+        # a_k = c_k . b_j with c_k the coordinates of i [rho, Theta_k(T)],
+        # so Gamma = sum_j w_j a a^T is C G C^T.
+        prop = propagate(small_system, small_field)
+        oset = observable_set.subset(4)
+        u, rho = prop.final, state.rho0
+        theta_t = u.conj().T @ oset.operators @ u
+        c = herm_to_vec(1j * (rho @ theta_t - theta_t @ rho))
+        gamma = gramian_motc(single_observable_gradients(prop, state, oset), prop.weights).matrix
+        chained = c @ gramian_unitary(prop).matrix @ c.T
+        assert np.abs(gamma - chained).max() <= 1e-12 * np.abs(gamma).max()
+
+    def test_natural_basis_gram_is_g_block(self, small_system, small_field, state):
+        # In rho's eigenbasis the natural-basis functions are Re and Im of
+        # the off-cluster dipole entries, whose coordinates are sqrt(2) times
+        # them: their Gram matrix is half of G's block on those coordinates.
+        prop = propagate(small_system, small_field)
+        n, r = small_system.dim, state.eigenbasis
+        m = np.array([herm_to_vec(r.conj().T @ vec_to_herm(e, n) @ r) for e in np.eye(n * n)]).T
+        sizes = np.diff(state.cluster_edges)
+        cluster = np.repeat(np.arange(sizes.size), sizes)
+        iu, ju = np.triu_indices(n, 1)
+        pairs = np.flatnonzero(cluster[iu] != cluster[ju])
+        coords = np.stack([n + pairs, n + iu.size + pairs], axis=1).ravel()
+        block = 0.5 * (m @ gramian_unitary(prop).matrix @ m.T)[np.ix_(coords, coords)]
+        fam = natural_basis_functions(prop, state)
+        gram = (fam * prop.weights) @ fam.T
+        assert np.abs(gram - block).max() <= 1e-12 * np.abs(block).max()
+        sv = np.linalg.svd(block, compute_uv=False)
+        assert natural_basis_rank(prop, state) == (sv > NATURAL_BASIS_RANK_TOL * sv[0]).sum()

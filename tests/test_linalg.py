@@ -4,14 +4,13 @@ import pytest
 from motc.errors import BranchBoundaryError, ConsistencyError
 from motc.linalg import (
     BRANCH_TOL,
-    condition_number,
+    condition_from_singular_values,
     herm_to_vec,
     log_unitary_principal,
     require_finite,
-    vec_to_herm,
 )
 
-from conftest import expi, random_hermitian, random_unitary
+from conftest import expi, random_hermitian, random_unitary, vec_to_herm
 
 
 class TestExpiHermitian:
@@ -133,7 +132,14 @@ def _assert_log_matches(theta: np.ndarray, q: np.ndarray, tol: float = 1e-12) ->
     assert np.abs(a - a.conj().T).max() <= 1e-14
 
 
+def condition_number(m: np.ndarray) -> float:
+    return condition_from_singular_values(np.linalg.svd(m, compute_uv=False))
+
+
 class TestConditionNumber:
+    """sigma_max / sigma_min of a matrix's descending singular values, the
+    condition ``ObservableSet`` and ``gramian_motc`` report."""
+
     def test_identity(self):
         assert condition_number(np.eye(9)) == 1.0
 
@@ -143,6 +149,7 @@ class TestConditionNumber:
     def test_rank_deficient_sentinel(self):
         assert condition_number(np.diag([1.0, 0.0])) == np.inf
         assert condition_number(np.zeros((3, 3))) == np.inf
+        assert condition_from_singular_values(np.array([])) == np.inf
 
     @pytest.mark.parametrize("scale", [1e-7, 3.0, 2.5e8])
     def test_scale_invariance(self, scale, rng):

@@ -5,7 +5,7 @@ from motc.bench import build_model_system, build_observable_set, sample_random_f
 from motc.dynamics import ControlField, expectations, propagate
 from motc.errors import BranchBoundaryError, ConsistencyError, SingularTrackError
 from motc.landscape import gradient_field, single_observable_gradients
-from motc.linalg import herm_to_vec, vec_to_herm
+from motc.linalg import herm_to_vec
 from motc.tracking import (
     GramianReport,
     free_function_min_fluence,
@@ -18,7 +18,7 @@ from motc.tracking import (
     solve_gramian,
 )
 
-from conftest import expi, random_unitary
+from conftest import expi, random_unitary, vec_to_herm
 
 
 @pytest.fixture(scope="module")
