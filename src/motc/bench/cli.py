@@ -1,12 +1,14 @@
 """Command-line entry point.
 
 Subcommands: gramian-dist, motc-track, grad-flow, unitary-track, efficiency.
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
+Every run writes its CSV files and a JSON summary into --out and prints
+their paths.  Exit codes: 0 success, 2 config error (an unknown or invalid
+config key included), 3 numerical failure, 4 I/O error.
 
-A numerical failure inside an integration leg (a step below ds_min, a
-Gramian solve left with too large a residual, a non-finite field) ends only
-that leg: its summary records termination "stall" or "error" and the error
-text, and the run exits 0.  So does a failed sample of the Gramian survey,
+A numerical failure inside an integration leg (a step below the floor of
+1e-6, a Gramian solve left with too large a residual, a non-finite field)
+ends only that leg: its summary records termination "stall" or "error" and
+the error text, and the run exits 0.  So does a failed sample of the Gramian survey,
 counted under "failures".  A failure outside any leg, such as a geodesic
 generator that five nudges do not move off the log branch cut, exits 3.
 
@@ -46,8 +48,7 @@ _RUNNERS = {
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", help="JSON config file (flags override it)")
     p.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
-    p.add_argument("--out", default="out", metavar="DIR", help="output directory")
-    p.add_argument("--format", default="both", choices=["csv", "json", "both"])
+    p.add_argument("--out", default="out", metavar="DIR", help="directory for the CSVs and summary")
     p.add_argument("--samples", type=int, help="number of random-field samples")
     p.add_argument(
         "--observables",
@@ -112,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         result = _RUNNERS[args.command](config)
-        paths = emit_results(result, config, args.out, fmt=args.format)
+        paths = emit_results(result, config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

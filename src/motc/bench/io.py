@@ -61,20 +61,13 @@ def _sanitize(obj):
     return obj
 
 
-def emit_results(
-    result: dict,
-    config: ExperimentConfig,
-    out_dir: str | Path,
-    fmt: str = "both",
-) -> list[Path]:
+def emit_results(result: dict, config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     """Write a runner's result bundle under ``out_dir``.
 
-    Emits one CSV per trajectory log / table and spectra (when ``fmt``
-    includes csv), and a JSON summary embedding the config, its seed, and
-    its content hash (when ``fmt`` includes json).  Returns written paths.
+    Emits one CSV per trajectory log / table and spectra, and a JSON summary
+    embedding the config, its seed, and its content hash.  Returns written
+    paths.
     """
-    if fmt not in ("csv", "json", "both"):
-        raise ValueError(f"unknown format {fmt!r}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -82,35 +75,33 @@ def emit_results(
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
     name = result.get("name", "run")
     written: list[Path] = []
-    if fmt in ("csv", "both"):
-        for label, log in result.get("logs", {}).items():
-            assert isinstance(log, TrajectoryLog)
-            path = out / f"{name}_{label}.csv"
-            _write_rows(path, ",".join(log.columns), log.rows())
-            written.append(path)
-        if "table" in result:
-            header, rows = result["table"]
-            path = out / f"{name}_table.csv"
-            _write_rows(path, header, rows)
-            written.append(path)
-        for m, (omega, power) in result.get("spectra", {}).items():
-            path = out / f"{name}_spectrum_m{m}.csv"
-            _write_rows(path, "omega,power", zip(omega, power))
-            written.append(path)
-    if fmt in ("json", "both"):
-        payload = {
-            "name": name,
-            "seed": config.seed,
-            "config": config.to_dict(),
-            "config_hash": config_hash(config),
-            "summary": _sanitize(result.get("summary", {})),
-        }
-        if "histograms" in result:
-            payload["histograms"] = _sanitize(result["histograms"])
-        path = out / f"{name}_summary.json"
-        try:
-            path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        except OSError as exc:
-            raise OSError(f"failed writing JSON {path}: {exc}") from exc
+    for label, log in result.get("logs", {}).items():
+        assert isinstance(log, TrajectoryLog)
+        path = out / f"{name}_{label}.csv"
+        _write_rows(path, ",".join(log.columns), log.rows())
         written.append(path)
+    if "table" in result:
+        header, rows = result["table"]
+        path = out / f"{name}_table.csv"
+        _write_rows(path, header, rows)
+        written.append(path)
+    for m, (omega, power) in result.get("spectra", {}).items():
+        path = out / f"{name}_spectrum_m{m}.csv"
+        _write_rows(path, "omega,power", zip(omega, power))
+        written.append(path)
+    payload = {
+        "name": name,
+        "seed": config.seed,
+        "config": config.to_dict(),
+        "config_hash": config_hash(config),
+        "summary": _sanitize(result.get("summary", {})),
+    }
+    if "histograms" in result:
+        payload["histograms"] = _sanitize(result["histograms"])
+    path = out / f"{name}_summary.json"
+    try:
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise OSError(f"failed writing JSON {path}: {exc}") from exc
+    written.append(path)
     return written

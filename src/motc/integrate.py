@@ -75,7 +75,7 @@ class IntegrationReport:
     rejected_steps: int
     rhs_evaluations: int
     final_field: ControlField
-    termination: str = "completed"
+    termination: str
 
     @property
     def counts(self) -> tuple[int, int, int]:

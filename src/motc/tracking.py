@@ -68,8 +68,8 @@ class GramianReport:
     matrix: np.ndarray
     singular_values: np.ndarray
     condition: float
-    _u: np.ndarray = field(repr=False, default=None)
-    _vt: np.ndarray = field(repr=False, default=None)
+    _u: np.ndarray = field(repr=False)
+    _vt: np.ndarray = field(repr=False)
 
 
 def _per_propagation(method):

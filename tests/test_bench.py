@@ -83,12 +83,12 @@ class TestConfig:
             {"integrator": "rk4"},
             {"observables": (0,)},
             {"samples": 0},
-            {"threshold_fraction": 1.5},
+            {"track": "spiral"},
             {"correction": "beta=1.2.3"},
             {"integrator": "euler:ds=1e"},
-            {"ds_min": 0},
-            {"ds_min": 0.01, "ds_max": 0.001},
-            {"temperature": 0},
+            {"q": 1},
+            {"t_final": 0},
+            {"max_steps": 2.5},
             {"grad_s_max": -1},
             {"max_steps": 0},
             {"observables": 2},
@@ -98,7 +98,7 @@ class TestConfig:
             {"samples": 2.5},
             {"t_final": "x"},
             {"t_final": float("nan")},
-            {"temperature": True},
+            {"experiment": 3},
             {"grad_s_max": float("inf"), "integrator": "euler:ds=0.5"},
             {"integrator": "euler:ds=1e-310"},
             {"state": 3},
@@ -136,10 +136,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_dict({"volume": 11})
 
-    def test_kinematic_s_max_removed(self):
-        # The target W is closed-form; the kinematic flow's budget is no longer a key.
-        with pytest.raises(ConfigError, match="kinematic_s_max"):
-            ExperimentConfig.from_dict({"kinematic_s_max": 2000.0})
+    # kinematic_s_max went when the target W became closed-form; the other
+    # four held one value in every run and are constants now (see
+    # ExperimentConfig's docstring).
+    @pytest.mark.parametrize(
+        "key", ["kinematic_s_max", "temperature", "ds_min", "ds_max", "threshold_fraction"]
+    )
+    def test_removed_key_rejected(self, tmp_path, capsys, key):
+        with pytest.raises(ConfigError, match=f"unknown config keys: \\['{key}'\\]"):
+            ExperimentConfig.from_dict({key: 1.0})
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: 1.0}))
+        rc = cli_main(["motc-track", "--config", str(cfg_file), "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"config error: unknown config keys: ['{key}']" in capsys.readouterr().err
 
     def test_correction_spec_parsing(self):
         assert ExperimentConfig(correction="off").correction_beta() is None
@@ -351,7 +361,7 @@ class TestEmitResults(object):
 
     def test_csv_and_json(self, tmp_path):
         cfg = ExperimentConfig(samples=2)
-        paths = emit_results(self._bundle(), cfg, tmp_path, fmt="both")
+        paths = emit_results(self._bundle(), cfg, tmp_path)
         names = sorted(p.name for p in paths)
         assert names == ["unit_demo.csv", "unit_summary.json"]
         with open(tmp_path / "unit_demo.csv") as fh:
@@ -364,22 +374,22 @@ class TestEmitResults(object):
 
     def test_round_trip_hash(self, tmp_path):
         cfg = ExperimentConfig(samples=2, state="pure")
-        emit_results(self._bundle(), cfg, tmp_path, fmt="json")
+        emit_results(self._bundle(), cfg, tmp_path)
         summary = json.loads((tmp_path / "unit_summary.json").read_text())
         rebuilt = ExperimentConfig.from_dict(summary["config"])
         assert config_hash(rebuilt) == summary["config_hash"]
 
     def test_bit_stable(self, tmp_path):
         cfg = ExperimentConfig(samples=2)
-        emit_results(self._bundle(), cfg, tmp_path / "a", fmt="both")
-        emit_results(self._bundle(), cfg, tmp_path / "b", fmt="both")
+        emit_results(self._bundle(), cfg, tmp_path / "a")
+        emit_results(self._bundle(), cfg, tmp_path / "b")
         for name in ("unit_demo.csv", "unit_summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_empty_log_header_only(self, tmp_path):
         cfg = ExperimentConfig(samples=2)
         bundle = {"name": "unit", "logs": {"empty": TrajectoryLog(label="empty", m=1)}}
-        emit_results(bundle, cfg, tmp_path, fmt="csv")
+        emit_results(bundle, cfg, tmp_path)
         with open(tmp_path / "unit_empty.csv") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1
@@ -387,7 +397,7 @@ class TestEmitResults(object):
     def test_io_error_has_path_context(self):
         cfg = ExperimentConfig(samples=2)
         with pytest.raises(OSError, match="/proc"):
-            emit_results(self._bundle(), cfg, "/proc/does-not-exist/x", fmt="csv")
+            emit_results(self._bundle(), cfg, "/proc/does-not-exist/x")
 
 
 class TestGradientFlowRunner:
@@ -445,10 +455,10 @@ class TestCli:
 
     def test_invalid_config_value_exit_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"ds_min": 0}))
+        cfg_file.write_text(json.dumps({"max_steps": 0}))
         rc = cli_main(["motc-track", "--config", str(cfg_file), "--out", str(tmp_path)])
         assert rc == 2
-        assert "ds_min" in capsys.readouterr().err
+        assert "config error: max_steps must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag,value,key,expected",
@@ -479,7 +489,6 @@ class TestCli:
                 "--config", str(cfg_file),
                 "--seed", "7",
                 "--out", str(tmp_path / "out"),
-                "--format", "both",
                 "--observables", "4",
             ]
         )

@@ -65,6 +65,28 @@ def test_leg_counters_and_numbers_reported(trees):
     assert not any("phi1_at_u0" in line for line in lines)
 
 
+def test_every_changed_leaf_reported(trees):
+    # A changed string, a removed key, an added key and an added number are
+    # each named, not only numbers present in the old tree.
+    old, new = trees
+    before = {**SUMMARY, "config_hash": "abc", "config": {"seed": 2008, "temperature": 1.0}}
+    after = json.loads(json.dumps(before))
+    after["config_hash"] = "def"
+    del after["config"]["temperature"]
+    after["config"]["workers"] = 1
+    after["summary"]["rank"] = 3
+    (old / "case" / "run_summary.json").write_text(json.dumps(before))
+    (new / "case" / "run_summary.json").write_text(json.dumps(after))
+    lines = goldens.diff(old, new)
+    assert lines[2].startswith("    leg summary.log: accepted 2 -> 2")
+    assert sorted(lines[3:]) == [
+        "    config.temperature: only in old",
+        "    config.workers: only in new",
+        '    config_hash: "abc" -> "def"',
+        "    summary.rank: only in new",
+    ]
+
+
 @pytest.mark.parametrize("change,status", [(False, 0), (True, 1)], ids=["identical", "differs"])
 def test_exit_status(trees, change, status):
     # A script gates on the exit status: 0 only when every config is identical.

@@ -18,9 +18,10 @@ byte.  Of every other config it lists the files that differ: per CSV the
 row counts and the largest absolute and relative difference per column
 (over the rows both files have); from the summary JSON each leg's
 accepted, rejected and rhs counts and its termination, then every other
-number that differs.  It exits 0 when every config is identical and 1
-when any differs, so a script can gate a change that must not move a
-number on it.
+leaf that differs: a number with its difference, any other value as
+old -> new, and a leaf of one tree only as "only in old" or "only in
+new".  It exits 0 when every config is identical and 1 when any differs,
+so a script can gate a change that must not move a number on it.
 ``diff -r`` cannot gate a change that touches arithmetic: golden config 1
 (``motc-default``) accepts or rejects steps differently past s = 0.9 on
 changes of 1e-14, so its rows shift while its run still completes.
@@ -47,16 +48,12 @@ BASE = {
     "t_final": 30.0,
     "q": 64,
     "observables": [2],
-    "temperature": 1.0,
     "samples": 1000,
     "seed": 2008,
     "correction": "beta=10",
     "free_fn": "zero",
     "integrator": "rkck:atol=1e-6,rtol=1e-6",
-    "ds_min": 1e-6,
-    "ds_max": 0.1,
     "track": "geodesic",
-    "threshold_fraction": 0.95,
     "grad_s_max": 2000.0,
     "max_steps": 20000,
     "workers": 1,
@@ -88,7 +85,7 @@ def run(out_dir: Path) -> int:
         case.mkdir(parents=True, exist_ok=True)
         config = case / "config.json"
         config.write_text(json.dumps({**BASE, **changes}, indent=2, sort_keys=True) + "\n")
-        code = main([command, "--config", str(config), "--out", str(case), "--format", "both"])
+        code = main([command, "--config", str(config), "--out", str(case)])
         if code != 0:
             print(f"{name}: exit code {code}", file=sys.stderr)
             return code
@@ -136,16 +133,26 @@ def _diff_csv(old: Path, new: Path) -> list[str]:
     return lines
 
 
-def _numbers(node, path: str = ""):
-    """(path, value) of every number in a JSON tree."""
-    if isinstance(node, dict):
+def _leaves(node, path: str = ""):
+    """(path, value) of every leaf of a JSON tree: a number, string, bool,
+    null or empty container."""
+    if isinstance(node, dict) and node:
         for key, value in node.items():
-            yield from _numbers(value, f"{path}.{key}" if path else key)
-    elif isinstance(node, list):
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list) and node:
         for k, value in enumerate(node):
-            yield from _numbers(value, f"{path}[{k}]")
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
-        yield path, float(node)
+            yield from _leaves(value, f"{path}[{k}]")
+    else:
+        yield path, node
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _union(a: dict, b: dict) -> list:
+    """The keys of ``a``, then those only in ``b``, each in its tree's order."""
+    return [*a, *(key for key in b if key not in a)]
 
 
 def _legs(node, path: str = ""):
@@ -158,25 +165,33 @@ def _legs(node, path: str = ""):
 
 
 def _diff_summary(old: Path, new: Path) -> list[str]:
-    """Each leg's counters and termination, then every other number that
-    differs."""
+    """Each leg's counters and termination, then every other leaf that
+    differs or is in one tree only."""
     a, b = json.loads(old.read_text()), json.loads(new.read_text())
     lines = [f"  {old.name}:"]
-    legs_b = dict(_legs(b))
-    for path, leg in _legs(a):
-        other = legs_b.get(path, {})
-        counts = ", ".join(f"{key.split('_')[0]} {leg[key]} -> {other.get(key)}" for key in COUNTERS)
+    legs_a, legs_b = dict(_legs(a)), dict(_legs(b))
+    leg_keys = (*COUNTERS, "termination")
+    for path in _union(legs_a, legs_b):
+        x, y = legs_a.get(path, {}), legs_b.get(path, {})
+        counts = ", ".join(f"{key.split('_')[0]} {x.get(key)} -> {y.get(key)}" for key in COUNTERS)
         lines.append(
-            f"    leg {path}: {counts}; "
-            f"termination {leg['termination']} -> {other.get('termination')}"
+            f"    leg {path}: {counts}; termination {x.get('termination')} -> {y.get('termination')}"
         )
-    nums_b = dict(_numbers(b))
-    for path, x in _numbers(a):
-        if path.rsplit(".", 1)[-1] in COUNTERS:
+    leaves_a, leaves_b = dict(_leaves(a)), dict(_leaves(b))
+    for path in _union(leaves_a, leaves_b):
+        parent, _, key = path.rpartition(".")
+        if key in leg_keys and (parent in legs_a or parent in legs_b):
             continue
-        d, rel = _num_diff(x, nums_b[path]) if path in nums_b else (math.inf, math.inf)
-        if d:
-            lines.append(f"    {path}: |diff| {d:.3g}, relative {rel:.3g}")
+        if path not in leaves_a or path not in leaves_b:
+            lines.append(f"    {path}: only in {'old' if path in leaves_a else 'new'}")
+            continue
+        x, y = leaves_a[path], leaves_b[path]
+        if _is_number(x) and _is_number(y):
+            d, rel = _num_diff(float(x), float(y))
+            if d:
+                lines.append(f"    {path}: |diff| {d:.3g}, relative {rel:.3g}")
+        elif json.dumps(x) != json.dumps(y):
+            lines.append(f"    {path}: {json.dumps(x)} -> {json.dumps(y)}")
     return lines
 
 
