@@ -24,7 +24,8 @@ from ..landscape import (
     ObservableSet, gradient_field, kinematic_maximizer, single_observable_gradients,
 )
 from ..tracking import (
-    Track,
+    ObservableTrack,
+    UnitaryTrack,
     free_function_min_fluence,
     geodesic_target_observables,
     geodesic_target_unitary,
@@ -307,15 +308,14 @@ def count_high_frequency_modes(omega: np.ndarray, power: np.ndarray) -> int:
 class _Recorder:
     """Observer logging accepted integrator steps into a TrajectoryLog.
 
-    It takes each accepted field's propagation from the `_Run`'s memo, and
-    the tracking error and Gramian condition from the track, whose memo
-    keeps that propagation's rows and Gramian for the next step's first
-    stage: a record adds no gradient, Gramian or SVD of its own.  ``phi``
-    gives the expectations logged (default: the track's).
+    It takes each accepted field's propagation from the `_Run`'s memo, so
+    a record adds no propagation; the tracking error comes from the track,
+    and the Gramian condition from one Gramian of the track's rows.
+    ``phi`` gives the expectations logged (default: the track's).
     """
 
     def __init__(
-        self, run: _Run, track: Track, log: TrajectoryLog,
+        self, run: _Run, track: ObservableTrack | UnitaryTrack, log: TrajectoryLog,
         phi=None, stop_phi1_at: float | None = None,
     ):
         self.run, self.track, self.log = run, track, log
@@ -335,7 +335,8 @@ class _Recorder:
         self.log.add(
             s, phi, tracking_error=err, tracking_error_inf=err_inf,
             u_pathlength=self._u_length, field_pathlength=self._field_length,
-            track_distance=dist, gramian_condition=self.track.gramian(prop)[1].condition,
+            track_distance=dist,
+            gramian_condition=gramian_motc(self.track.rows(prop), prop.weights).condition,
         )
         return bool(self.stop_phi1_at is not None and phi[0] >= self.stop_phi1_at)
 
@@ -350,9 +351,9 @@ class _Run:
     memo: eps_0 is asked for by `geodesic`, the first record and the first
     stage, each accepted field by the recorder and the next first stage.
     Keyed on an exact copy of the samples, a hit returns the object
-    ``propagate`` gave, on which the track keys its rows and Gramian
-    (`Track.gramian`).  ``propagate`` is looked up in this module at call
-    time, so a wrapper bound there sees every propagation.
+    ``propagate`` gave; it is the run's one cache, as tracks hold no state.
+    ``propagate`` is looked up in this module at call time, so a wrapper
+    bound there sees every propagation.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -393,7 +394,7 @@ class _Run:
         raise BranchBoundaryError("could not move the geodesic generator off the branch cut")
 
     def leg(
-        self, track: Track, log: TrajectoryLog, rhs=None, phi=None,
+        self, track: ObservableTrack | UnitaryTrack, log: TrajectoryLog, rhs=None, phi=None,
         stop_phi1_at: float | None = None, s_end: float = 1.0,
     ) -> np.ndarray | None:
         """One leg of the run: integrate d eps/d s = rhs from eps_0 over

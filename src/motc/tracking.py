@@ -19,10 +19,10 @@ both.  A track (`ObservableTrack`, `UnitaryTrack`) supplies ``rows(prop)``,
 the rows a of shape (m, q); ``rate(prop, s, beta)``, dw/ds in the rows'
 coordinates plus beta times the deviation from the track; and
 ``error(prop, s)``, the 2-norm error, inf-norm error and track distance a run
-logs.  ``gramian(prop)`` gives the rows and their `GramianReport` once per
-propagation, memoised on the propagation object (held by weak reference), so
-a run's recorder and the integrator's next first stage share one gradient,
-Gramian and SVD.  Every track's Gramian is solved by `solve_gramian`.
+logs.  Tracks hold no state: each call computes from ``prop`` afresh, and a
+run's one cache is its propagation memo (``_Run.propagation`` in
+``motc.bench.experiments``).  Every track's Gramian is solved by
+`solve_gramian`.
 
 All time integrals are trapezoidal sums on the propagation grid.  Every
 track's rows are linear images of the propagation's ``dipoles``, in sample
@@ -33,8 +33,6 @@ tracking consistency is limited only by O(ds^2) terms.
 
 from __future__ import annotations
 
-import functools
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -72,33 +70,7 @@ class GramianReport:
     _vt: np.ndarray = field(repr=False)
 
 
-def _per_propagation(method):
-    """Memoise ``method(self, prop)`` for the last ``prop``, keyed on the
-    object (``is``) and held by weak reference: it keeps no propagation alive."""
-    name = "_last_" + method.__name__
-
-    @functools.wraps(method)
-    def memoised(self, prop):
-        ref, value = getattr(self, name, (None, None))
-        if ref is None or ref() is not prop:
-            value = method(self, prop)
-            setattr(self, name, (weakref.ref(prop), value))
-        return value
-
-    return memoised
-
-
-class Track:
-    """A path to follow (see the module docstring), with its Gramian memo."""
-
-    @_per_propagation
-    def gramian(self, prop: PropagationResult) -> tuple[np.ndarray, GramianReport]:
-        """The rows a of ``prop`` and their Gramian report."""
-        a = self.rows(prop)
-        return a, gramian_motc(a, prop.weights)
-
-
-class ObservableTrack(Track):
+class ObservableTrack:
     """A path w_s in R^m for the expectations Phi of ``oset`` in ``state``.
 
     Rows: the single-observable gradients.  Rate: dw/ds, plus
@@ -112,7 +84,6 @@ class ObservableTrack(Track):
     def rows(self, prop: PropagationResult) -> np.ndarray:
         return single_observable_gradients(prop, self.state, self.oset)
 
-    @_per_propagation
     def phi(self, prop: PropagationResult) -> np.ndarray:
         """The expectations Phi of ``prop`` that the track follows."""
         return expectations(prop, self.state, self.oset)
@@ -128,7 +99,7 @@ class ObservableTrack(Track):
         return float(np.linalg.norm(dev)), float(np.abs(dev).max()), float("nan")
 
 
-class UnitaryTrack(Track):
+class UnitaryTrack:
     """The geodesic Q_s = U0 e^{iAs} in U(N) for the propagator U_s(T).
 
     One ``eigh`` of the generator A = va diag(wa) va^dag at construction
@@ -265,7 +236,7 @@ def solve_gramian(report: GramianReport, b: np.ndarray) -> np.ndarray:
 
 
 def motc_rhs(
-    track: Track, prop: PropagationResult, s: float,
+    track: ObservableTrack | UnitaryTrack, prop: PropagationResult, s: float,
     free: np.ndarray | None = None, beta: float | None = None,
 ) -> np.ndarray:
     """d eps/d s = f + x^T a along ``track`` at algorithmic time s, with
@@ -273,7 +244,8 @@ def motc_rhs(
     track's error correction (None tracks without it).  ConsistencyError
     if f is not finite, or if the solve's right-hand side or its squared
     norm, which the solve's residual check takes, is not."""
-    a, report = track.gramian(prop)
+    a = track.rows(prop)
+    report = gramian_motc(a, prop.weights)
     f = np.zeros(a.shape[1]) if free is None else np.asarray(free, float)
     if f.shape != (a.shape[1],):
         raise ValueError("free function must have one sample per grid node")

@@ -636,10 +636,10 @@ class TestOnePropagationPerField:
 
 
 class TestOneGramianPerField:
-    """The recorder and the integrator's next first stage share the rows
-    and Gramian of an accepted field (the track's memo), so a run that ends
-    on an accepted step builds one Gramian per rhs evaluation plus one for
-    the last record.  Every motc binding of ``gramian_motc`` is counted."""
+    """Tracks hold no state: every rhs evaluation builds its own Gramian,
+    and every record one more for the condition it logs, so a run builds
+    one Gramian per rhs evaluation plus one per record.  Every motc binding
+    of ``gramian_motc`` is counted."""
 
     @pytest.mark.parametrize(
         "command,config,summary_path",
@@ -661,7 +661,7 @@ class TestOneGramianPerField:
         for key in summary_path:
             summary = summary[key]
         assert summary["records"] > 2
-        assert len(calls) == summary["rhs_evaluations"] + 1
+        assert len(calls) == summary["rhs_evaluations"] + summary["records"]
 
 
 class TestNoKinematicFlowInRunners:

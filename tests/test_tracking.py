@@ -1,10 +1,15 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from motc.bench import build_model_system, build_observable_set, sample_random_field
+from motc.bench import (
+    build_model_system, build_observable_set, build_rank_truncated_state, sample_random_field,
+)
 from motc.dynamics import ControlField, expectations, propagate
 from motc.errors import BranchBoundaryError, ConsistencyError, SingularTrackError
-from motc.landscape import gradient_field, single_observable_gradients
+from motc.landscape import ObservableSet, gradient_field, single_observable_gradients
 from motc.linalg import herm_to_vec
 from motc.tracking import (
     GramianReport,
@@ -111,8 +116,6 @@ class TestAVector:
         assert np.abs(a).max() < 1e-12
 
     def test_identity_observable_row_zero(self, track_setup, rank7_state, observable_set):
-        from motc.landscape import ObservableSet
-
         _, _, prop, _ = track_setup
         ops = np.concatenate([np.eye(11)[None], observable_set.operators[:2]])
         a = single_observable_gradients(prop, rank7_state, ObservableSet(ops))
@@ -120,8 +123,6 @@ class TestAVector:
         assert np.abs(a[1]).max() > 0
 
     def test_rows_equal_single_gradients(self, track_setup, rank7_state, observable_set):
-        from motc.landscape import ObservableSet
-
         _, _, prop, _ = track_setup
         a = single_observable_gradients(prop, rank7_state, observable_set)
         for k in (0, 4, 9):
@@ -387,3 +388,95 @@ class TestUnitaryRhs:
         x = solve_gramian(rep, dw)
         via_motc = x @ a
         assert np.abs(direct - via_motc).max() <= 1e-8 * max(1.0, np.abs(direct).max())
+
+
+class TestStatelessTracks:
+    """A track keeps nothing of the propagations it is given: it holds no
+    reference to them, and its answer for one does not depend on which it
+    saw before."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        system = build_model_system(3, t_final=30.0, q=256)
+        fields = [sample_random_field(system, np.random.default_rng(k)) for k in (4, 5)]
+        state = build_rank_truncated_state(system, 1)
+        oset = build_observable_set(3, 2, np.random.default_rng(7))
+        u0 = propagate(system, fields[0]).final
+        w = random_unitary(3, np.random.default_rng(40))
+        return system, fields, state, oset, u0, w
+
+    @staticmethod
+    def _track(setup, kind):
+        _, _, state, oset, u0, w = setup
+        geodesic = geodesic_target_unitary(u0, w)
+        if kind == "unitary":
+            return geodesic
+        return geodesic_target_observables(geodesic, state, oset)
+
+    @pytest.mark.parametrize("kind", ["observable", "unitary"])
+    def test_keeps_no_propagation_alive(self, setup, kind):
+        system, fields, *_ = setup
+        track = self._track(setup, kind)
+        prop = propagate(system, fields[1])
+        motc_rhs(track, prop, 0.2, beta=1.0)
+        track.error(prop, 0.2)
+        ref = weakref.ref(prop)
+        del prop
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("kind", ["observable", "unitary"])
+    def test_answer_independent_of_history(self, setup, kind):
+        system, fields, *_ = setup
+        a, b = (propagate(system, f) for f in fields)
+        track = self._track(setup, kind)
+        seen = [motc_rhs(track, prop, 0.2, beta=1.0) for prop in (a, b, a)]
+        fresh = [motc_rhs(self._track(setup, kind), prop, 0.2, beta=1.0) for prop in (a, b, a)]
+        for got, want in zip(seen, fresh):
+            assert np.array_equal(got, want)
+
+
+class TestInputChecks:
+    """Each malformed input to the tracking layer raises ValueError with
+    the message of its own check."""
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (
+                lambda prop, state, oset: motc_rhs(
+                    linear_target_observables(np.zeros(2), np.ones(2), state, oset.subset(2)),
+                    prop, 0.0, free=np.zeros(prop.weights.size - 1),
+                ),
+                "free function must have one sample per grid node",
+            ),
+            (
+                lambda prop, state, oset: gramian_motc(np.ones(prop.weights.size), prop.weights),
+                r"a must be \(m, q\) with one column per quadrature node",
+            ),
+            (
+                lambda prop, state, oset: gramian_motc(np.ones((2, 8)), np.ones(9)),
+                r"a must be \(m, q\) with one column per quadrature node",
+            ),
+            (
+                lambda prop, state, oset: linear_target_observables(
+                    np.zeros(2), np.zeros(3), state, oset.subset(2)
+                ),
+                "phi_start and phi_target must be matching vectors",
+            ),
+            (lambda prop, state, oset: oset.subset(0), r"subset size 0 out of range 1\.\.10"),
+            (lambda prop, state, oset: oset.subset(11), r"subset size 11 out of range 1\.\.10"),
+            (
+                lambda prop, state, oset: ObservableSet(np.zeros((2, 3, 4))),
+                "operators must be a stack of square matrices",
+            ),
+        ],
+        ids=[
+            "rhs-free-length", "gramian-1d-rows", "gramian-weights-length",
+            "linear-endpoint-shapes", "subset-zero", "subset-above-m", "non-square-stack",
+        ],
+    )
+    def test_raises(self, track_setup, rank7_state, observable_set, call, message):
+        _, _, prop, _ = track_setup
+        with pytest.raises(ValueError, match=message):
+            call(prop, rank7_state, observable_set)
